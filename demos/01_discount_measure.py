@@ -7,7 +7,7 @@ form; no integration is performed anywhere.
 
 import math
 
-from dseu import ExpMeasure, TimeInterval, TimeSet, shift_set
+from dseu import ExpMeasure, TimeInterval, TimeSet
 
 rate = ExpMeasure(math.log(2.0))  # half-life of exactly one time unit
 
@@ -28,7 +28,7 @@ print(f"  complement mass = {rate.mass(ts.complement()):.6f} (sums to 1)")
 
 print("\n== the shift identity: translating a set scales its mass by e^(-rate*t) ==")
 for t in (0.5, 1.0, 3.0):
-    lhs = rate.mass(shift_set(ts, t))
+    lhs = rate.mass(ts.shift(t))
     rhs = rate.sf(t) * rate.mass(ts)
     print(f"  t={t}: mass(t+A) = {lhs:.12f}   e^(-rate t)*mass(A) = {rhs:.12f}")
 

@@ -13,16 +13,16 @@ from dseu import (
     Beliefs,
     DSEUModel,
     ExpMeasure,
+    SEUOracle,
     UtilityModel,
     run_session,
     section2_demo,
-    seu_oracle,
 )
 
 TRUE_RATE = 0.9
 TRUE_BELIEFS = {"rain": 0.22, "cloud": 0.33, "sun": 0.45}
 
-hidden = seu_oracle(
+hidden = SEUOracle(
     DSEUModel(
         ExpMeasure(TRUE_RATE),
         UtilityModel({"cake": 1.0, "none": 0.0}),

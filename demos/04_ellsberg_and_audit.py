@@ -15,12 +15,12 @@ from dseu import (
     ExpMeasure,
     FunctionalOracle,
     GridAct,
+    SEUOracle,
     StepProfile,
     UtilityModel,
     check_stationarity,
     elicit_measure,
     run_audit,
-    seu_oracle,
 )
 
 states = ("red", "black")
@@ -40,7 +40,7 @@ ambiguous = ChoquetOracle(
         },
     ),
 )
-confident = seu_oracle(DSEUModel(rate, util, Beliefs.uniform(states)))
+confident = SEUOracle(DSEUModel(rate, util, Beliefs.uniform(states)))
 
 print("== the two-urn pattern, with time playing the known urn ==")
 stream = GridAct.deterministic(states, StepProfile.before_after("win", rate.half_life, "lose"))

@@ -13,7 +13,6 @@ from .acts import (
     Outcome,
     State,
     StepProfile,
-    normalize,
     restrict,
     splice_event,
     splice_time,
@@ -72,7 +71,7 @@ from .evaluate import (
     decomposition_check,
     profile_value,
 )
-from .measure import INF, ExpMeasure, TimeInterval, TimeSet, shift_set
+from .measure import INF, ExpMeasure, TimeInterval, TimeSet
 from .oracles import (
     Capacity,
     ChoquetOracle,
@@ -81,10 +80,8 @@ from .oracles import (
     Preference,
     ProtocolError,
     SEUOracle,
-    choquet_oracle,
+    WidenedOracle,
     choquet_value,
-    noisy_oracle,
-    seu_oracle,
 )
 from .sampling import ActSampler
 

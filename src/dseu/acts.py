@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .measure import INF, TimeInterval, TimeSet
 
@@ -114,10 +114,6 @@ class StepProfile:
     def shift(self, t: float) -> tuple[Piece, ...]:
         """Pieces translated by ``+t`` (no longer a tiling; used for splicing)."""
         return tuple((iv.shift(t), out) for iv, out in self.pieces)
-
-
-def normalize(profile: StepProfile) -> StepProfile:
-    return profile.normalized()
 
 
 @dataclass(frozen=True)
@@ -246,19 +242,43 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
     return GridAct(out)
 
 
+def refine(
+    profiles: Collection[StepProfile], time_sets: Collection[TimeSet] = ()
+) -> Iterator[tuple[float, float, tuple[Outcome, ...], tuple[bool, ...]]]:
+    """Cells ``(lo, hi, outcomes, inside)`` of the common refinement, in time order.
+
+    The cuts are every finite bound > 0 of a piece of any profile or an
+    interval of any time set.  ``outcomes[i]`` is what ``profiles[i]`` pays
+    on ``[lo, hi)`` and ``inside[j]`` whether ``time_sets[j]`` holds it.
+    Costs one sort of all bounds and one pass over them, so no row is looked
+    up again per cell.
+    """
+    n = len(profiles)
+    events = [(iv.lo, i, out) for i, p in enumerate(profiles) for iv, out in p.pieces]
+    for j, ts in enumerate(time_sets, n):
+        for iv in ts:
+            events.append((iv.lo, j, True))
+            if iv.hi < INF:
+                events.append((iv.hi, j, False))
+    # Bounds of one row or one canonical set never repeat, so ties on
+    # (time, index) cannot happen and the sort never compares values.
+    events.sort()
+    now = [False] * (n + len(time_sets))
+    lo = 0.0
+    for t, k, value in events:
+        if t > lo:
+            yield lo, t, tuple(now[:n]), tuple(now[n:])
+            lo = t
+        now[k] = value
+    yield lo, INF, tuple(now[:n]), tuple(now[n:])
+
+
 def _overlay(top: StepProfile, times: TimeSet, bottom: StepProfile) -> StepProfile:
     """Profile equal to ``top`` on ``times`` and to ``bottom`` elsewhere."""
-    cuts = sorted(
-        {b for b in (*top.breakpoints, *bottom.breakpoints) if math.isfinite(b)}
-        | {x for iv in times for x in (iv.lo, iv.hi) if math.isfinite(x) and x > 0}
-    )
-    bounds = [0.0, *cuts, INF]
-    pieces = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo >= hi:
-            continue
-        src = top if times.contains(lo) else bottom
-        pieces.append((TimeInterval(lo, hi), src.outcome_at(lo)))
+    pieces = [
+        (TimeInterval(lo, hi), x if hit else y)
+        for lo, hi, (x, y), (hit,) in refine((top, bottom), (times,))
+    ]
     return StepProfile(tuple(pieces)).normalized()
 
 

@@ -10,7 +10,6 @@ finite alphabet; both facts are reflected in the verdicts.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,6 +20,7 @@ from .acts import (
     Outcome,
     State,
     StepProfile,
+    refine,
     splice_event,
     splice_time,
 )
@@ -89,6 +89,27 @@ def _outcome_ranking(oracle) -> dict[tuple[Outcome, Outcome], Preference]:
     return ranking
 
 
+def _strict_pairs(
+    ranking: dict[tuple[Outcome, Outcome], Preference], outcomes
+) -> list[tuple[Outcome, Outcome]]:
+    """(better, worse) pairs among ``outcomes`` that the ranking separates strictly."""
+    keep = set(outcomes)
+    return [
+        (a, b)
+        for (a, b), answer in ranking.items()
+        if answer is Preference.STRICTLY_PREFERS_FIRST and a in keep and b in keep
+    ]
+
+
+def _vacuous(axiom: str) -> CheckReport:
+    """Report for a check with no witness: every outcome pair is a tie."""
+    return CheckReport(
+        axiom=axiom,
+        checked=0,
+        note="vacuous: the oracle ranks no outcome pair strictly",
+    )
+
+
 def check_stationarity(
     oracle, samples: int, seed: int, sampler: ActSampler | None = None
 ) -> CheckReport:
@@ -142,11 +163,15 @@ def check_t_monotonicity(
 
     The improvement always sits on a positive-mass piece, so with a zero
     indifference band the strict clause applies; with a positive band only
-    the weak clause is enforced.
+    the weak clause is enforced.  When the oracle ranks no pair of the
+    sampler's outcomes strictly, no stream can be improved and the report is
+    vacuous.
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
     rng = random.Random(seed)
     ranking = _outcome_ranking(oracle)
+    if not _strict_pairs(ranking, sampler.outcomes):
+        return _vacuous("t_monotonicity")
     states = tuple(oracle.states)
     strict_applies = getattr(oracle, "band", 0.0) == 0.0
     note = "" if strict_applies else "strict clause skipped inside the indifference band"
@@ -187,11 +212,14 @@ def check_dominance(
 
     Rows are compared through the oracle itself (as deterministic lifts);
     ``row_model`` only supplies the reference beliefs that decide which
-    states count as non-null for the strict clause.
+    states count as non-null for the strict clause.  The report is vacuous
+    when the oracle ranks no pair of the sampler's outcomes strictly.
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
     rng = random.Random(seed)
     ranking = _outcome_ranking(oracle)
+    if not _strict_pairs(ranking, sampler.outcomes):
+        return _vacuous("dominance")
     states = tuple(oracle.states)
     strict_applies = getattr(oracle, "band", 0.0) == 0.0
     note = "" if strict_applies else "strict clause skipped inside the indifference band"
@@ -253,20 +281,10 @@ def _pasted_profile(
     background: StepProfile, patches: list[tuple[TimeSet, Outcome]]
 ) -> StepProfile:
     """Background stream overwritten by constant patches on disjoint time sets."""
-    cuts = set(background.breakpoints)
-    for ts, _ in patches:
-        for iv in ts:
-            cuts.add(iv.lo)
-            if math.isfinite(iv.hi):
-                cuts.add(iv.hi)
-    bounds = [0.0, *sorted(c for c in cuts if 0.0 < c < INF), INF]
     pieces = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo >= hi:
-            continue
-        out = background.outcome_at(lo)
-        for ts, patch in patches:
-            if ts.contains(lo):
+    for lo, hi, (out,), inside in refine((background,), [ts for ts, _ in patches]):
+        for hit, (_, patch) in zip(inside, patches):
+            if hit:
                 out = patch
                 break
         pieces.append((TimeInterval(lo, hi), out))
@@ -288,17 +306,9 @@ def check_t_separability(
     rng = random.Random(seed)
     ranking = _outcome_ranking(oracle)
     states = tuple(oracle.states)
-    strict_pairs = [
-        (a, b)
-        for (a, b), answer in ranking.items()
-        if answer is Preference.STRICTLY_PREFERS_FIRST
-    ]
+    strict_pairs = _strict_pairs(ranking, oracle.outcomes)
     if not strict_pairs:
-        return CheckReport(
-            axiom="t_separability",
-            checked=0,
-            note="vacuous: the oracle ranks no outcome pair strictly",
-        )
+        return _vacuous("t_separability")
     exact = getattr(oracle, "band", 0.0) == 0.0
     violations: list[Violation] = []
     for _ in range(samples):
@@ -453,12 +463,7 @@ def run_audit(
             oracle, row_model, samples, seed + 2, sampler
         )
     checks["t_separability"] = check_t_separability(oracle, samples, seed + 3, sampler)
-    ranking = _outcome_ranking(oracle)
-    strict = [
-        pair
-        for pair, answer in ranking.items()
-        if answer is Preference.STRICTLY_PREFERS_FIRST
-    ]
+    strict = _strict_pairs(_outcome_ranking(oracle), oracle.outcomes)
     if strict:
         best, worst = strict[0]
         states = tuple(oracle.states)

@@ -15,7 +15,7 @@ from typing import Any
 
 from . import serialize
 from .aa import aa_value, independence_witness, reduce_act
-from .acts import GridAct, StepProfile
+from .acts import GridAct, StepProfile, refine
 from .audit import run_audit
 from .bracketing import bracket_act, bracket_profile
 from .elicitation import run_session, section2_demo
@@ -57,14 +57,10 @@ def _emit(doc: Any, out: str | None) -> None:
 
 
 def _render_matrix(act: GridAct) -> str:
-    cuts = sorted({b for s in act.states for b in act.row(s).breakpoints})
-    bounds = [0.0, *cuts, math.inf]
     width = max(len(lbl) for lbl in (*act.states, *act.outcomes))
     lines = ["    " + " ".join(s.rjust(width) for s in act.states) + "  | period"]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo >= hi:
-            continue
-        row = " ".join(act.at(s, lo).rjust(width) for s in act.states)
+    for lo, hi, outcomes, _ in refine(act.profiles.values()):
+        row = " ".join(x.rjust(width) for x in outcomes)
         hi_txt = "inf" if math.isinf(hi) else f"{hi:.6g}"
         lines.append(f"    {row}  | [{lo:.6g}, {hi_txt})")
     return "\n".join(lines)

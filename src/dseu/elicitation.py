@@ -20,6 +20,7 @@ from .equivalents import (
     DEFAULT_TOL,
     FALLBACK_HORIZON,
     TimeEquivalent,
+    bisect_indifference,
     time_equivalent_bisect,
 )
 from .evaluate import Beliefs, DSEUModel, UtilityModel
@@ -85,30 +86,12 @@ def elicit_lambda(
     def probe(t: float) -> Preference:
         return oracle.compare(*_swap_acts(states, x, y, t))
 
-    lo = 0.0
-    hi = 1.0
-    while True:
-        answer = probe(hi)
-        if answer is Preference.INDIFFERENT:
-            return ExpMeasure(math.log(2.0) / hi)
-        if answer is Preference.STRICTLY_PREFERS_FIRST:
-            break
-        lo = hi
-        hi *= 2.0
-        if hi > FALLBACK_HORIZON:
-            raise ProtocolError(
-                f"no half-life indifference below the search ceiling {FALLBACK_HORIZON:g}"
-            )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        answer = probe(mid)
-        if answer is Preference.INDIFFERENT:
-            return ExpMeasure(math.log(2.0) / mid)
-        if answer is Preference.STRICTLY_PREFERS_FIRST:
-            hi = mid
-        else:
-            lo = mid
-    return ExpMeasure(math.log(2.0) / (0.5 * (lo + hi)))
+    found = bisect_indifference(probe, FALLBACK_HORIZON, tol)
+    if found is None:
+        raise ProtocolError(
+            f"no half-life indifference up to the search ceiling {FALLBACK_HORIZON:g}"
+        )
+    return ExpMeasure(math.log(2.0) / found[0])
 
 
 def elicit_event(

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .acts import GridAct, Outcome, State, StepProfile
+from .acts import GridAct, Outcome, StepProfile
 from .evaluate import DSEUModel
 from .measure import ExpMeasure
 from .oracles import Preference, ProtocolError
@@ -86,8 +87,40 @@ def time_equivalent_act(
     return time_equivalent_value(model, v, x, y)
 
 
-def _prefix_act(states: tuple[State, ...], x: Outcome, t: float, y: Outcome) -> GridAct:
-    return GridAct.deterministic(states, StepProfile.before_after(x, t, y))
+def bisect_indifference(
+    probe: Callable[[float], Preference], ceiling: float, tol: float
+) -> tuple[float, float] | None:
+    """Search ``(0, ceiling]`` for the time at which ``probe`` turns indifferent.
+
+    ``probe(t)`` must prefer the second side below the switch and the first
+    side above it.  The upper bound starts at ``min(1, ceiling)`` and doubles,
+    capped at ``ceiling``, until the probe prefers the first side; the bracket
+    is then halved until narrower than ``tol``.  Returns ``(t, 0.0)`` as soon
+    as the probe is indifferent at ``t``, else the final midpoint and bracket
+    width, or ``None`` when the probe still prefers the second side at
+    ``ceiling``.
+    """
+    lo = 0.0
+    hi = min(1.0, ceiling)
+    while True:
+        answer = probe(hi)
+        if answer is Preference.INDIFFERENT:
+            return hi, 0.0
+        if answer is Preference.STRICTLY_PREFERS_FIRST:
+            break
+        if hi >= ceiling:
+            return None
+        lo, hi = hi, min(hi * 2.0, ceiling)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        answer = probe(mid)
+        if answer is Preference.INDIFFERENT:
+            return mid, 0.0
+        if answer is Preference.STRICTLY_PREFERS_FIRST:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), hi - lo
 
 
 def time_equivalent_bisect(
@@ -101,11 +134,10 @@ def time_equivalent_bisect(
     """Bisect an oracle for the prefix length indifferent to ``f``.
 
     Requires the oracle to weakly rank ``x`` above ``f`` above ``y`` (checked
-    first; violations raise :class:`ProtocolError`).  The upper search bound
-    doubles until the prefix stream overtakes ``f``; past the mass ceiling
-    (computed from ``rate`` when given, a fixed large horizon otherwise) the
-    answer is the whole horizon.  Declares indifference as soon as the oracle
-    does, or once the bracket is narrower than ``tol``.
+    first; violations raise :class:`ProtocolError`).  The search is
+    :func:`bisect_indifference` on the x-then-y prefix stream against ``f``;
+    past the mass ceiling (computed from ``rate`` when given, a fixed large
+    horizon otherwise) the answer is the whole horizon.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
@@ -121,31 +153,11 @@ def time_equivalent_bisect(
     if top is Preference.INDIFFERENT:
         return TimeEquivalent(None)
 
-    if rate is not None:
-        ceiling = rate.quantile(CEILING_MASS)
-    else:
-        ceiling = FALLBACK_HORIZON
+    ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
 
-    lo = 0.0
-    hi = min(1.0, ceiling)
-    while True:
-        answer = oracle.compare(_prefix_act(states, x, hi, y), f)
-        if answer is Preference.INDIFFERENT:
-            return TimeEquivalent(hi, 0.0)
-        if answer is Preference.STRICTLY_PREFERS_FIRST:
-            break
-        lo = hi
-        if hi >= ceiling:
-            return TimeEquivalent(None)
-        hi = min(hi * 2.0, ceiling)
+    def probe(t: float) -> Preference:
+        prefix = GridAct.deterministic(states, StepProfile.before_after(x, t, y))
+        return oracle.compare(prefix, f)
 
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        answer = oracle.compare(_prefix_act(states, x, mid, y), f)
-        if answer is Preference.INDIFFERENT:
-            return TimeEquivalent(mid, 0.0)
-        if answer is Preference.STRICTLY_PREFERS_FIRST:
-            hi = mid
-        else:
-            lo = mid
-    return TimeEquivalent(0.5 * (lo + hi), hi - lo)
+    found = bisect_indifference(probe, ceiling, tol)
+    return TimeEquivalent(None) if found is None else TimeEquivalent(*found)

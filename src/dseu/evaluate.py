@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .acts import GridAct, Outcome, State, StepProfile, splice_time
-from .measure import INF, ExpMeasure, TimeInterval
+from .acts import GridAct, Outcome, State, StepProfile, refine, splice_time
+from .measure import ExpMeasure, TimeInterval
 
 
 @dataclass(frozen=True)
@@ -118,20 +118,15 @@ class DSEUModel:
     def act_value_dual(self, act: GridAct) -> float:
         """Time-first order: expectation over a common time refinement.
 
-        Merges the breakpoints of every row, then sums cell mass times the
-        believed mean utility inside each cell.  Agrees with
-        :meth:`act_value` up to float roundoff.
+        Sums cell mass times the believed mean utility over each cell of
+        :func:`~dseu.acts.refine` on the rows.  Agrees with :meth:`act_value`
+        up to float roundoff.
         """
-        cuts = sorted({b for s in act.states for b in act.row(s).breakpoints})
-        bounds = [0.0, *cuts, INF]
+        weights = [self.beliefs(s) for s in act.states]
         total = 0.0
-        for lo, hi in zip(bounds, bounds[1:]):
-            if lo >= hi:
-                continue
+        for lo, hi, outcomes, _ in refine(act.profiles.values()):
             cell = self.discount.interval_mass(TimeInterval(lo, hi))
-            mean_u = sum(
-                self.beliefs(s) * self.utility(act.at(s, lo)) for s in act.states
-            )
+            mean_u = sum(w * self.utility(x) for w, x in zip(weights, outcomes))
             total += cell * mean_u
         return total
 

@@ -142,11 +142,6 @@ class TimeSet:
         return TimeSet(tuple(gaps))
 
 
-def shift_set(a: TimeSet, t: float) -> TimeSet:
-    """Translate every interval of ``a`` by ``+t``."""
-    return a.shift(t)
-
-
 @dataclass(frozen=True)
 class ExpMeasure:
     """The discount measure with survival function ``exp(-rate * t)``."""

@@ -86,10 +86,6 @@ class SEUOracle:
         return _banded(self.value(f) - self.value(g), self.band)
 
 
-def seu_oracle(model: DSEUModel, band: float = 0.0) -> SEUOracle:
-    return SEUOracle(model, band)
-
-
 @dataclass(frozen=True)
 class Capacity:
     """Normalized monotone set function on the subsets of a finite state space."""
@@ -200,15 +196,6 @@ class ChoquetOracle:
         return _banded(self.value(f) - self.value(g), self.band)
 
 
-def choquet_oracle(
-    discount: ExpMeasure,
-    utility: UtilityModel,
-    capacity: Capacity,
-    band: float = 0.0,
-) -> ChoquetOracle:
-    return ChoquetOracle(discount, utility, capacity, band)
-
-
 @dataclass(frozen=True)
 class FunctionalOracle:
     """Oracle induced by an arbitrary value functional on grid acts."""
@@ -262,11 +249,6 @@ class WidenedOracle:
 
     def compare(self, f: GridAct, g: GridAct) -> Preference:
         return _banded(self.value(f) - self.value(g), self.band)
-
-
-def noisy_oracle(inner, band_inflation: float) -> WidenedOracle:
-    """Deterministic noise stand-in: merges near-ties by widening the band."""
-    return WidenedOracle(inner, band_inflation)
 
 
 @dataclass

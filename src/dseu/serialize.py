@@ -23,7 +23,6 @@ from .oracles import (
     ChoquetOracle,
     SEUOracle,
     WidenedOracle,
-    noisy_oracle,
 )
 
 INF_SENTINEL = "inf"
@@ -163,7 +162,7 @@ def oracle_from_json(doc: Any):
         raise ValueError(f"unknown oracle kind {kind!r}; expected 'seu' or 'choquet'")
     inflation = float(doc.get("band_inflation", 0.0))
     if inflation > 0.0:
-        return noisy_oracle(oracle, inflation)
+        return WidenedOracle(oracle, inflation)
     return oracle
 
 

@@ -8,7 +8,6 @@ from dseu.acts import (
     Event,
     GridAct,
     StepProfile,
-    normalize,
     restrict,
     splice_event,
     splice_time,
@@ -53,12 +52,12 @@ class TestStepProfile:
         p = StepProfile(
             ((TimeInterval(0.0, 1.0), "x"), (TimeInterval(1.0, INF), "x"))
         )
-        assert normalize(p) == StepProfile.constant("x")
+        assert p.normalized() == StepProfile.constant("x")
 
     def test_normalize_idempotent(self):
         p = StepProfile.before_after("a", 2.0, "b")
-        assert normalize(p) == p
-        assert normalize(normalize(p)) == normalize(p)
+        assert p.normalized() == p
+        assert p.normalized().normalized() == p.normalized()
 
     def test_normalize_pointwise_equal_on_random_profiles(self):
         rng = random.Random(5)

@@ -1,7 +1,9 @@
 """Axiom checks: conforming oracles pass, crafted deviants are caught and replay."""
 
+import contextlib
 import math
 import random
+import signal
 
 import pytest
 
@@ -21,7 +23,7 @@ from dseu.audit import (
 )
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import ExpMeasure, TimeInterval
-from dseu.oracles import Capacity, ChoquetOracle, FunctionalOracle, seu_oracle
+from dseu.oracles import Capacity, ChoquetOracle, FunctionalOracle, SEUOracle, WidenedOracle
 from dseu.sampling import ActSampler
 
 STATES = ("s0", "s1", "s2")
@@ -47,33 +49,33 @@ def clipped_row_value(model: DSEUModel, row: StepProfile, lo: float, hi: float) 
 
 class TestConformingOracle:
     def test_stationarity_passes(self):
-        oracle = seu_oracle(seu_model())
+        oracle = SEUOracle(seu_model())
         report = check_stationarity(oracle, samples=200, seed=1)
         assert report.verdict == PASS
         assert report.checked == 200
 
     def test_t_monotonicity_passes(self):
-        oracle = seu_oracle(seu_model())
+        oracle = SEUOracle(seu_model())
         assert check_t_monotonicity(oracle, samples=200, seed=2).verdict == PASS
 
     def test_dominance_passes(self):
         model = seu_model()
-        oracle = seu_oracle(model)
+        oracle = SEUOracle(model)
         assert check_dominance(oracle, model, samples=200, seed=3).verdict == PASS
 
     def test_t_separability_passes(self):
-        oracle = seu_oracle(seu_model())
+        oracle = SEUOracle(seu_model())
         assert check_t_separability(oracle, samples=200, seed=4).verdict == PASS
 
     def test_decomposition_passes(self):
         model = seu_model()
-        oracle = seu_oracle(model)
+        oracle = SEUOracle(model)
         report = check_decomposition(oracle.value, model, samples=200, seed=5)
         assert report.verdict == PASS
         assert report.data["worst_residual"] <= 1e-12
 
     def test_run_audit_all_pass(self):
-        oracle = seu_oracle(seu_model())
+        oracle = SEUOracle(seu_model())
         report = run_audit(oracle, samples=100, seed=6)
         assert report.all_pass
         assert set(report.checks) >= {
@@ -179,7 +181,7 @@ class TestMonotoneContinuity:
     def test_tail_index_within_theory_bound(self):
         for rate, gap in ((1.0, 0.5), (0.5, 0.2), (2.0, 0.05)):
             model = seu_model(rate=rate, util={"a": 0.0, "b": 1.0})
-            oracle = seu_oracle(model)
+            oracle = SEUOracle(model)
             f = GridAct.constant(STATES, "b")
             # a bet with value 1 - gap
             g = GridAct.stochastic({"s0": "a", "s1": "a", "s2": "a"})
@@ -191,13 +193,13 @@ class TestMonotoneContinuity:
             assert report.data["tail_index"] <= bound
 
     def test_indifferent_pair_rejected(self):
-        oracle = seu_oracle(seu_model())
+        oracle = SEUOracle(seu_model())
         f = GridAct.constant(STATES, "b")
         with pytest.raises(ValueError):
             check_monotone_continuity(oracle, f, f, "a", horizon_max=4)
 
     def test_zero_horizon_inconclusive(self):
-        oracle = seu_oracle(seu_model())
+        oracle = SEUOracle(seu_model())
         f = GridAct.constant(STATES, "b")
         g = GridAct.constant(STATES, "a")
         report = check_monotone_continuity(oracle, f, g, "a", horizon_max=0)
@@ -245,3 +247,52 @@ class TestReportMechanics:
         report = t_measurability_report()
         assert report.verdict == PASS
         assert "finite" in report.note
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Fail with TimeoutError instead of hanging when the body overruns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+VACUOUS = "vacuous: the oracle ranks no outcome pair strictly"
+
+
+class TestIndifferentOracle:
+    """Checks that need a strictly ranked pair end at once when there is none."""
+
+    def test_constant_functional_is_vacuous(self):
+        model = seu_model()
+        oracle = FunctionalOracle(
+            fn=lambda act: 0.0, states=STATES, outcomes=tuple(model.outcomes)
+        )
+        sampler = ActSampler(model.discount, STATES, tuple(model.outcomes))
+        with deadline(3.0):
+            reports = [
+                check_t_monotonicity(oracle, samples=20, seed=0, sampler=sampler),
+                check_dominance(oracle, model, samples=20, seed=0, sampler=sampler),
+                check_t_separability(oracle, samples=20, seed=0, sampler=sampler),
+            ]
+        for report in reports:
+            assert (report.checked, report.verdict, report.note) == (0, PASS, VACUOUS)
+
+    def test_run_audit_on_band_wider_than_the_utility_span(self):
+        model = seu_model()
+        oracle = WidenedOracle(SEUOracle(model), 2 * model.utility.span)
+        with deadline(3.0):
+            report = run_audit(oracle, samples=50, seed=3)
+        assert report.all_pass
+        for name in ("t_monotonicity", "dominance", "t_separability"):
+            assert report.checks[name].checked == 0
+            assert report.checks[name].note == VACUOUS
+        assert "monotone_continuity" not in report.checks

@@ -7,6 +7,8 @@ output change, run this file as a script:
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -56,9 +58,6 @@ def test_out_file_matches_golden(case, capsys, tmp_path):
 
 
 def _write_goldens() -> None:
-    import contextlib
-    import io
-
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for case in sorted(CASES):
         buf = io.StringIO()

@@ -12,19 +12,20 @@ from dseu.elicitation import (
     run_session,
     section2_demo,
 )
+from dseu.equivalents import FALLBACK_HORIZON
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import ExpMeasure
 from dseu.oracles import (
     Capacity,
+    ChoquetOracle,
     CountingOracle,
     ProtocolError,
-    choquet_oracle,
-    seu_oracle,
+    SEUOracle,
 )
 
 
 def seu_for(rate: float, probs: dict[str, float], band=0.0):
-    return seu_oracle(
+    return SEUOracle(
         DSEUModel(
             ExpMeasure(rate),
             UtilityModel({"x": 1.0, "y": 0.0}),
@@ -54,7 +55,14 @@ class TestElicitLambda:
             Beliefs({"a": 1.0}),
         )
         with pytest.raises(ProtocolError):
-            elicit_lambda(seu_oracle(model), "x", "y")
+            elicit_lambda(SEUOracle(model), "x", "y")
+
+    def test_no_half_life_below_the_ceiling_is_protocol_error(self):
+        oracle = CountingOracle(seu_for(1e-15, {"a": 1.0}), keep_log=True)
+        with pytest.raises(ProtocolError, match="search ceiling"):
+            elicit_lambda(oracle, "x", "y")
+        last, _, _ = oracle.log[-1]
+        assert last.row("a").breakpoints == [FALLBACK_HORIZON]
 
     def test_query_budget(self):
         oracle = CountingOracle(seu_for(0.7, {"a": 0.6, "b": 0.4}))
@@ -83,7 +91,7 @@ class TestElicitEvent:
     def test_contaminated_capacity_shrinks_probability(self):
         beliefs = Beliefs({"a": 0.5, "b": 0.5})
         cap = Capacity.epsilon_contamination(beliefs, 0.1)
-        oracle = choquet_oracle(
+        oracle = ChoquetOracle(
             ExpMeasure(1.0), UtilityModel({"x": 1.0, "y": 0.0}), cap
         )
         got = elicit_event(oracle, ExpMeasure(1.0), {"a"}, "x", "y")
@@ -111,7 +119,7 @@ class TestElicitMeasure:
     def test_contamination_residual_is_epsilon(self):
         beliefs = Beliefs({"a": 0.5, "b": 0.5})
         cap = Capacity.epsilon_contamination(beliefs, 0.1)
-        oracle = choquet_oracle(
+        oracle = ChoquetOracle(
             ExpMeasure(1.0), UtilityModel({"x": 1.0, "y": 0.0}), cap
         )
         report = elicit_measure(oracle, ExpMeasure(1.0), "x", "y")

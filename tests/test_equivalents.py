@@ -8,13 +8,21 @@ import pytest
 from dseu.acts import GridAct, StepProfile
 from dseu.equivalents import (
     TimeEquivalent,
+    bisect_indifference,
     time_equivalent_act,
     time_equivalent_bisect,
     time_equivalent_value,
 )
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import ExpMeasure
-from dseu.oracles import Capacity, CountingOracle, ProtocolError, choquet_oracle, seu_oracle
+from dseu.oracles import (
+    Capacity,
+    ChoquetOracle,
+    CountingOracle,
+    Preference,
+    ProtocolError,
+    SEUOracle,
+)
 
 STATES = ("s0", "s1")
 UTIL = {"x": 1.0, "y": 0.0, "m": 0.35}
@@ -101,13 +109,13 @@ class TestActVersion:
 class TestBisection:
     def test_constant_bottom_act(self):
         m = model_for()
-        oracle = seu_oracle(m)
+        oracle = SEUOracle(m)
         te = time_equivalent_bisect(oracle, GridAct.constant(STATES, "y"), "x", "y")
         assert te.t == 0.0
 
     def test_seu_bet_recovers_probability(self):
         m = model_for(rate=1.0, probs=(0.3, 0.7))
-        oracle = CountingOracle(seu_oracle(m))
+        oracle = CountingOracle(SEUOracle(m))
         bet = GridAct.bet(STATES, {"s0"}, "x", "y")
         te = time_equivalent_bisect(oracle, bet, "x", "y", tol=1e-9, rate=m.discount)
         assert not te.is_whole_horizon
@@ -126,7 +134,7 @@ class TestBisection:
                 frozenset(STATES): 1.0,
             },
         )
-        oracle = choquet_oracle(ExpMeasure(1.0), util, cap)
+        oracle = ChoquetOracle(ExpMeasure(1.0), util, cap)
         bet = GridAct.bet(STATES, {"s0"}, "x", "y")
         te = time_equivalent_bisect(oracle, bet, "x", "y", tol=1e-9, rate=ExpMeasure(1.0))
         assert te.t == pytest.approx(-math.log(0.8), abs=1e-9)
@@ -135,7 +143,7 @@ class TestBisection:
         rng = random.Random(42)
         for _ in range(50):
             m = model_for(rate=rng.uniform(0.4, 2.5), probs=(0.4, 0.6))
-            oracle = seu_oracle(m)
+            oracle = SEUOracle(m)
             rows = {}
             for s in STATES:
                 cuts = sorted(rng.uniform(0.0, 4.0) for _ in range(2))
@@ -152,20 +160,20 @@ class TestBisection:
 
     def test_whole_horizon_for_top_act(self):
         m = model_for()
-        oracle = seu_oracle(m)
+        oracle = SEUOracle(m)
         te = time_equivalent_bisect(oracle, GridAct.constant(STATES, "x"), "x", "y")
         assert te.is_whole_horizon
 
     def test_protocol_error_when_act_escapes_bracket(self):
         m = model_for()
-        oracle = seu_oracle(m)
+        oracle = SEUOracle(m)
         act = GridAct.constant(STATES, "x")
         with pytest.raises(ProtocolError):
             time_equivalent_bisect(oracle, act, "m", "y")
 
     def test_indifference_band_terminates_early(self):
         m = model_for()
-        oracle = seu_oracle(m, band=1e-3)
+        oracle = SEUOracle(m, band=1e-3)
         bet = GridAct.bet(STATES, {"s0"}, "x", "y")
         te = time_equivalent_bisect(oracle, bet, "x", "y", tol=1e-9, rate=m.discount)
         assert te.bracket_width == 0.0  # declared on an oracle tie
@@ -184,3 +192,50 @@ class TestTimeEquivalentType:
         p = te.profile("x", "y")
         assert p.outcome_at(1.0) == "x"
         assert p.outcome_at(2.0) == "y"
+
+
+class RecordingProbe:
+    """Switches from the second to the first side at ``switch``; logs each time asked."""
+
+    def __init__(self, switch: float | None) -> None:
+        self.switch = switch
+        self.asked: list[float] = []
+
+    def __call__(self, t: float) -> Preference:
+        self.asked.append(t)
+        if self.switch is None:
+            return Preference.INDIFFERENT
+        if t >= self.switch:
+            return Preference.STRICTLY_PREFERS_FIRST
+        return Preference.STRICTLY_PREFERS_SECOND
+
+
+class TestBisectIndifference:
+    def test_indifferent_probe_returns_at_once(self):
+        probe = RecordingProbe(None)
+        assert bisect_indifference(probe, 100.0, 1e-9) == (1.0, 0.0)
+        assert probe.asked == [1.0]
+
+    def test_first_probe_is_capped_by_the_ceiling(self):
+        probe = RecordingProbe(None)
+        assert bisect_indifference(probe, 0.25, 1e-9) == (0.25, 0.0)
+
+    def test_none_after_probing_the_ceiling_itself(self):
+        probe = RecordingProbe(math.inf)
+        assert bisect_indifference(probe, 10.0, 1e-9) is None
+        assert probe.asked == [1.0, 2.0, 4.0, 8.0, 10.0]
+
+    @pytest.mark.parametrize("switch", [0.3, 1.0, 1.7, 5.0, 1000.3])
+    def test_bracket_and_query_count(self, switch):
+        tol = 2.0**-20
+        probe = RecordingProbe(switch)
+        t, width = bisect_indifference(probe, 1e12, tol)
+        assert 0.0 < width <= tol
+        assert abs(t - switch) <= width / 2
+        # Upper bounds 1, 2, 4, ... up to the first one >= switch; the bracket
+        # they leave is 1 wide, or half the last bound, and every halving
+        # query narrows it by 2 until it is at most tol.
+        doublings = max(0, math.ceil(math.log2(switch))) + 1
+        width0 = 2.0 ** (doublings - 2) if doublings > 1 else 1.0
+        halvings = math.ceil(math.log2(width0 / tol))
+        assert len(probe.asked) == doublings + halvings

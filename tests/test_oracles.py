@@ -9,12 +9,12 @@ from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import ExpMeasure
 from dseu.oracles import (
     Capacity,
+    ChoquetOracle,
     CountingOracle,
     Preference,
-    choquet_oracle,
+    SEUOracle,
+    WidenedOracle,
     choquet_value,
-    noisy_oracle,
-    seu_oracle,
 )
 
 STATES = ("s0", "s1", "s2")
@@ -38,21 +38,21 @@ def random_act(rng, states=STATES) -> GridAct:
 
 class TestSEUOracle:
     def test_reflexive_indifference(self):
-        oracle = seu_oracle(base_model())
+        oracle = SEUOracle(base_model())
         rng = random.Random(31)
         for _ in range(20):
             f = random_act(rng)
             assert oracle.compare(f, f) is Preference.INDIFFERENT
 
     def test_bets_ranked_by_event_probability(self):
-        oracle = seu_oracle(base_model(probs=(0.5, 0.3, 0.2)))
+        oracle = SEUOracle(base_model(probs=(0.5, 0.3, 0.2)))
         larger = GridAct.bet(STATES, {"s0"}, "w", "l")
         smaller = GridAct.bet(STATES, {"s2"}, "w", "l")
         assert oracle.compare(larger, smaller) is Preference.STRICTLY_PREFERS_FIRST
 
     def test_antisymmetry_and_value_sign_on_random_pairs(self):
         model = base_model()
-        oracle = seu_oracle(model)
+        oracle = SEUOracle(model)
         rng = random.Random(32)
         for _ in range(300):
             f, g = random_act(rng), random_act(rng)
@@ -93,8 +93,8 @@ class TestChoquetOracle:
     def test_deterministic_acts_ranked_like_seu(self):
         model = base_model()
         cap = Capacity.epsilon_contamination(model.beliefs, 0.3)
-        deviant = choquet_oracle(model.discount, model.utility, cap)
-        reference = seu_oracle(model)
+        deviant = ChoquetOracle(model.discount, model.utility, cap)
+        reference = SEUOracle(model)
         rng = random.Random(33)
         for _ in range(100):
             f = GridAct.deterministic(STATES, random_act(rng).row("s0"))
@@ -116,7 +116,7 @@ class TestChoquetOracle:
                 frozenset(states): 1.0,
             },
         )
-        deviant = choquet_oracle(rate, util, cap)
+        deviant = ChoquetOracle(rate, util, cap)
         stream = GridAct.deterministic(
             states, StepProfile.before_after("w", rate.half_life, "l")
         )
@@ -128,10 +128,10 @@ class TestChoquetOracle:
 
     def test_additive_capacity_agrees_with_seu(self):
         model = base_model()
-        additive = choquet_oracle(
+        additive = ChoquetOracle(
             model.discount, model.utility, Capacity.additive(model.beliefs)
         )
-        reference = seu_oracle(model)
+        reference = SEUOracle(model)
         rng = random.Random(34)
         for _ in range(500):
             f, g = random_act(rng), random_act(rng)
@@ -171,8 +171,8 @@ class TestChoquetOracle:
 
 class TestWrappers:
     def test_noisy_identity_at_zero_inflation(self):
-        oracle = seu_oracle(base_model())
-        wrapped = noisy_oracle(oracle, 0.0)
+        oracle = SEUOracle(base_model())
+        wrapped = WidenedOracle(oracle, 0.0)
         rng = random.Random(35)
         for _ in range(100):
             f, g = random_act(rng), random_act(rng)
@@ -180,8 +180,8 @@ class TestWrappers:
 
     def test_wider_band_merges_near_ties(self):
         model = base_model()
-        oracle = seu_oracle(model)
-        wide = noisy_oracle(oracle, 10.0)
+        oracle = SEUOracle(model)
+        wide = WidenedOracle(oracle, 10.0)
         rng = random.Random(36)
         f, g = random_act(rng), random_act(rng)
         assert wide.compare(f, g) is Preference.INDIFFERENT
@@ -191,7 +191,7 @@ class TestWrappers:
 
         model = base_model(probs=(0.3, 0.5, 0.2))
         band = 1e-4
-        oracle = noisy_oracle(seu_oracle(model), band)
+        oracle = WidenedOracle(SEUOracle(model), band)
         bet = GridAct.bet(STATES, {"s0"}, "w", "l")
         te = time_equivalent_bisect(oracle, bet, "w", "l", tol=1e-9, rate=model.discount)
         # the band blurs the value comparison; the time error stays of band size
@@ -199,7 +199,7 @@ class TestWrappers:
         assert abs(recovered - model.act_value(bet)) <= 2 * band
 
     def test_counting_oracle_counts(self):
-        oracle = CountingOracle(seu_oracle(base_model()), keep_log=True)
+        oracle = CountingOracle(SEUOracle(base_model()), keep_log=True)
         rng = random.Random(37)
         f, g = random_act(rng), random_act(rng)
         oracle.compare(f, g)
