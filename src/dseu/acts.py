@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .measure import INF, TimeInterval, TimeSet
 
@@ -122,6 +122,9 @@ class GridAct:
 
     The mapping fixes the state space and its order.  Equality is structural
     on normalized profiles, which every operation in this module returns.
+    Acts are immutable: the library never mutates ``profiles`` after
+    construction, so valuations may be remembered per act object.  Several
+    states may share one profile object (deterministic acts and bets do).
     """
 
     profiles: Mapping[State, StepProfile]
@@ -136,6 +139,18 @@ class GridAct:
 
     def row(self, state: State) -> StepProfile:
         return self.profiles[state]
+
+    def row_values(self, value: Callable[[StepProfile], float]) -> dict[State, float]:
+        """``value`` of each state's row, called once per distinct row object."""
+        # Keyed by id(): the act keeps every row alive for the whole call.
+        done: dict[int, float] = {}
+        out: dict[State, float] = {}
+        for s, p in self.profiles.items():
+            v = done.get(id(p))
+            if v is None:
+                v = done[id(p)] = value(p)
+            out[s] = v
+        return out
 
     def at(self, state: State, t: float) -> Outcome:
         return self.profiles[state].outcome_at(t)
@@ -164,7 +179,9 @@ class GridAct:
 
     @classmethod
     def stochastic(cls, assignment: Mapping[State, Outcome]) -> GridAct:
-        return cls({s: StepProfile.constant(x) for s, x in assignment.items()})
+        """Constant-in-time act; states paying the same outcome share one row."""
+        rows = {x: StepProfile.constant(x) for x in set(assignment.values())}
+        return cls({s: rows[x] for s, x in assignment.items()})
 
     @classmethod
     def bet(

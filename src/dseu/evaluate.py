@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .acts import GridAct, Outcome, State, StepProfile, refine, splice_time
 from .measure import ExpMeasure, TimeInterval
@@ -112,8 +112,14 @@ class DSEUModel:
         return profile_value(self.discount, self.utility, profile)
 
     def act_value(self, act: GridAct) -> float:
-        """State-first order: expectation over states of row values."""
-        return sum(self.beliefs(s) * self.profile_value(act.row(s)) for s in act.states)
+        """State-first order: expectation over states of row values.
+
+        Each distinct row object is valued once; the sum runs in the act's
+        state order.
+        """
+        check_states(self.states, act)
+        rows = act.row_values(self.profile_value)
+        return sum(self.beliefs(s) * rows[s] for s in act.states)
 
     def act_value_dual(self, act: GridAct) -> float:
         """Time-first order: expectation over a common time refinement.
@@ -122,6 +128,7 @@ class DSEUModel:
         :func:`~dseu.acts.refine` on the rows.  Agrees with :meth:`act_value`
         up to float roundoff.
         """
+        check_states(self.states, act)
         weights = [self.beliefs(s) for s in act.states]
         total = 0.0
         for lo, hi, outcomes, _ in refine(act.profiles.values()):
@@ -134,6 +141,7 @@ class DSEUModel:
         """Expected discounted utility of ``act`` restricted to times before ``t``."""
         if t < 0 or math.isnan(t):
             raise ValueError(f"prefix end must be >= 0, got {t!r}")
+        check_states(self.states, act)
         total = 0.0
         for s in act.states:
             row = 0.0
@@ -144,6 +152,17 @@ class DSEUModel:
                 row += self.discount.interval_mass(clipped) * self.utility(out)
             total += self.beliefs(s) * row
         return total
+
+
+def check_states(states: Iterable[State], act: GridAct) -> None:
+    """Raise ``KeyError`` unless ``act`` lives on exactly the given states."""
+    expected = set(states)
+    if act.profiles.keys() != expected:
+        missing = sorted(expected - act.profiles.keys())
+        extra = sorted(act.profiles.keys() - expected)
+        raise KeyError(
+            f"act states differ from {sorted(expected)}: missing {missing}, extra {extra}"
+        )
 
 
 def profile_value(

@@ -6,6 +6,13 @@ band.  The expected-utility oracle follows a full model; the Choquet oracle
 replaces the state beliefs with a (possibly non-additive) capacity, applying
 it to the discounted row values.  All oracles here are deterministic, so
 elicitation sessions and audit witnesses replay exactly.
+
+The SEU and Choquet oracles value each distinct row object of an act once,
+and memoise the values of the last two acts they valued, keyed by identity
+(see :func:`_recall`).  A search compares many probes against one fixed
+act, so that act is valued once per search.  This relies on acts being
+immutable: the library never mutates a :class:`~dseu.acts.GridAct` after
+construction.
 """
 
 from __future__ import annotations
@@ -13,10 +20,11 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from .acts import GridAct, Outcome, State
-from .evaluate import Beliefs, DSEUModel, UtilityModel, profile_value
+from .evaluate import Beliefs, DSEUModel, UtilityModel, check_states, profile_value
 from .measure import ExpMeasure
 
 
@@ -52,12 +60,43 @@ def _banded(diff: float, band: float) -> Preference:
     )
 
 
+def _memo_field():
+    """Per-oracle value memo, left out of ``==``, ``hash`` and ``repr``."""
+    return field(default_factory=list, init=False, repr=False, compare=False)
+
+
+def _recall(
+    memo: list[tuple[GridAct, float, bool]],
+    f: GridAct,
+    compute: Callable[[GridAct], float],
+) -> float:
+    """``compute(f)``, remembered for at most two acts by identity.
+
+    The first slot holds the act most recently found here again, which in
+    a search is the fixed side; each newly valued act takes the second
+    slot.  Until some act has been found again, a new act evicts the older
+    one.  Holding the acts keeps their identities unique.
+    """
+    for i, (act, v, _) in enumerate(memo):
+        if act is f:
+            memo[i] = (act, v, True)
+            if i:
+                memo.reverse()
+            return v
+    v = compute(f)
+    if len(memo) == 2 and not memo[0][2]:
+        del memo[0]
+    memo[1:] = [(f, v, False)]
+    return v
+
+
 @dataclass(frozen=True)
 class SEUOracle:
     """Compares acts by their discounted subjective expected utility."""
 
     model: DSEUModel
     band: float = 0.0
+    _memo: list[tuple[GridAct, float, bool]] = _memo_field()
 
     def __post_init__(self) -> None:
         if self.band < 0:
@@ -80,7 +119,7 @@ class SEUOracle:
         return self.model.utility
 
     def value(self, f: GridAct) -> float:
-        return self.model.act_value(f)
+        return _recall(self._memo, f, self.model.act_value)
 
     def compare(self, f: GridAct, g: GridAct) -> Preference:
         return _banded(self.value(f) - self.value(g), self.band)
@@ -173,6 +212,7 @@ class ChoquetOracle:
     utility: UtilityModel
     capacity: Capacity
     band: float = 0.0
+    _memo: list[tuple[GridAct, float, bool]] = _memo_field()
 
     def __post_init__(self) -> None:
         if self.band < 0:
@@ -187,9 +227,11 @@ class ChoquetOracle:
         return self.utility.outcomes
 
     def value(self, f: GridAct) -> float:
-        rows = {
-            s: profile_value(self.discount, self.utility, f.row(s)) for s in f.states
-        }
+        return _recall(self._memo, f, self._value)
+
+    def _value(self, f: GridAct) -> float:
+        check_states(self.states, f)
+        rows = f.row_values(partial(profile_value, self.discount, self.utility))
         return choquet_value(self.capacity, rows)
 
     def compare(self, f: GridAct, g: GridAct) -> Preference:

@@ -83,6 +83,9 @@ def act_from_json(doc: Any) -> GridAct:
     missing = [s for s in states if s not in profiles]
     if missing:
         raise ValueError(f"act document misses profiles for states {missing}")
+    extra = sorted(set(profiles) - set(states))
+    if extra:
+        raise ValueError(f"act document has profiles for unlisted states {extra}")
     return GridAct({s: profile_from_json(profiles[s]) for s in states})
 
 

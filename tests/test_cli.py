@@ -65,6 +65,14 @@ class TestEval:
         # mu(a) * mass([0,1)) = 0.3 * (1 - e^-1)
         assert doc["value"] == pytest.approx(0.3 * (1 - math.exp(-1.0)), abs=1e-12)
 
+    def test_act_on_other_states_is_an_error(self, tmp_path, capsys, model_path):
+        path = tmp_path / "act_a.json"
+        path.write_text(serialize.dumps(serialize.act_to_json(GridAct.constant(("a",), "x"))))
+        assert main(["eval", model_path, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing ['b']" in captured.err
+
 
 class TestEquiv:
     def test_closed_form(self, tmp_path, capsys, model_path, act_path):

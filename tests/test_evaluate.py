@@ -99,6 +99,20 @@ class TestActValue:
         with pytest.raises(KeyError):
             m.act_value(act)
 
+    @pytest.mark.parametrize(
+        "value",
+        [DSEUModel.act_value, DSEUModel.act_value_dual, lambda m, f: m.prefix_value(f, 1.0)],
+    )
+    def test_act_on_a_sub_state_space_is_rejected(self, value):
+        # Summing over the act's states alone would value this act at 0.5.
+        m = DSEUModel(
+            ExpMeasure(1.0), UtilityModel({"x": 1.0, "y": 0.0}), Beliefs({"a": 0.5, "b": 0.5})
+        )
+        with pytest.raises(KeyError, match=r"missing \['b'\], extra \[\]"):
+            value(m, GridAct.constant(("a",), "x"))
+        with pytest.raises(KeyError, match=r"missing \[\], extra \['c'\]"):
+            value(m, GridAct.constant(("a", "b", "c"), "x"))
+
 
 class TestIntegrationOrderDuality:
     def test_deterministic_act_reduces_to_profile_value(self):

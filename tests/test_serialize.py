@@ -44,6 +44,12 @@ class TestCoreRoundTrips:
         back = serialize.act_from_json(json.loads(json.dumps(doc)))
         assert back == act
 
+    def test_act_with_unlisted_profiles_is_rejected(self):
+        doc = serialize.act_to_json(sample_act())
+        doc["states"].remove("c")
+        with pytest.raises(ValueError, match=r"unlisted states \['c'\]"):
+            serialize.act_from_json(doc)
+
     def test_model(self):
         model = sample_model()
         doc = serialize.model_to_json(model)

@@ -1,0 +1,191 @@
+"""Row grouping and the two-act value memo against per-row references.
+
+The references value every row of an act separately, as the oracles did
+before rows were grouped and values remembered.  The fast path must give
+exactly the same floats (``==``), whether the rows of an act are one shared
+object, equal but distinct objects, or all different.
+"""
+
+from collections.abc import Mapping
+from functools import partial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dseu.acts import GridAct, StepProfile
+from dseu.evaluate import Beliefs, DSEUModel, UtilityModel, profile_value
+from dseu.measure import ExpMeasure
+from dseu.oracles import Capacity, ChoquetOracle, SEUOracle, WidenedOracle, choquet_value
+
+UTIL = {"a": 0.0, "b": 1.0, "c": -0.5, "d": 2.25}
+STATES = ("s0", "s1", "s2", "s3")
+TIMES = st.one_of(
+    st.sampled_from((0.25, 0.5, 1.0, 2.0, 3.5)),
+    st.floats(min_value=1e-3, max_value=20.0),
+)
+
+
+@st.composite
+def profiles(draw):
+    cuts = sorted(set(draw(st.lists(TIMES, max_size=6))))
+    n = len(cuts) + 1
+    outs = draw(st.lists(st.sampled_from(tuple(UTIL)), min_size=n, max_size=n))
+    return StepProfile.from_breakpoints(cuts, outs)
+
+
+@st.composite
+def acts(draw):
+    """Rows drawn from a small pool: shared, copied (equal but distinct) or fresh."""
+    pool = draw(st.lists(profiles(), min_size=1, max_size=len(STATES)))
+    rows = {}
+    for s in STATES:
+        p = pool[draw(st.integers(0, len(pool) - 1))]
+        rows[s] = StepProfile(tuple(p.pieces)) if draw(st.booleans()) else p
+    return GridAct(rows)
+
+
+@st.composite
+def models(draw):
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(STATES), max_size=len(STATES)))
+    return DSEUModel(
+        ExpMeasure(draw(st.floats(0.1, 3.0))),
+        UtilityModel(dict(UTIL)),
+        Beliefs({s: w / sum(raw) for s, w in zip(STATES, raw)}),
+    )
+
+
+def ref_seu(model: DSEUModel, f: GridAct) -> float:
+    return sum(
+        model.beliefs(s) * profile_value(model.discount, model.utility, f.row(s))
+        for s in f.states
+    )
+
+
+def ref_choquet(oracle: ChoquetOracle, f: GridAct) -> float:
+    rows = {s: profile_value(oracle.discount, oracle.utility, f.row(s)) for s in f.states}
+    return choquet_value(oracle.capacity, rows)
+
+
+@st.composite
+def oracles_with_reference(draw):
+    """``(make, reference)``: a fresh-oracle factory and its per-row value."""
+    model = draw(models())
+    kind = draw(st.sampled_from(("seu", "choquet")))
+    band = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    if kind == "choquet":
+        capacity = Capacity.epsilon_contamination(model.beliefs, draw(st.floats(0.0, 0.5)))
+        base = partial(ChoquetOracle, model.discount, model.utility, capacity)
+        reference = partial(ref_choquet, base())
+    else:
+        base = partial(SEUOracle, model)
+        reference = partial(ref_seu, model)
+    if band is None:
+        return base, reference
+    return (lambda: WidenedOracle(base(), band)), reference
+
+
+def memo_of(oracle):
+    return oracle.inner._memo if isinstance(oracle, WidenedOracle) else oracle._memo
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), acts())
+def test_act_value_equals_the_per_row_sum(model, f):
+    assert model.act_value(f) == ref_seu(model, f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracles_with_reference(), acts())
+def test_oracle_value_equals_the_per_row_reference(made, f):
+    make, reference = made
+    oracle = make()
+    assert oracle.value(f) == reference(f)
+    assert oracle.value(f) == reference(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    oracles_with_reference(),
+    st.lists(acts(), min_size=2, max_size=4),
+    st.lists(st.integers(0, 3), min_size=1, max_size=12),
+    st.booleans(),
+)
+def test_repeated_acts_value_as_on_a_fresh_oracle(made, pool, order, with_compare):
+    make, _ = made
+    oracle = make()
+    sequence = [pool[i % len(pool)] for i in order]
+    for f, g in zip(sequence, sequence[1:] + sequence[:1]):
+        assert oracle.value(f) == make().value(f)
+        if with_compare:
+            assert oracle.compare(f, g) is make().compare(f, g)
+        assert len(memo_of(oracle)) <= 2
+
+
+@pytest.mark.parametrize("anchors", [True, False])
+def test_the_fixed_side_of_a_search_is_valued_once(anchors, monkeypatch):
+    valued = []
+    act_value = DSEUModel.act_value
+
+    def counted(self, f):
+        valued.append(f)
+        return act_value(self, f)
+
+    monkeypatch.setattr(DSEUModel, "act_value", counted)
+    model = DSEUModel(ExpMeasure(1.0), UtilityModel(dict(UTIL)), Beliefs.uniform(STATES))
+    oracle = SEUOracle(model)
+    fixed = GridAct.bet(STATES, {"s0"}, "b", "a")
+    if anchors:
+        oracle.compare(GridAct.constant(STATES, "d"), fixed)
+        oracle.compare(fixed, GridAct.constant(STATES, "c"))
+    for t in (1.0, 0.5, 0.75, 0.625):
+        probe = GridAct.deterministic(STATES, StepProfile.before_after("b", t, "a"))
+        oracle.compare(probe, fixed)
+        assert len(oracle._memo) == 2
+    assert sum(f is fixed for f in valued) == 1
+    assert len(valued) == 4 + 2 * anchors + 1
+
+
+class FrozenMap(Mapping):
+    """Hashable read-only mapping, so that a whole model can be hashed."""
+
+    def __init__(self, items):
+        self._d = dict(items)
+
+    def __getitem__(self, key):
+        return self._d[key]
+
+    def __iter__(self):
+        return iter(self._d)
+
+    def __len__(self):
+        return len(self._d)
+
+    def __hash__(self):
+        return hash(frozenset(self._d.items()))
+
+
+def test_the_memo_is_not_part_of_equality_hash_or_repr():
+    model = DSEUModel(
+        ExpMeasure(0.7),
+        UtilityModel(FrozenMap(UTIL)),
+        Beliefs(FrozenMap(Beliefs.uniform(STATES).probs)),
+    )
+    capacity = Capacity.epsilon_contamination(model.beliefs, 0.2)
+    choquet = partial(ChoquetOracle, model.discount, model.utility, capacity)
+    f = GridAct.bet(STATES, {"s1", "s2"}, "d", "c")
+    g = GridAct.constant(STATES, "b")
+    pairs = [
+        (SEUOracle(model), SEUOracle(model)),
+        (choquet(), choquet()),
+    ]
+    seu, other = pairs[0]
+    hashed = hash(seu)
+    assert hash(other) == hashed
+    for used, fresh in pairs:
+        before = repr(used)
+        assert used == fresh
+        used.compare(f, g)
+        assert memo_of(used) and not memo_of(fresh)
+        assert used == fresh and repr(used) == repr(fresh) == before
+    assert hash(seu) == hash(other) == hashed
