@@ -27,7 +27,7 @@ from .acts import (
 from .evaluate import Beliefs, DSEUModel
 from .measure import INF, TimeInterval, TimeSet
 from .oracles import Preference, SEUOracle
-from .sampling import ActSampler
+from .sampling import DISJOINT_ATTEMPTS, ActSampler
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -173,7 +173,7 @@ def check_t_monotonicity(
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("t_monotonicity")
     states = tuple(oracle.states)
-    strict_applies = getattr(oracle, "band", 0.0) == 0.0
+    strict_applies = oracle.band == 0.0
     note = "" if strict_applies else "strict clause skipped inside the indifference band"
     violations: list[Violation] = []
     done = 0
@@ -221,7 +221,7 @@ def check_dominance(
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("dominance")
     states = tuple(oracle.states)
-    strict_applies = getattr(oracle, "band", 0.0) == 0.0
+    strict_applies = oracle.band == 0.0
     note = "" if strict_applies else "strict clause skipped inside the indifference band"
     violations: list[Violation] = []
     done = 0
@@ -301,6 +301,7 @@ def check_t_separability(
     compared across outcome pairs and backgrounds; any disagreement is a
     violation.  A positive indifference band can blur a strict direction
     into a tie, so in that case only strictly opposite directions count.
+    When the sampler finds no disjoint pair, the check stops INCONCLUSIVE.
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
     rng = random.Random(seed)
@@ -309,10 +310,15 @@ def check_t_separability(
     strict_pairs = _strict_pairs(ranking, oracle.outcomes)
     if not strict_pairs:
         return _vacuous("t_separability")
-    exact = getattr(oracle, "band", 0.0) == 0.0
+    exact = oracle.band == 0.0
     violations: list[Violation] = []
-    for _ in range(samples):
-        first, second = sampler.disjoint_time_sets(rng)
+    for done in range(samples):
+        pair = sampler.disjoint_time_sets(rng)
+        if pair is None:
+            note = f"no two disjoint time sets in {DISJOINT_ATTEMPTS} sampler draws"
+            verdict = FAIL if violations else INCONCLUSIVE
+            return CheckReport("t_separability", done, violations, verdict, note)
+        first, second = pair
         combos = []
         n_pairs = min(2, len(strict_pairs))
         for better, worse in rng.sample(strict_pairs, n_pairs):
@@ -441,8 +447,8 @@ def run_audit(
 
     The dominance check needs reference beliefs to decide which states are
     non-null; an expected-utility oracle supplies its own, any other oracle
-    exposing a utility and a discount gets uniform reference beliefs unless
-    ``row_model`` overrides them.
+    exposing a utility gets uniform reference beliefs unless ``row_model``
+    overrides them.
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
     if row_model is None:
@@ -450,10 +456,9 @@ def run_audit(
             row_model = oracle.model
         else:
             utility = getattr(oracle, "utility", None)
-            discount = getattr(oracle, "discount", None)
-            if utility is not None and discount is not None:
+            if utility is not None:
                 row_model = DSEUModel(
-                    discount, utility, Beliefs.uniform(tuple(oracle.states))
+                    oracle.discount, utility, Beliefs.uniform(tuple(oracle.states))
                 )
     checks: dict[str, CheckReport] = {}
     checks["stationarity"] = check_stationarity(oracle, samples, seed, sampler)

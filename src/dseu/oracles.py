@@ -1,11 +1,16 @@
 """Simulated decision makers answering pairwise act comparisons.
 
-Each oracle exposes ``compare(f, g)`` returning one of the three
-:class:`Preference` responses, with ties declared inside an indifference
-band.  The expected-utility oracle follows a full model; the Choquet oracle
-replaces the state beliefs with a (possibly non-additive) capacity, applying
-it to the discounted row values.  All oracles here are deterministic, so
-elicitation sessions and audit witnesses replay exactly.
+Every protocol asks an oracle for the same things, the interface of
+:class:`Oracle`: ``states``, ``outcomes``, ``band``, ``discount`` (``None``
+when there is no discount measure), ``value(f)`` and ``compare(f, g)``.
+``compare`` returns one of the three :class:`Preference` responses, with
+ties declared inside the indifference band.  The expected-utility oracle
+follows a full model; the Choquet oracle replaces the state beliefs with a
+(possibly non-additive) capacity, applying it to the discounted row values.
+The wrappers :class:`WidenedOracle` and :class:`CountingOracle` read every
+attribute they do not define from the oracle they wrap.  All oracles here
+are deterministic, so elicitation sessions and audit witnesses replay
+exactly.
 
 The SEU and Choquet oracles value each distinct row object of an act once,
 and memoise the values of the last two acts they valued, keyed by identity
@@ -60,6 +65,31 @@ def _banded(diff: float, band: float) -> Preference:
     )
 
 
+class Oracle:
+    """A preference on acts: values compared within an indifference band.
+
+    Subclasses supply ``value``, ``states``, ``outcomes``, ``band`` and
+    ``discount``.
+    """
+
+    def __post_init__(self) -> None:
+        if self.band < 0:
+            raise ValueError(f"indifference band must be >= 0, got {self.band}")
+
+    def compare(self, f: GridAct, g: GridAct) -> Preference:
+        return _banded(self.value(f) - self.value(g), self.band)
+
+
+def _forward(wrapper, name: str):
+    """A wrapper's ``__getattr__``: what it does not define, its inner oracle has.
+
+    Never ``inner`` itself, which ``copy`` and ``pickle`` probe before it is set.
+    """
+    if name == "inner":
+        raise AttributeError(name)
+    return getattr(wrapper.inner, name)
+
+
 def _memo_field():
     """Per-oracle value memo, left out of ``==``, ``hash`` and ``repr``."""
     return field(default_factory=list, init=False, repr=False, compare=False)
@@ -91,16 +121,12 @@ def _recall(
 
 
 @dataclass(frozen=True)
-class SEUOracle:
+class SEUOracle(Oracle):
     """Compares acts by their discounted subjective expected utility."""
 
     model: DSEUModel
     band: float = 0.0
     _memo: list[tuple[GridAct, float, bool]] = _memo_field()
-
-    def __post_init__(self) -> None:
-        if self.band < 0:
-            raise ValueError(f"indifference band must be >= 0, got {self.band}")
 
     @property
     def states(self) -> tuple[State, ...]:
@@ -120,9 +146,6 @@ class SEUOracle:
 
     def value(self, f: GridAct) -> float:
         return _recall(self._memo, f, self.model.act_value)
-
-    def compare(self, f: GridAct, g: GridAct) -> Preference:
-        return _banded(self.value(f) - self.value(g), self.band)
 
 
 @dataclass(frozen=True)
@@ -205,7 +228,7 @@ def choquet_value(
 
 
 @dataclass(frozen=True)
-class ChoquetOracle:
+class ChoquetOracle(Oracle):
     """Discounts each row first, then aggregates rows with a Choquet integral."""
 
     discount: ExpMeasure
@@ -213,10 +236,6 @@ class ChoquetOracle:
     capacity: Capacity
     band: float = 0.0
     _memo: list[tuple[GridAct, float, bool]] = _memo_field()
-
-    def __post_init__(self) -> None:
-        if self.band < 0:
-            raise ValueError(f"indifference band must be >= 0, got {self.band}")
 
     @property
     def states(self) -> tuple[State, ...]:
@@ -234,12 +253,9 @@ class ChoquetOracle:
         rows = f.row_values(partial(profile_value, self.discount, self.utility))
         return choquet_value(self.capacity, rows)
 
-    def compare(self, f: GridAct, g: GridAct) -> Preference:
-        return _banded(self.value(f) - self.value(g), self.band)
-
 
 @dataclass(frozen=True)
-class FunctionalOracle:
+class FunctionalOracle(Oracle):
     """Oracle induced by an arbitrary value functional on grid acts."""
 
     fn: Callable[[GridAct], float]
@@ -251,16 +267,15 @@ class FunctionalOracle:
     def value(self, f: GridAct) -> float:
         return self.fn(f)
 
-    def compare(self, f: GridAct, g: GridAct) -> Preference:
-        return _banded(self.fn(f) - self.fn(g), self.band)
-
 
 @dataclass(frozen=True)
-class WidenedOracle:
+class WidenedOracle(Oracle):
     """Same values as the inner oracle, with a larger indifference band."""
 
-    inner: SEUOracle | ChoquetOracle | FunctionalOracle | WidenedOracle
+    inner: Oracle | CountingOracle
     extra_band: float = 0.0
+
+    __getattr__ = _forward
 
     def __post_init__(self) -> None:
         if self.extra_band < 0:
@@ -270,53 +285,20 @@ class WidenedOracle:
     def band(self) -> float:
         return self.inner.band + self.extra_band
 
-    @property
-    def states(self) -> tuple[State, ...]:
-        return self.inner.states
-
-    @property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return self.inner.outcomes
-
-    @property
-    def discount(self) -> ExpMeasure | None:
-        return getattr(self.inner, "discount", None)
-
-    @property
-    def utility(self) -> UtilityModel | None:
-        return getattr(self.inner, "utility", None)
-
     def value(self, f: GridAct) -> float:
         return self.inner.value(f)
-
-    def compare(self, f: GridAct, g: GridAct) -> Preference:
-        return _banded(self.value(f) - self.value(g), self.band)
 
 
 @dataclass
 class CountingOracle:
     """Pass-through wrapper recording the number (and log) of comparisons."""
 
-    inner: object
+    inner: Oracle | CountingOracle
     count: int = 0
     keep_log: bool = False
     log: list[tuple[GridAct, GridAct, Preference]] = field(default_factory=list)
 
-    @property
-    def band(self) -> float:
-        return self.inner.band
-
-    @property
-    def states(self) -> tuple[State, ...]:
-        return self.inner.states
-
-    @property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return self.inner.outcomes
-
-    @property
-    def discount(self) -> ExpMeasure | None:
-        return getattr(self.inner, "discount", None)
+    __getattr__ = _forward
 
     def compare(self, f: GridAct, g: GridAct) -> Preference:
         answer = self.inner.compare(f, g)

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from .acts import GridAct, Outcome, State, StepProfile
 from .measure import ExpMeasure, TimeSet
 
+#: Draws :meth:`ActSampler.disjoint_time_sets` makes before giving up; one
+#: draw suffices unless the sampler's quantiles collapse onto one or two cuts.
+DISJOINT_ATTEMPTS = 100
+
 
 @dataclass(frozen=True)
 class ActSampler:
@@ -27,7 +31,7 @@ class ActSampler:
 
     @classmethod
     def for_oracle(cls, oracle, max_pieces: int = 6) -> ActSampler:
-        measure = getattr(oracle, "discount", None)
+        measure = oracle.discount
         if measure is None:
             raise ValueError(
                 "oracle exposes no discount measure; construct the sampler explicitly"
@@ -55,9 +59,9 @@ class ActSampler:
             (lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi
         )
 
-    def disjoint_time_sets(self, rng: random.Random) -> tuple[TimeSet, TimeSet]:
-        """Two nonempty disjoint sets, built from alternating quantile slices."""
-        while True:
+    def disjoint_time_sets(self, rng: random.Random) -> tuple[TimeSet, TimeSet] | None:
+        """Two nonempty disjoint sets from alternating quantile slices, or ``None``."""
+        for _ in range(DISJOINT_ATTEMPTS):
             cuts = self.breakpoints(rng, rng.randint(2, 6) * 2)
             cuts = sorted(set(cuts))
             pairs = [
@@ -69,6 +73,7 @@ class ActSampler:
             second = TimeSet.from_pairs(pairs[1::2])
             if not first.is_empty and not second.is_empty:
                 return first, second
+        return None
 
     def splice_time_point(self, rng: random.Random) -> float:
         return self.measure.quantile(rng.uniform(0.0, 0.9))

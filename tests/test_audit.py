@@ -23,7 +23,14 @@ from dseu.audit import (
 )
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import ExpMeasure, TimeInterval
-from dseu.oracles import Capacity, ChoquetOracle, FunctionalOracle, SEUOracle, WidenedOracle
+from dseu.oracles import (
+    Capacity,
+    ChoquetOracle,
+    CountingOracle,
+    FunctionalOracle,
+    SEUOracle,
+    WidenedOracle,
+)
 from dseu.sampling import ActSampler
 
 STATES = ("s0", "s1", "s2")
@@ -296,3 +303,26 @@ class TestIndifferentOracle:
             assert report.checks[name].checked == 0
             assert report.checks[name].note == VACUOUS
         assert "monotone_continuity" not in report.checks
+
+
+class TestWrappedAndDegenerateInputs:
+    def test_counting_wrapper_audits_like_the_oracle_it_wraps(self):
+        model = seu_model()
+        cap = Capacity.epsilon_contamination(model.beliefs, 0.2)
+        oracle = ChoquetOracle(model.discount, model.utility, cap)
+        counted = CountingOracle(oracle)
+        report = run_audit(counted, samples=20, seed=5)
+        assert "dominance" in report.checks
+        assert report == run_audit(oracle, samples=20, seed=5)
+        assert counted.count > 0
+
+    @pytest.mark.parametrize("ceiling", [0.0, 5e-324])
+    def test_t_separability_ends_when_no_disjoint_sets_exist(self, ceiling):
+        model = seu_model()
+        sampler = ActSampler(
+            model.discount, model.states, model.outcomes, mass_ceiling=ceiling
+        )
+        with deadline(3.0):
+            report = check_t_separability(SEUOracle(model), 3, 0, sampler)
+        assert (report.checked, report.verdict) == (0, INCONCLUSIVE)
+        assert "disjoint time sets" in report.note

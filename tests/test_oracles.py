@@ -1,5 +1,7 @@
 """Comparison oracles: expected-utility, Choquet-capacity, and wrappers."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from dseu.oracles import (
     Capacity,
     ChoquetOracle,
     CountingOracle,
+    FunctionalOracle,
     Preference,
     SEUOracle,
     WidenedOracle,
@@ -206,3 +209,64 @@ class TestWrappers:
         oracle.compare(g, f)
         assert oracle.count == 2
         assert len(oracle.log) == 2
+
+    def test_widened_counting_oracle_answers_like_widened_oracle(self):
+        oracle = SEUOracle(base_model())
+        counted = CountingOracle(oracle)
+        wrapped = WidenedOracle(counted, 0.01)
+        reference = WidenedOracle(oracle, 0.01)
+        rng = random.Random(38)
+        for _ in range(50):
+            f, g = random_act(rng), random_act(rng)
+            assert wrapped.compare(f, g) is reference.compare(f, g)
+        assert counted.count == 0  # the widened oracle asks for values only
+
+
+def functional_value(act: GridAct) -> float:
+    """Module-level, so a functional oracle built on it pickles."""
+    return base_model().act_value(act)
+
+
+def base_oracles():
+    model = base_model()
+    cap = Capacity.epsilon_contamination(model.beliefs, 0.2)
+    return {
+        "seu": SEUOracle(model, band=1e-6),
+        "choquet": ChoquetOracle(model.discount, model.utility, cap),
+        "functional": FunctionalOracle(
+            functional_value, 1e-6, STATES, model.outcomes, model.discount
+        ),
+    }
+
+
+WRAPS = {
+    "bare": lambda o: o,
+    "widened": lambda o: WidenedOracle(o, 0.0),
+    "counting": CountingOracle,
+}
+
+
+class TestOracleInterface:
+    def test_functional_oracle_rejects_negative_band(self):
+        with pytest.raises(ValueError, match="indifference band"):
+            FunctionalOracle(functional_value, band=-1.0)
+
+    @pytest.mark.parametrize("wrap", WRAPS)
+    @pytest.mark.parametrize("kind", ["seu", "choquet", "functional"])
+    def test_every_oracle_answers_like_the_oracle_it_wraps(self, kind, wrap):
+        inner = base_oracles()[kind]
+        oracle = WRAPS[wrap](inner)
+        for name in ("states", "outcomes", "band", "discount"):
+            assert getattr(oracle, name) == getattr(inner, name)
+        rng = random.Random(39)
+        for _ in range(20):
+            f, g = random_act(rng), random_act(rng)
+            assert oracle.value(f) == inner.value(f)
+            assert oracle.compare(f, g) is inner.compare(f, g)
+        for twin in (
+            copy.copy(oracle),
+            copy.deepcopy(oracle),
+            pickle.loads(pickle.dumps(oracle)),
+        ):
+            assert twin == oracle
+            assert repr(twin) == repr(oracle)
