@@ -26,7 +26,7 @@ from .acts import (
 )
 from .evaluate import Beliefs, DSEUModel
 from .measure import INF, TimeInterval, TimeSet
-from .oracles import Preference, SEUOracle
+from .oracles import CountingOracle, Preference, SEUOracle
 from .sampling import DISJOINT_ATTEMPTS, ActSampler
 
 PASS = "PASS"
@@ -448,12 +448,16 @@ def run_audit(
     The dominance check needs reference beliefs to decide which states are
     non-null; an expected-utility oracle supplies its own, any other oracle
     exposing a utility gets uniform reference beliefs unless ``row_model``
-    overrides them.
+    overrides them.  A :class:`CountingOracle` only counts the comparisons of
+    the oracle it wraps, so it is audited like that oracle.
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
+    base = oracle
+    while isinstance(base, CountingOracle):
+        base = base.inner
     if row_model is None:
-        if isinstance(oracle, SEUOracle):
-            row_model = oracle.model
+        if isinstance(base, SEUOracle):
+            row_model = base.model
         else:
             utility = getattr(oracle, "utility", None)
             if utility is not None:
@@ -479,9 +483,9 @@ def run_audit(
             worst,
             horizon_max,
         )
-    if isinstance(oracle, SEUOracle):
+    if isinstance(base, SEUOracle):
         checks["decomposition"] = check_decomposition(
-            oracle.value, oracle.model, samples, seed + 4, sampler
+            oracle.value, base.model, samples, seed + 4, sampler
         )
     checks["t_measurability"] = t_measurability_report()
     return AuditReport(checks)

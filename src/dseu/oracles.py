@@ -291,7 +291,10 @@ class WidenedOracle(Oracle):
 
 @dataclass
 class CountingOracle:
-    """Pass-through wrapper recording the number (and log) of comparisons."""
+    """Pass-through wrapper recording the number (and log) of comparisons.
+
+    Only ``compare`` is counted; ``value`` passes through to ``inner`` uncounted.
+    """
 
     inner: Oracle | CountingOracle
     count: int = 0

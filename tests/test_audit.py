@@ -306,14 +306,22 @@ class TestIndifferentOracle:
 
 
 class TestWrappedAndDegenerateInputs:
-    def test_counting_wrapper_audits_like_the_oracle_it_wraps(self):
-        model = seu_model()
-        cap = Capacity.epsilon_contamination(model.beliefs, 0.2)
-        oracle = ChoquetOracle(model.discount, model.utility, cap)
+    @pytest.mark.parametrize("kind", ["seu", "choquet"])
+    @pytest.mark.parametrize("probs", [(0.5, 0.3, 0.2), (0.7, 0.3, 0.0)])
+    def test_counting_wrapper_audits_like_the_oracle_it_wraps(self, kind, probs):
+        model = seu_model(probs=probs)
+        if kind == "seu":
+            oracle = SEUOracle(model)
+        else:
+            cap = Capacity.epsilon_contamination(model.beliefs, 0.2)
+            oracle = ChoquetOracle(model.discount, model.utility, cap)
         counted = CountingOracle(oracle)
         report = run_audit(counted, samples=20, seed=5)
-        assert "dominance" in report.checks
         assert report == run_audit(oracle, samples=20, seed=5)
+        assert "dominance" in report.checks
+        assert ("decomposition" in report.checks) == (kind == "seu")
+        if kind == "seu":
+            assert report.all_pass
         assert counted.count > 0
 
     @pytest.mark.parametrize("ceiling", [0.0, 5e-324])

@@ -219,7 +219,6 @@ class TestWrappers:
         for _ in range(50):
             f, g = random_act(rng), random_act(rng)
             assert wrapped.compare(f, g) is reference.compare(f, g)
-        assert counted.count == 0  # the widened oracle asks for values only
 
 
 def functional_value(act: GridAct) -> float:
