@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .acts import GridAct, Outcome, Piece, State, StepProfile, splice_time
 from .equivalents import TimeEquivalent
-from .evaluate import DSEUModel
+from .evaluate import DSEUModel, check_states
 from .measure import INF, ExpMeasure, TimeInterval
 
 #: Entrywise tolerance at which two lotteries count as equal.
@@ -178,6 +178,7 @@ def aa_value(model: DSEUModel, f: GridAct) -> float:
     Must coincide with the direct act value; that equality is the reduction
     step of the representation.
     """
+    check_states(model.states, f)
     total = 0.0
     for s in f.states:
         lot = reduce_profile(model.discount, f.row(s))

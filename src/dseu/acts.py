@@ -81,7 +81,9 @@ class StepProfile:
         return cls(tuple(pieces))
 
     def normalized(self) -> StepProfile:
-        """Merge adjacent equal-outcome pieces; pointwise value is unchanged."""
+        """Merge adjacent equal-outcome pieces (same pointwise value); ``self`` if none."""
+        if all(a != b for (_, a), (_, b) in zip(self.pieces, self.pieces[1:])):
+            return self
         merged: list[Piece] = []
         for iv, out in self.pieces:
             if merged and merged[-1][1] == out:

@@ -33,6 +33,9 @@ PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
 
+#: Splice-identity residual above which :func:`check_decomposition` logs a violation.
+DECOMPOSITION_TOL = 1e-10
+
 
 @dataclass
 class Violation:
@@ -387,7 +390,6 @@ def check_decomposition(
     samples: int,
     seed: int,
     sampler: ActSampler | None = None,
-    tolerance: float = 1e-10,
 ) -> CheckReport:
     """Residuals of the splice decomposition identity for a claimed model.
 
@@ -409,7 +411,7 @@ def check_decomposition(
         rhs = model.prefix_value(h, t) + model.discount.sf(t) * value_fn(f)
         residual = abs(lhs - rhs)
         worst = max(worst, residual)
-        if residual > tolerance:
+        if residual > DECOMPOSITION_TOL:
             violations.append(
                 Violation(
                     kind="decomposition identity fails",
@@ -440,30 +442,28 @@ def run_audit(
     samples: int = 500,
     seed: int = 0,
     horizon_max: int = 64,
-    row_model: DSEUModel | None = None,
     sampler: ActSampler | None = None,
 ) -> AuditReport:
     """All applicable checks on one oracle, under a single seed.
 
     The dominance check needs reference beliefs to decide which states are
     non-null; an expected-utility oracle supplies its own, any other oracle
-    exposing a utility gets uniform reference beliefs unless ``row_model``
-    overrides them.  A :class:`CountingOracle` only counts the comparisons of
-    the oracle it wraps, so it is audited like that oracle.
+    exposing a utility gets uniform reference beliefs.  A
+    :class:`CountingOracle` only counts the comparisons of the oracle it
+    wraps, so it is audited like that oracle.
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
     base = oracle
     while isinstance(base, CountingOracle):
         base = base.inner
-    if row_model is None:
-        if isinstance(base, SEUOracle):
-            row_model = base.model
-        else:
-            utility = getattr(oracle, "utility", None)
-            if utility is not None:
-                row_model = DSEUModel(
-                    oracle.discount, utility, Beliefs.uniform(tuple(oracle.states))
-                )
+    row_model = None
+    utility = getattr(oracle, "utility", None)
+    if isinstance(base, SEUOracle):
+        row_model = base.model
+    elif utility is not None:
+        row_model = DSEUModel(
+            oracle.discount, utility, Beliefs.uniform(tuple(oracle.states))
+        )
     checks: dict[str, CheckReport] = {}
     checks["stationarity"] = check_stationarity(oracle, samples, seed, sampler)
     checks["t_monotonicity"] = check_t_monotonicity(oracle, samples, seed + 1, sampler)

@@ -65,12 +65,12 @@ def utility_bins(model: DSEUModel, profile: StepProfile, n_bins: int) -> list[Ti
     return [TimeSet.of(ivs) for ivs in members]
 
 
-def _selection(rate: ExpMeasure, bins: list[TimeSet], p: float) -> TimeSet:
-    """Left portions of every bin interval at fraction ``p`` (``p = 1`` keeps all)."""
+def _selection(rate: ExpMeasure, bins: list[TimeSet], fracs: list[float]) -> TimeSet:
+    """Left portions of each bin's intervals at that bin's fraction (1 keeps all)."""
     picked: list[TimeInterval] = []
-    for bin_set in bins:
+    for bin_set, frac in zip(bins, fracs):
         for iv in bin_set:
-            part = rate.prefix_fraction(iv, p)
+            part = rate.prefix_fraction(iv, frac)
             if part is not None:
                 picked.append(part)
     return TimeSet.of(picked)
@@ -89,7 +89,7 @@ def independent_selection(
         raise ValueError(f"target fraction must be >= 0, got {p_target!r}")
     if p_target >= 1.0:
         raise ValueError(f"target fraction must stay below 1, got {p_target}")
-    return _selection(rate, bins, p_target)
+    return _selection(rate, bins, [p_target] * len(bins))
 
 
 def _two_level_profile(
@@ -110,23 +110,6 @@ def _two_level_profile(
     return StepProfile(tuple(pieces)).normalized()
 
 
-def _paste_selections(
-    rate: ExpMeasure,
-    bins: list[TimeSet],
-    fractions: list[float],
-    best: Outcome,
-    worst: Outcome,
-) -> StepProfile:
-    """Stream paying ``best`` on each bin's left portion at its own fraction."""
-    chosen = [
-        _selection(rate, [bin_set], frac) for bin_set, frac in zip(bins, fractions)
-    ]
-    union = TimeSet.empty()
-    for c in chosen:
-        union = union.union(c)
-    return _two_level_profile(union, best, worst)
-
-
 def bracket_profile(
     model: DSEUModel, profile: StepProfile, n_bins: int
 ) -> BracketResult:
@@ -137,15 +120,13 @@ def bracket_profile(
     portions are carved per bin, so each indicator keeps its quota
     conditionally on every bin.
     """
-    if n_bins < 1:
-        raise ValueError(f"need at least one bin, got {n_bins}")
     worst, best, _, _ = _normalizer(model)
     bins = utility_bins(model, profile, n_bins)
     rate = model.discount
     lower_frac = [(n - 1) / n_bins for n in range(1, n_bins + 1)]
     upper_frac = [n / n_bins for n in range(1, n_bins + 1)]
-    lower = _paste_selections(rate, bins, lower_frac, best, worst)
-    upper = _paste_selections(rate, bins, upper_frac, best, worst)
+    lower = _two_level_profile(_selection(rate, bins, lower_frac), best, worst)
+    upper = _two_level_profile(_selection(rate, bins, upper_frac), best, worst)
     gap = rate.mass(upper.level_set(best)) - rate.mass(lower.level_set(best))
     return BracketResult(lower=lower, upper=upper, gap=gap, bins=tuple(bins))
 

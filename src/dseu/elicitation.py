@@ -25,7 +25,7 @@ from .equivalents import (
 )
 from .evaluate import Beliefs, DSEUModel, UtilityModel
 from .measure import ExpMeasure
-from .oracles import CountingOracle, Preference, ProtocolError
+from .oracles import CountingOracle, Preference, ProtocolError, subsets
 
 #: Residual size above which a recovered set function is flagged non-additive.
 DEFAULT_RESIDUAL_TOLERANCE = 1e-3
@@ -128,23 +128,19 @@ def _subset_families(
     pairwise unions are used.
     """
     if len(states) <= 10:
-        subsets = [
-            frozenset(c)
-            for r in range(len(states) + 1)
-            for c in itertools.combinations(states, r)
-        ]
+        events = subsets(states)
         pairs = [
             (e, f)
-            for e, f in itertools.combinations([s for s in subsets if s], 2)
+            for e, f in itertools.combinations([s for s in events if s], 2)
             if not (e & f)
         ]
-        return subsets, pairs
+        return events, pairs
     singletons = [frozenset({s}) for s in states]
     pairs = [
         (frozenset({a}), frozenset({b})) for a, b in itertools.combinations(states, 2)
     ]
-    subsets = singletons + [e | f for e, f in pairs]
-    return subsets, pairs
+    events = singletons + [e | f for e, f in pairs]
+    return events, pairs
 
 
 def elicit_measure(
@@ -153,40 +149,27 @@ def elicit_measure(
     x: Outcome,
     y: Outcome,
     tol: float = DEFAULT_TOL,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
 ) -> ElicitationReport:
     """Elicit a whole set function and audit its additivity."""
     counting = CountingOracle(oracle)
-    states = oracle.states
-    subsets, pairs = _subset_families(states)
-    mu_hat: dict[frozenset[State], float] = {}
-    for subset in subsets:
-        mu_hat[subset] = elicit_event(counting, rate, subset, x, y, tol)
-    residuals = {
-        (e, f): mu_hat[e | f] - mu_hat[e] - mu_hat[f]
-        for e, f in pairs
-        if (e | f) in mu_hat
-    }
+    events, pairs = _subset_families(oracle.states)
+    mu_hat = {e: elicit_event(counting, rate, e, x, y, tol) for e in events}
+    residuals = {(e, f): mu_hat[e | f] - mu_hat[e] - mu_hat[f] for e, f in pairs}
     return ElicitationReport(
         lambda_hat=rate.rate,
         mu_hat=mu_hat,
         additivity_residuals=residuals,
         query_count=counting.count,
-        residual_tolerance=residual_tolerance,
     )
 
 
 def run_session(
-    oracle,
-    x: Outcome,
-    y: Outcome,
-    tol: float = DEFAULT_TOL,
-    residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE,
+    oracle, x: Outcome, y: Outcome, tol: float = DEFAULT_TOL
 ) -> ElicitationReport:
     """Full session: half-life first, then the event family, one query log."""
     counting = CountingOracle(oracle)
     rate = elicit_lambda(counting, x, y, tol)
-    report = elicit_measure(counting.inner, rate, x, y, tol, residual_tolerance)
+    report = elicit_measure(counting.inner, rate, x, y, tol)
     # elicit_measure wrapped the inner oracle itself; merge both query counts.
     report.query_count += counting.count
     return report

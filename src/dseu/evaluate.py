@@ -82,9 +82,6 @@ class Beliefs:
     def states(self) -> tuple[State, ...]:
         return tuple(self.probs)
 
-    def event_mass(self, states: frozenset[State] | set[State]) -> float:
-        return sum(self.probs[s] for s in self.probs if s in states)
-
     @classmethod
     def uniform(cls, states: tuple[State, ...] | list[State]) -> Beliefs:
         n = len(states)

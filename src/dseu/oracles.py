@@ -50,10 +50,6 @@ class Preference(enum.Enum):
             return Preference.STRICTLY_PREFERS_FIRST
         return self
 
-    @property
-    def weakly_first(self) -> bool:
-        return self is not Preference.STRICTLY_PREFERS_SECOND
-
 
 def _banded(diff: float, band: float) -> Preference:
     if abs(diff) <= band:
@@ -148,6 +144,15 @@ class SEUOracle(Oracle):
         return _recall(self._memo, f, self.model.act_value)
 
 
+def subsets(states: tuple[State, ...]) -> list[frozenset[State]]:
+    """Every subset of ``states``, by size, each size in combination order."""
+    return [
+        frozenset(c)
+        for r in range(len(states) + 1)
+        for c in itertools.combinations(states, r)
+    ]
+
+
 @dataclass(frozen=True)
 class Capacity:
     """Normalized monotone set function on the subsets of a finite state space."""
@@ -160,11 +165,7 @@ class Capacity:
         spec = dict(self.weights)
         spec.setdefault(frozenset(), 0.0)
         spec.setdefault(full, 1.0)
-        missing = {
-            frozenset(c)
-            for r in range(len(self.states) + 1)
-            for c in itertools.combinations(self.states, r)
-        } - set(spec)
+        missing = set(subsets(self.states)) - set(spec)
         if missing:
             raise ValueError(f"capacity misses {len(missing)} subsets, e.g. {sorted(next(iter(missing)))}")
         if spec[frozenset()] != 0.0:
@@ -179,19 +180,20 @@ class Capacity:
                     )
         object.__setattr__(self, "weights", spec)
 
+    def __repr__(self) -> str:
+        """Subsets as tuples in ``states`` order, so equal capacities print alike."""
+        weights = {
+            tuple(s for s in self.states if s in c): self.weights[c]
+            for c in subsets(self.states)
+        }
+        return f"Capacity(states={self.states!r}, weights={weights!r})"
+
     def __call__(self, subset: Iterable[State]) -> float:
         return self.weights[frozenset(subset)]
 
     @classmethod
     def additive(cls, beliefs: Beliefs) -> Capacity:
-        states = beliefs.states
-        spec = {
-            frozenset(c): sum(beliefs(s) for s in c)
-            for r in range(len(states) + 1)
-            for c in itertools.combinations(states, r)
-        }
-        spec[frozenset(states)] = 1.0
-        return cls(states, spec)
+        return cls.epsilon_contamination(beliefs, 0.0)
 
     @classmethod
     def epsilon_contamination(cls, beliefs: Beliefs, epsilon: float) -> Capacity:
@@ -199,10 +201,11 @@ class Capacity:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"contamination must lie in [0, 1], got {epsilon}")
         states = beliefs.states
-        spec: dict[frozenset[State], float] = {}
-        for r in range(len(states) + 1):
-            for c in itertools.combinations(states, r):
-                spec[frozenset(c)] = (1.0 - epsilon) * sum(beliefs(s) for s in c)
+        # Sum in state order: a sum over the frozenset follows its hash order.
+        spec = {
+            c: (1.0 - epsilon) * sum(beliefs(s) for s in states if s in c)
+            for c in subsets(states)
+        }
         spec[frozenset(states)] = 1.0
         return cls(states, spec)
 

@@ -30,13 +30,13 @@ class ActSampler:
     mass_ceiling: float = 0.995
 
     @classmethod
-    def for_oracle(cls, oracle, max_pieces: int = 6) -> ActSampler:
+    def for_oracle(cls, oracle) -> ActSampler:
         measure = oracle.discount
         if measure is None:
             raise ValueError(
                 "oracle exposes no discount measure; construct the sampler explicitly"
             )
-        return cls(measure, tuple(oracle.states), tuple(oracle.outcomes), max_pieces)
+        return cls(measure, tuple(oracle.states), tuple(oracle.outcomes))
 
     def breakpoints(self, rng: random.Random, count: int) -> list[float]:
         qs = sorted(rng.uniform(0.0, self.mass_ceiling) for _ in range(count))
@@ -52,8 +52,8 @@ class ActSampler:
     def act(self, rng: random.Random) -> GridAct:
         return GridAct({s: self.profile(rng) for s in self.states})
 
-    def time_set(self, rng: random.Random, max_intervals: int = 3) -> TimeSet:
-        n = rng.randint(0, max_intervals)
+    def time_set(self, rng: random.Random) -> TimeSet:
+        n = rng.randint(0, 3)
         cuts = self.breakpoints(rng, 2 * n)
         return TimeSet.from_pairs(
             (lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi

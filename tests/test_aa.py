@@ -202,6 +202,16 @@ class TestAAValue:
         bet = GridAct.bet(STATES, {"s0", "s2"}, "b", "a")
         assert aa_value(m, bet) == pytest.approx(0.65, abs=1e-12)
 
+    def test_rejects_act_on_other_states(self):
+        # Valuing only the act's own states would give 0.5 here, with no error.
+        m = DSEUModel(
+            ExpMeasure(1.0), UtilityModel({"x": 1.0, "y": 0.0}), Beliefs({"a": 0.5, "b": 0.5})
+        )
+        with pytest.raises(KeyError, match=r"missing \['b'\]"):
+            aa_value(m, GridAct.constant(("a",), "x"))
+        with pytest.raises(KeyError, match=r"extra \['c'\]"):
+            aa_value(m, GridAct.constant(("a", "b", "c"), "x"))
+
     def test_matches_act_value_on_random_acts(self):
         rng = random.Random(68)
         for _ in range(300):

@@ -59,6 +59,18 @@ class TestStepProfile:
         assert p.normalized() == p
         assert p.normalized().normalized() == p.normalized()
 
+    def test_normalize_returns_self_when_nothing_merges(self):
+        rng = random.Random(6)
+        for _ in range(50):
+            p = random_profile(rng, max_pieces=10)
+            q = p.normalized()
+            assert q.normalized() is q
+            outs = [out for _, out in p.pieces]
+            if all(a != b for a, b in zip(outs, outs[1:])):
+                assert q is p
+            else:
+                assert q is not p and len(q.pieces) < len(p.pieces)
+
     def test_normalize_pointwise_equal_on_random_profiles(self):
         rng = random.Random(5)
         for _ in range(50):

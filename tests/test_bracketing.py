@@ -7,6 +7,7 @@ import pytest
 
 from dseu.acts import GridAct, StepProfile
 from dseu.bracketing import (
+    _two_level_profile,
     bracket_act,
     bracket_profile,
     independent_selection,
@@ -164,6 +165,32 @@ class TestBracketProfile:
             # midpoint converges to the true value
             assert abs(v - 0.5 * (lo + hi)) <= 0.5 * (UTIL["hi"] - UTIL["lo"]) / n + 1e-12
         assert all(b <= a / 2 + 1e-12 for a, b in zip(gaps, gaps[1:]))
+
+    def test_equals_per_bin_selections_merged_by_union(self):
+        # Reference: each bin's left portion carved on its own, then merged
+        # pairwise with ``union``, as bracket_profile once did.
+        def pasted(rate, bins, fractions, best, worst):
+            union = TimeSet.empty()
+            for bin_set, frac in zip(bins, fractions):
+                parts = [rate.prefix_fraction(iv, frac) for iv in bin_set]
+                union = union.union(TimeSet.of(p for p in parts if p is not None))
+            return _two_level_profile(union, best, worst)
+
+        rng = random.Random(80)
+        for _ in range(200):
+            m = model_for(rate=rng.uniform(0.2, 3.0))
+            p = random_profile(rng, list(UTIL), max_pieces=rng.choice((3, 12, 40)))
+            n_bins = rng.randint(1, 32)
+            bins = utility_bins(m, p, n_bins)
+            tops = [n / n_bins for n in range(1, n_bins + 1)]
+            bottoms = [(n - 1) / n_bins for n in range(1, n_bins + 1)]
+            lower = pasted(m.discount, bins, bottoms, "hi", "lo")
+            upper = pasted(m.discount, bins, tops, "hi", "lo")
+            mass = m.discount.mass
+            gap = mass(upper.level_set("hi")) - mass(lower.level_set("hi"))
+            got = bracket_profile(m, p, n_bins)
+            assert (got.lower, got.upper, got.bins) == (lower, upper, tuple(bins))
+            assert got.gap == gap
 
 
 class TestBracketAct:

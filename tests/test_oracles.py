@@ -1,10 +1,13 @@
 """Comparison oracles: expected-utility, Choquet-capacity, and wrappers."""
 
 import copy
+import itertools
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dseu.acts import GridAct, StepProfile
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
@@ -90,6 +93,37 @@ class TestCapacity:
         cap = Capacity.epsilon_contamination(beliefs, 0.1)
         assert cap({"a"}) == pytest.approx(0.45, abs=1e-15)
         assert cap({"a", "b"}) == 1.0
+
+    @given(
+        st.lists(st.floats(0.01, 1.0), min_size=2, max_size=7),
+        st.floats(0.0, 1.0),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weights_sum_beliefs_in_state_order(self, raw, epsilon, rng):
+        labels = [f"s{i}" for i in range(len(raw))]
+        rng.shuffle(labels)
+        total = sum(raw)
+        beliefs = Beliefs({s: w / total for s, w in zip(labels, raw)})
+        states = beliefs.states
+        want = {}
+        for r in range(len(states) + 1):
+            for c in itertools.combinations(states, r):
+                want[frozenset(c)] = sum(beliefs(s) for s in c)
+        want[frozenset(states)] = 1.0
+        assert Capacity.additive(beliefs).weights == want
+        shrunk = {c: (1.0 - epsilon) * v for c, v in want.items()}
+        shrunk[frozenset(states)] = 1.0
+        assert Capacity.epsilon_contamination(beliefs, epsilon).weights == shrunk
+
+    def test_repr_lists_subsets_in_state_order(self):
+        cap = Capacity.additive(Beliefs({"b": 0.25, "a": 0.75}))
+        reordered = Capacity(cap.states, dict(reversed(list(cap.weights.items()))))
+        assert reordered == cap
+        assert repr(reordered) == repr(cap) == (
+            "Capacity(states=('b', 'a'), "
+            "weights={(): 0.0, ('b',): 0.25, ('a',): 0.75, ('b', 'a'): 1.0})"
+        )
 
 
 class TestChoquetOracle:
