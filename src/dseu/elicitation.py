@@ -101,8 +101,13 @@ def elicit_event(
     x: Outcome,
     y: Outcome,
     tol: float = DEFAULT_TOL,
+    hint: float | None = None,
 ) -> float:
-    """Probability of an event from the time equivalent of a bet on it."""
+    """Probability of an event from the time equivalent of a bet on it.
+
+    ``hint``, a predicted time equivalent, warm-starts the search (see
+    :func:`~dseu.equivalents.time_equivalent_bisect`).
+    """
     states = oracle.states
     event = frozenset(event)
     if not event <= set(states):
@@ -112,7 +117,9 @@ def elicit_event(
     if event == frozenset(states):
         return 1.0
     bet = GridAct.bet(states, event, x, y)
-    te: TimeEquivalent = time_equivalent_bisect(oracle, bet, x, y, tol, rate=rate)
+    te: TimeEquivalent = time_equivalent_bisect(
+        oracle, bet, x, y, tol, rate=rate, hint=hint
+    )
     if te.is_whole_horizon:
         return 1.0
     return -math.expm1(-rate.rate * te.t)
@@ -150,10 +157,29 @@ def elicit_measure(
     y: Outcome,
     tol: float = DEFAULT_TOL,
 ) -> ElicitationReport:
-    """Elicit a whole set function and audit its additivity."""
+    """Elicit a whole set function and audit its additivity.
+
+    Events are elicited by size, so each event ``E`` of two or more states
+    comes after ``E - {s}`` and ``{s}``, with ``s`` the last state of ``E``
+    in ``states`` order.  Its search starts from the additive prediction,
+    the time equivalent of ``mu(E - {s}) + mu({s})`` (no hint when that sum
+    is at least 1).  For an oracle whose answers are weakly monotone in the
+    prefix length every estimate equals the cold search's bit for bit, each
+    event costing at most four queries more; near-additive oracles cost far
+    fewer.
+    """
     counting = CountingOracle(oracle)
-    events, pairs = _subset_families(oracle.states)
-    mu_hat = {e: elicit_event(counting, rate, e, x, y, tol) for e in events}
+    states = oracle.states
+    events, pairs = _subset_families(states)
+    mu_hat: dict[frozenset[State], float] = {}
+    for e in events:
+        hint = None
+        if len(e) >= 2:
+            last = max(e, key=states.index)
+            p = mu_hat[e - {last}] + mu_hat[frozenset({last})]
+            if p < 1.0:
+                hint = -math.log1p(-p) / rate.rate
+        mu_hat[e] = elicit_event(counting, rate, e, x, y, tol, hint)
     residuals = {(e, f): mu_hat[e | f] - mu_hat[e] - mu_hat[f] for e, f in pairs}
     return ElicitationReport(
         lambda_hat=rate.rate,

@@ -155,10 +155,15 @@ def subsets(states: tuple[State, ...]) -> list[frozenset[State]]:
 
 @dataclass(frozen=True)
 class Capacity:
-    """Normalized monotone set function on the subsets of a finite state space."""
+    """Normalized monotone set function on the subsets of a finite state space.
+
+    Besides ``weights``, it keeps the same values in a list indexed by
+    bitmask, bit ``i`` standing for ``states[i]``, for :func:`choquet_value`.
+    """
 
     states: tuple[State, ...]
     weights: Mapping[frozenset[State], float]
+    _by_mask: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         full = frozenset(self.states)
@@ -179,6 +184,10 @@ class Capacity:
                         f"capacity not monotone: adding {s!r} to {sorted(subset)} lowers it"
                     )
         object.__setattr__(self, "weights", spec)
+        by_mask = [0.0] * (1 << len(self.states))
+        for subset, v in spec.items():
+            by_mask[sum(1 << i for i, s in enumerate(self.states) if s in subset)] = v
+        object.__setattr__(self, "_by_mask", by_mask)
 
     def __repr__(self) -> str:
         """Subsets as tuples in ``states`` order, so equal capacities print alike."""
@@ -216,16 +225,18 @@ def choquet_value(
     """Choquet integral of per-state values against the capacity.
 
     Telescopes over states sorted by decreasing value (label-ordered within
-    ties, which the integral is insensitive to).
+    ties, which the integral is insensitive to), reading the capacity of
+    each upper set by its bitmask.
     """
-    order = sorted(capacity.states, key=lambda s: (-row_values[s], s))
+    states, by_mask = capacity.states, capacity._by_mask
+    order = sorted(range(len(states)), key=lambda i: (-row_values[states[i]], states[i]))
     total = 0.0
     prev = 0.0
-    top: set[State] = set()
-    for s in order:
-        top.add(s)
-        nu = capacity(top)
-        total += (nu - prev) * row_values[s]
+    top = 0
+    for i in order:
+        top |= 1 << i
+        nu = by_mask[top]
+        total += (nu - prev) * row_values[states[i]]
         prev = nu
     return total
 
@@ -259,7 +270,12 @@ class ChoquetOracle(Oracle):
 
 @dataclass(frozen=True)
 class FunctionalOracle(Oracle):
-    """Oracle induced by an arbitrary value functional on grid acts."""
+    """Oracle induced by an arbitrary value functional on grid acts.
+
+    When ``states`` is non-empty, an act on other states raises
+    ``KeyError``, as with the other oracles; with empty ``states`` acts
+    are not checked and ``fn`` sees whatever it is given.
+    """
 
     fn: Callable[[GridAct], float]
     band: float = 0.0
@@ -268,6 +284,8 @@ class FunctionalOracle(Oracle):
     discount: ExpMeasure | None = None
 
     def value(self, f: GridAct) -> float:
+        if self.states:
+            check_states(self.states, f)
         return self.fn(f)
 
 

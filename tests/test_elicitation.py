@@ -1,9 +1,12 @@
 """Rate and probability recovery, additivity audits, and the worked chain."""
 
+import collections
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dseu.elicitation import (
     elicit_event,
@@ -21,6 +24,7 @@ from dseu.oracles import (
     CountingOracle,
     ProtocolError,
     SEUOracle,
+    subsets,
 )
 
 
@@ -149,6 +153,55 @@ class TestElicitMeasure:
                 assert report.mu_hat[frozenset({f"s{i}"})] == pytest.approx(p, abs=1e-6)
             assert report.max_residual <= 1e-5
             assert report.query_count > 0
+
+
+@st.composite
+def session_oracles(draw):
+    """SEU, epsilon-contaminated Choquet or ``P**2`` capacity on 3-7 states."""
+    n = draw(st.integers(3, 7))
+    raw = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    model = DSEUModel(
+        ExpMeasure(draw(st.floats(0.3, 3.0))),
+        UtilityModel({"x": 1.0, "y": 0.0}),
+        Beliefs({f"s{i}": w / sum(raw) for i, w in enumerate(raw)}),
+    )
+    kind = draw(st.sampled_from(["seu", "contaminated", "squared"]))
+    if kind == "seu":
+        return SEUOracle(model)
+    if kind == "contaminated":
+        cap = Capacity.epsilon_contamination(model.beliefs, draw(st.floats(0.05, 0.3)))
+    else:
+        additive = Capacity.additive(model.beliefs)
+        cap = Capacity(additive.states, {c: p * p for c, p in additive.weights.items()})
+    return ChoquetOracle(model.discount, model.utility, cap)
+
+
+class TestWarmStartedSession:
+    @given(session_oracles())
+    @settings(deadline=None)
+    def test_equals_a_session_of_cold_searches(self, oracle):
+        log = CountingOracle(oracle, keep_log=True)
+        report = run_session(log, "x", "y")
+        # The same session with every event searched from scratch.
+        half_life = CountingOracle(oracle)
+        rate = elicit_lambda(half_life, "x", "y")
+        cold_mu, cold_queries = {}, {}
+        for e in subsets(oracle.states):
+            counting = CountingOracle(oracle)
+            cold_mu[e] = elicit_event(counting, rate, e, "x", "y")
+            cold_queries[e] = counting.count
+        assert report.lambda_hat == rate.rate
+        assert report.mu_hat == cold_mu
+        # Every event query compares against the event's bet: "x" on the
+        # event and "y" off it.  The half-life queries compare two
+        # deterministic acts.
+        warm_queries = collections.Counter()
+        for f, g, _ in log.log[half_life.count:]:
+            bet = f if g.is_deterministic else g
+            warm_queries[frozenset(s for s in oracle.states if bet.at(s, 0.0) == "x")] += 1
+        assert report.query_count == half_life.count + sum(warm_queries.values())
+        for e, cold in cold_queries.items():
+            assert warm_queries[e] <= cold + 4
 
 
 class TestSection2Demo:

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dseu.acts import GridAct, StepProfile
 from dseu.equivalents import (
@@ -195,19 +197,47 @@ class TestTimeEquivalentType:
 
 
 class RecordingProbe:
-    """Switches from the second to the first side at ``switch``; logs each time asked."""
+    """Prefers the second side below ``switch``, is indifferent on
+    ``[switch, switch + band)`` and prefers the first side from there on;
+    always indifferent when ``switch`` is ``None``.  Logs each time asked.
+    """
 
-    def __init__(self, switch: float | None) -> None:
+    def __init__(self, switch: float | None, band: float = 0.0) -> None:
         self.switch = switch
+        self.band = band
         self.asked: list[float] = []
 
     def __call__(self, t: float) -> Preference:
         self.asked.append(t)
         if self.switch is None:
             return Preference.INDIFFERENT
-        if t >= self.switch:
-            return Preference.STRICTLY_PREFERS_FIRST
-        return Preference.STRICTLY_PREFERS_SECOND
+        if t < self.switch:
+            return Preference.STRICTLY_PREFERS_SECOND
+        if t < self.switch + self.band:
+            return Preference.INDIFFERENT
+        return Preference.STRICTLY_PREFERS_FIRST
+
+
+@st.composite
+def hinted_searches(draw):
+    """A monotone probe's switch and band, a ceiling, a tolerance and a hint."""
+    ceiling = draw(st.floats(1e-3, 1e3))
+    tol = draw(st.floats(1e-12, 1e-3))
+    switch = draw(
+        st.floats(0.0, 1.5 * ceiling)
+        | st.integers(0, 2**12).map(lambda k: k / 2**6)
+    )
+    band = draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, ceiling))
+    grid = 2.0 ** math.floor(math.log2(tol))
+    hint = draw(
+        st.just(switch)
+        | st.integers(-40, 40).map(lambda k: max(0.0, switch + k * grid))
+        | st.floats(0.0, 2.0 * ceiling)
+        | st.just(0.0)
+        | st.floats(1.0, 1e6).map(lambda k: ceiling * k)
+        | st.just(math.inf)
+    )
+    return switch, band, ceiling, tol, hint
 
 
 class TestBisectIndifference:
@@ -239,3 +269,29 @@ class TestBisectIndifference:
         width0 = 2.0 ** (doublings - 2) if doublings > 1 else 1.0
         halvings = math.ceil(math.log2(width0 / tol))
         assert len(probe.asked) == doublings + halvings
+
+    @given(hinted_searches())
+    @settings(deadline=None)
+    def test_hint_keeps_the_result_and_costs_at_most_four_probes(self, search):
+        switch, band, ceiling, tol, hint = search
+        cold, warm = RecordingProbe(switch, band), RecordingProbe(switch, band)
+        assert bisect_indifference(warm, ceiling, tol, hint) == bisect_indifference(
+            cold, ceiling, tol
+        )
+        assert len(warm.asked) <= len(cold.asked) + 4
+
+    @pytest.mark.parametrize("switch", [0.3, 1.0 + 1e-7, 1.7, 5.0 + 1e-7, 1000.3])
+    def test_exact_hint_asks_only_the_two_ends_of_its_cell(self, switch):
+        tol = 2.0**-20
+        probe = RecordingProbe(switch)
+        t, width = bisect_indifference(probe, 1e12, tol, hint=switch)
+        assert (t, width) == bisect_indifference(RecordingProbe(switch), 1e12, tol)
+        cell = math.floor(switch / tol) * tol
+        assert probe.asked == [cell + tol, cell]
+
+    def test_indifference_met_while_galloping_is_not_used(self):
+        # The band covers the hint's cell, so the gallop stops at its first
+        # probe; the search then meets the band where the cold search does.
+        probe = RecordingProbe(1.3, band=0.5)
+        assert bisect_indifference(probe, 100.0, 1e-9, hint=1.5) == (1.5, 0.0)
+        assert probe.asked == [1.5 + 2.0**-30, 1.0, 2.0, 1.5]

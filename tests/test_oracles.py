@@ -174,6 +174,38 @@ class TestChoquetOracle:
             f, g = random_act(rng), random_act(rng)
             assert additive.compare(f, g) is reference.compare(f, g)
 
+    @given(
+        n=st.integers(1, 6),
+        data=st.data(),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_value_equals_the_frozenset_telescoping_sum(self, n, data, rng):
+        labels = [f"s{i}" for i in range(n)]
+        rng.shuffle(labels)
+        states = tuple(labels)
+        # A random belief function: nonnegative masses on the nonempty
+        # subsets, each event weighing the masses of its subsets.
+        events = [c for r in range(n + 1) for c in itertools.combinations(states, r)]
+        masses = {c: 0.1 + rng.random() for c in events[1:]}
+        total = sum(masses.values())
+        weights = {
+            frozenset(c): sum(m for b, m in masses.items() if set(b) <= set(c)) / total
+            for c in events
+        }
+        weights[frozenset(states)] = 1.0
+        cap = Capacity(states, weights)
+        # Few distinct values, so ties are common.
+        levels = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+        rows = {s: rng.choice(levels) for s in states}
+        want, prev, top = 0.0, 0.0, set()
+        for s in sorted(states, key=lambda s: (-rows[s], s)):
+            top.add(s)
+            nu = cap.weights[frozenset(top)]
+            want += (nu - prev) * rows[s]
+            prev = nu
+        assert choquet_value(cap, rows) == want
+
     def test_comonotonic_additivity(self):
         # Rows ordered the same way across two acts: the Choquet value of a
         # statewise mixture telescopes additively.
@@ -283,6 +315,16 @@ class TestOracleInterface:
     def test_functional_oracle_rejects_negative_band(self):
         with pytest.raises(ValueError, match="indifference band"):
             FunctionalOracle(functional_value, band=-1.0)
+
+    def test_functional_oracle_checks_act_states_when_it_has_states(self):
+        oracle = FunctionalOracle(lambda f: 0.5, states=("a", "b"))
+        with pytest.raises(KeyError, match=r"missing \['b'\], extra \[\]"):
+            oracle.value(GridAct.constant(("a",), "w"))
+        with pytest.raises(KeyError, match=r"missing \[\], extra \['c'\]"):
+            oracle.compare(GridAct.constant(("a", "b", "c"), "w"), GridAct.constant(("a", "b"), "w"))
+        assert oracle.value(GridAct.constant(("a", "b"), "w")) == 0.5
+        unchecked = FunctionalOracle(lambda f: 0.5)
+        assert unchecked.value(GridAct.constant(("a",), "w")) == 0.5
 
     @pytest.mark.parametrize("wrap", WRAPS)
     @pytest.mark.parametrize("kind", ["seu", "choquet", "functional"])
