@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .acts import GridAct, Outcome, Piece, State, StepProfile, splice_time
+from .acts import GridAct, Outcome, State, StepProfile, splice_time
 from .equivalents import TimeEquivalent
 from .evaluate import DSEUModel, check_states
 from .measure import INF, ExpMeasure, TimeInterval
@@ -92,8 +92,9 @@ class LotteryAct:
 def reduce_profile(rate: ExpMeasure, profile: StepProfile) -> Lottery:
     """Lottery giving each outcome the measure of the times it is paid."""
     probs: dict[Outcome, float] = {}
-    for iv, out in profile.pieces:
-        probs[out] = probs.get(out, 0.0) + rate.interval_mass(iv)
+    sf = [rate.sf(t) for t in (0.0, *profile.cuts, INF)]
+    for a, b, out in zip(sf, sf[1:], profile.outs):
+        probs[out] = probs.get(out, 0.0) + (a - b)
     return Lottery(probs)
 
 
@@ -105,10 +106,10 @@ def reduce_profile_on(
     if total <= 0.0:
         raise ValueError(f"window [{window.lo}, {window.hi}) carries no mass")
     probs: dict[Outcome, float] = {}
-    for iv, out in profile.pieces:
-        got = iv.intersect(window)
-        if got is not None:
-            probs[out] = probs.get(out, 0.0) + rate.interval_mass(got) / total
+    for lo, hi, out in profile.segments():
+        lo, hi = max(lo, window.lo), min(hi, window.hi)
+        if lo < hi:
+            probs[out] = probs.get(out, 0.0) + (rate.sf(lo) - rate.sf(hi)) / total
     return Lottery(probs)
 
 
@@ -127,7 +128,7 @@ def mix(a: LotteryAct, b: LotteryAct, w: float) -> LotteryAct:
 
 def realize_lottery(
     rate: ExpMeasure, window: TimeInterval, lottery: Lottery
-) -> tuple[Piece, ...]:
+) -> tuple[tuple[TimeInterval, Outcome], ...]:
     """Pieces tiling ``window`` so each outcome holds its lottery share of mass.
 
     Outcomes are laid out in label order, split at the quantiles of the
@@ -151,7 +152,9 @@ def realize_lottery_act(rate: ExpMeasure, t: float, g: LotteryAct) -> GridAct:
     rows = {}
     for s in g.states:
         head = realize_lottery(rate, window, g.at(s))
-        rows[s] = StepProfile((*head, (TimeInterval(t, INF), filler))).normalized()
+        rows[s] = StepProfile(
+            tuple([iv.hi for iv, _ in head]), (*[x for _, x in head], filler)
+        ).normalized()
     return GridAct(rows)
 
 

@@ -25,7 +25,7 @@ from .acts import (
     splice_time,
 )
 from .evaluate import Beliefs, DSEUModel
-from .measure import INF, TimeInterval, TimeSet
+from .measure import INF, TimeSet
 from .oracles import CountingOracle, Preference, SEUOracle
 from .sampling import DISJOINT_ATTEMPTS, ActSampler
 
@@ -146,7 +146,7 @@ def _improved_profile(
     """Replace one piece's outcome by a strictly better one, if any exists."""
     upgrades = [
         (i, cand)
-        for i, (_, out) in enumerate(profile.pieces)
+        for i, out in enumerate(profile.outs)
         for cand in outcomes
         if cand != out
         and ranking[(cand, out)] is Preference.STRICTLY_PREFERS_FIRST
@@ -154,9 +154,9 @@ def _improved_profile(
     if not upgrades:
         return None
     i, cand = rng.choice(upgrades)
-    pieces = list(profile.pieces)
-    pieces[i] = (pieces[i][0], cand)
-    return StepProfile(tuple(pieces)).normalized()
+    outs = list(profile.outs)
+    outs[i] = cand
+    return StepProfile(profile.cuts, tuple(outs)).normalized()
 
 
 def check_t_monotonicity(
@@ -284,14 +284,15 @@ def _pasted_profile(
     background: StepProfile, patches: list[tuple[TimeSet, Outcome]]
 ) -> StepProfile:
     """Background stream overwritten by constant patches on disjoint time sets."""
-    pieces = []
-    for lo, hi, (out,), inside in refine((background,), [ts for ts, _ in patches]):
+    cuts, outs = [], []
+    for lo, _, (out,), inside in refine((background,), [ts for ts, _ in patches]):
         for hit, (_, patch) in zip(inside, patches):
             if hit:
                 out = patch
                 break
-        pieces.append((TimeInterval(lo, hi), out))
-    return StepProfile(tuple(pieces)).normalized()
+        cuts.append(lo)
+        outs.append(out)
+    return StepProfile.from_breakpoints(cuts[1:], outs).normalized()
 
 
 def check_t_separability(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .acts import GridAct, Outcome, State, StepProfile
 from .evaluate import DSEUModel, UtilityModel
-from .measure import INF, ExpMeasure, TimeInterval, TimeSet
+from .measure import ExpMeasure, TimeInterval, TimeSet
 
 
 @dataclass(frozen=True)
@@ -58,11 +58,11 @@ def utility_bins(model: DSEUModel, profile: StepProfile, n_bins: int) -> list[Ti
     if n_bins < 1:
         raise ValueError(f"need at least one bin, got {n_bins}")
     _, _, u_lo, span = _normalizer(model)
-    members: list[list[TimeInterval]] = [[] for _ in range(n_bins)]
-    for iv, out in profile.pieces:
+    members: list[list[tuple[float, float]]] = [[] for _ in range(n_bins)]
+    for lo, hi, out in profile.segments():
         scaled = (model.utility(out) - u_lo) / span
-        members[_bin_index(scaled, n_bins) - 1].append(iv)
-    return [TimeSet.of(ivs) for ivs in members]
+        members[_bin_index(scaled, n_bins) - 1].append((lo, hi))
+    return [TimeSet.from_pairs(pairs) for pairs in members]
 
 
 def _selection(rate: ExpMeasure, bins: list[TimeSet], fracs: list[float]) -> TimeSet:
@@ -96,18 +96,9 @@ def _two_level_profile(
     inside: TimeSet, best: Outcome, worst: Outcome
 ) -> StepProfile:
     """Stream paying ``best`` on the set and ``worst`` elsewhere."""
-    if inside.is_empty:
-        return StepProfile.constant(worst)
-    pieces: list[tuple[TimeInterval, Outcome]] = []
-    cursor = 0.0
-    for iv in inside:
-        if cursor < iv.lo:
-            pieces.append((TimeInterval(cursor, iv.lo), worst))
-        pieces.append((iv, best))
-        cursor = iv.hi
-    if cursor < INF:
-        pieces.append((TimeInterval(cursor, INF), worst))
-    return StepProfile(tuple(pieces)).normalized()
+    bounds = [x for iv in inside for x in (iv.lo, iv.hi)]
+    outs = [worst, best] * len(inside.intervals) + [worst]
+    return StepProfile.from_breakpoints(bounds, outs).normalized()
 
 
 def bracket_profile(

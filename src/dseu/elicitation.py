@@ -240,6 +240,7 @@ class Section2Trace:
 
     @property
     def max_gap(self) -> float:
+        """Largest absolute indifference gap of the chain; public API."""
         return max(abs(g) for g in self.indifference_gaps.values())
 
     @property

@@ -138,10 +138,11 @@ def bisect_indifference(
     ``probe(t)`` must prefer the second side below the switch and the first
     side above it.  The upper bound starts at ``min(1, ceiling)`` and doubles,
     capped at ``ceiling``, until the probe prefers the first side; the bracket
-    is then halved until narrower than ``tol``.  Returns ``(t, 0.0)`` as soon
-    as the probe is indifferent at ``t``, else the final midpoint and bracket
-    width, or ``None`` when the probe still prefers the second side at
-    ``ceiling``.
+    is then halved until narrower than ``tol``, or until its midpoint rounds
+    onto one of its ends (a ``tol`` below the float spacing at the switch).
+    Returns ``(t, 0.0)`` as soon as the probe is indifferent at ``t``, else
+    the final midpoint and bracket width, or ``None`` when the probe still
+    prefers the second side at ``ceiling``.
 
     A ``hint``, a predicted switch time, warm-starts the search: at most four
     probes near it (:func:`_gallop`) bracket the switch, and the same loop
@@ -175,6 +176,8 @@ def bisect_indifference(
         lo, hi = hi, min(hi * 2.0, ceiling)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         answer = probe(mid)
         if answer is Preference.INDIFFERENT:
             return mid, 0.0

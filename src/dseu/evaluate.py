@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .acts import GridAct, Outcome, State, StepProfile, refine, splice_time
-from .measure import ExpMeasure, TimeInterval
+from .measure import INF, ExpMeasure
 
 
 @dataclass(frozen=True)
@@ -128,10 +128,12 @@ class DSEUModel:
         check_states(self.states, act)
         weights = [self.beliefs(s) for s in act.states]
         total = 0.0
-        for lo, hi, outcomes, _ in refine(act.profiles.values()):
-            cell = self.discount.interval_mass(TimeInterval(lo, hi))
+        sf_lo = self.discount.sf(0.0)
+        for _, hi, outcomes, _ in refine(act.profiles.values()):
+            sf_hi = self.discount.sf(hi)
             mean_u = sum(w * self.utility(x) for w, x in zip(weights, outcomes))
-            total += cell * mean_u
+            total += (sf_lo - sf_hi) * mean_u
+            sf_lo = sf_hi
         return total
 
     def prefix_value(self, act: GridAct, t: float) -> float:
@@ -142,11 +144,11 @@ class DSEUModel:
         total = 0.0
         for s in act.states:
             row = 0.0
-            for iv, out in act.row(s).pieces:
-                if iv.lo >= t:
+            for lo, hi, out in act.row(s).segments():
+                if lo >= t:
                     break
-                clipped = TimeInterval(iv.lo, min(iv.hi, t))
-                row += self.discount.interval_mass(clipped) * self.utility(out)
+                mass = self.discount.sf(lo) - self.discount.sf(min(hi, t))
+                row += mass * self.utility(out)
             total += self.beliefs(s) * row
         return total
 
@@ -166,9 +168,13 @@ def profile_value(
     discount: ExpMeasure, utility: UtilityModel, profile: StepProfile
 ) -> float:
     """Discounted utility of a stream; beliefs play no role for deterministic acts."""
-    return sum(
-        discount.interval_mass(iv) * utility(out) for iv, out in profile.pieces
-    )
+    total = 0.0
+    sf_lo = discount.sf(0.0)
+    for t, out in zip((*profile.cuts, INF), profile.outs):
+        sf_hi = discount.sf(t)
+        total += (sf_lo - sf_hi) * utility(out)
+        sf_lo = sf_hi
+    return total
 
 
 def decomposition_check(

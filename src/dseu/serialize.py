@@ -17,7 +17,7 @@ from .audit import AuditReport, CheckReport
 from .bracketing import BracketResult
 from .elicitation import ElicitationReport, Section2Trace
 from .evaluate import Beliefs, DSEUModel, UtilityModel
-from .measure import INF, ExpMeasure, TimeInterval, TimeSet
+from .measure import INF, ExpMeasure, TimeSet
 from .oracles import (
     Capacity,
     ChoquetOracle,
@@ -59,15 +59,25 @@ def time_set_from_json(doc: Any) -> TimeSet:
 
 
 def profile_to_json(p: StepProfile) -> list[list[Any]]:
-    return [[iv.lo, _bound_out(iv.hi), out] for iv, out in p.pieces]
+    return [[lo, _bound_out(hi), out] for lo, hi, out in p.segments()]
 
 
 def profile_from_json(rows: Any) -> StepProfile:
-    return StepProfile(
-        tuple(
-            (TimeInterval(float(lo), _bound_in(hi)), str(out)) for lo, hi, out in rows
-        )
-    )
+    """Profile from ``[lo, hi, outcome]`` rows, which must tile ``[0, inf)`` in order.
+
+    The first row starts at 0, each row starts where the one before it
+    ends, no row is empty, inverted or NaN, and the last row ends at
+    ``"inf"``; anything else raises ``ValueError``.
+    """
+    bounds = [(float(lo), _bound_in(hi)) for lo, hi, _ in rows]
+    end = 0.0
+    for lo, hi in bounds:
+        if lo != end or not lo < hi:
+            raise ValueError(f"profile rows must tile [0, inf) in order: [{lo}, {hi}) after {end}")
+        end = hi
+    if end != INF:
+        raise ValueError(f"profile rows must reach {INF_SENTINEL!r}, last ends at {end}")
+    return StepProfile(tuple([hi for _, hi in bounds[:-1]]), tuple([str(out) for *_, out in rows]))
 
 
 def act_to_json(act: GridAct) -> dict[str, Any]:

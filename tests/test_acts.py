@@ -12,7 +12,7 @@ from dseu.acts import (
     splice_event,
     splice_time,
 )
-from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
+from dseu.measure import INF, ExpMeasure, TimeSet
 
 STATES = ("s0", "s1", "s2")
 OUTCOMES = ("a", "b", "c", "d")
@@ -31,27 +31,21 @@ def random_act(rng: random.Random, states=STATES) -> GridAct:
 
 class TestStepProfile:
     def test_tiling_validated(self):
-        with pytest.raises(ValueError):
-            StepProfile(((TimeInterval(0.0, 1.0), "a"),))  # does not reach inf
-        with pytest.raises(ValueError):
-            StepProfile(
-                (
-                    (TimeInterval(0.0, 1.0), "a"),
-                    (TimeInterval(2.0, INF), "b"),  # gap
-                )
-            )
-        with pytest.raises(ValueError):
-            StepProfile(
-                (
-                    (TimeInterval(1.0, 2.0), "a"),  # does not start at 0
-                    (TimeInterval(2.0, INF), "b"),
-                )
-            )
+        for cuts, outs in [
+            ((1.0,), ("a",)),  # one outcome too few
+            ((1.0,), ("a", "b", "c")),  # one outcome too many
+            ((0.0,), ("a", "b")),  # empty first piece
+            ((-1.0,), ("a", "b")),  # cut before time 0
+            ((2.0, 1.0), ("a", "b", "c")),  # decreasing
+            ((1.0, 1.0), ("a", "b", "c")),  # empty middle piece
+            ((1.0, INF), ("a", "b", "c")),  # cut at inf
+            ((float("nan"),), ("a", "b")),
+        ]:
+            with pytest.raises(ValueError):
+                StepProfile(cuts, outs)
 
     def test_normalize_merges(self):
-        p = StepProfile(
-            ((TimeInterval(0.0, 1.0), "x"), (TimeInterval(1.0, INF), "x"))
-        )
+        p = StepProfile((1.0,), ("x", "x"))
         assert p.normalized() == StepProfile.constant("x")
 
     def test_normalize_idempotent(self):
@@ -65,11 +59,11 @@ class TestStepProfile:
             p = random_profile(rng, max_pieces=10)
             q = p.normalized()
             assert q.normalized() is q
-            outs = [out for _, out in p.pieces]
+            outs = p.outs
             if all(a != b for a, b in zip(outs, outs[1:])):
                 assert q is p
             else:
-                assert q is not p and len(q.pieces) < len(p.pieces)
+                assert q is not p and len(q.cuts) < len(p.cuts)
 
     def test_normalize_pointwise_equal_on_random_profiles(self):
         rng = random.Random(5)
@@ -88,16 +82,19 @@ class TestStepProfile:
     def test_before_after_boundaries(self):
         assert StepProfile.before_after("a", 0.0, "b") == StepProfile.constant("b")
         assert StepProfile.before_after("a", INF, "b") == StepProfile.constant("a")
+        for t in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                StepProfile.before_after("a", t, "b")
 
 
 class TestGridAct:
-    def test_deterministic_and_stochastic_flags(self):
+    def test_deterministic_flag(self):
         det = GridAct.deterministic(STATES, StepProfile.before_after("a", 1.0, "b"))
-        assert det.is_deterministic and not det.is_stochastic
+        assert det.is_deterministic
         sto = GridAct.stochastic({"s0": "a", "s1": "b", "s2": "a"})
-        assert sto.is_stochastic and not sto.is_deterministic
+        assert not sto.is_deterministic
         const = GridAct.constant(STATES, "a")
-        assert const.is_deterministic and const.is_stochastic
+        assert const.is_deterministic
 
     def test_restrict_reads_back_rows(self):
         rng = random.Random(9)
@@ -113,7 +110,7 @@ class TestGridAct:
         assert len({restrict(det, s) for s in STATES}) == 1
         sto = GridAct.stochastic({"s0": "a", "s1": "b", "s2": "a"})
         for s in STATES:
-            assert len(restrict(sto, s).pieces) == 1
+            assert restrict(sto, s).cuts == ()
 
 
 class TestSpliceTime:
@@ -180,10 +177,10 @@ class TestSpliceEvent:
     def test_full_and_empty(self):
         rng = random.Random(6)
         f, g = random_act(rng), random_act(rng)
-        assert splice_event(f, Event.everywhere(), g) == GridAct(
+        assert splice_event(f, Event(states=None, times=None), g) == GridAct(
             {s: f.row(s).normalized() for s in STATES}
         )
-        assert splice_event(f, Event.nowhere(), g) == GridAct(
+        assert splice_event(f, Event(states=frozenset(), times=None), g) == GridAct(
             {s: g.row(s).normalized() for s in STATES}
         )
         empty_times = Event.on_times(TimeSet.empty())
@@ -194,7 +191,7 @@ class TestSpliceEvent:
     def test_state_event_swaps_rows(self):
         rng = random.Random(7)
         f, g = random_act(rng), random_act(rng)
-        spliced = splice_event(f, Event.on_states({"s1"}), g)
+        spliced = splice_event(f, Event(states=frozenset({"s1"}), times=None), g)
         assert spliced.row("s1") == f.row("s1").normalized()
         for s in ("s0", "s2"):
             assert spliced.row(s) == g.row(s).normalized()
@@ -216,8 +213,8 @@ class TestSpliceEvent:
     def test_complement_symmetry_for_state_events(self):
         rng = random.Random(10)
         f, g = random_act(rng), random_act(rng)
-        event = Event.on_states({"s0"})
-        complement = Event.on_states({"s1", "s2"})
+        event = Event(states=frozenset({"s0"}), times=None)
+        complement = Event(states=frozenset({"s1", "s2"}), times=None)
         assert splice_event(f, event, g) == splice_event(g, complement, f)
 
     def test_complement_symmetry_for_time_events(self):
@@ -232,7 +229,7 @@ class TestSpliceEvent:
         f = GridAct.constant(("s0",), "a")
         g = GridAct.constant(STATES, "b")
         with pytest.raises(ValueError):
-            splice_event(f, Event.everywhere(), g)
+            splice_event(f, Event(states=None, times=None), g)
 
 
 class TestTilingPreserved:
@@ -244,7 +241,7 @@ class TestTilingPreserved:
             t = rng.uniform(0.0, 4.0)
             acts = [
                 splice_time(h, t, f),
-                splice_event(f, Event.on_states({"s1"}), g),
+                splice_event(f, Event(states=frozenset({"s1"}), times=None), g),
                 splice_event(
                     f,
                     Event.on_times(TimeSet.from_pairs([(0.5, 2.0)])),
@@ -254,7 +251,7 @@ class TestTilingPreserved:
             for act in acts:
                 for s in STATES:
                     # construction re-validates the tiling invariant
-                    StepProfile(act.row(s).pieces)
+                    StepProfile(act.row(s).cuts, act.row(s).outs)
                     assert measure.mass(TimeSet.full()) == pytest.approx(
                         sum(measure.interval_mass(iv) for iv, _ in act.row(s).pieces),
                         abs=1e-12,

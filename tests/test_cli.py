@@ -74,6 +74,22 @@ class TestEval:
         assert "missing ['b']" in captured.err
 
 
+    @pytest.mark.parametrize(
+        "rows",
+        ['[[0.0, 1.0, "x"], [2.0, "inf", "y"]]', '[[0.0, NaN, "x"], [NaN, "inf", "y"]]'],
+        ids=["gap", "nan"],
+    )
+    def test_malformed_profile_is_an_error(self, tmp_path, capsys, model_path, rows):
+        path = tmp_path / "act_bad.json"
+        path.write_text(
+            '{"states": ["a", "b"], "profiles": {"a": %s, "b": [[0.0, "inf", "y"]]}}' % rows
+        )
+        assert main(["eval", model_path, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err.lower()
+
+
 class TestEquiv:
     def test_closed_form(self, tmp_path, capsys, model_path, act_path):
         out = tmp_path / "te.json"

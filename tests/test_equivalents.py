@@ -289,6 +289,22 @@ class TestBisectIndifference:
         cell = math.floor(switch / tol) * tol
         assert probe.asked == [cell + tol, cell]
 
+    def test_tolerance_below_the_float_spacing_still_ends(self):
+        # Near 1e6 adjacent floats are about 1.2e-10 apart, so no bracket
+        # gets as narrow as tol; the search stops at two adjacent floats.
+        switch = 1e6 + 0.3
+        probe = RecordingProbe(switch)
+
+        def bounded(t: float) -> Preference:
+            if len(probe.asked) >= 10_000:
+                raise RuntimeError("the search did not end")
+            return probe(t)
+
+        t, width = bisect_indifference(bounded, 1e12, 1e-12)
+        assert width == math.ulp(switch)
+        assert switch - width <= t <= switch
+        assert len(probe.asked) < 100
+
     def test_indifference_met_while_galloping_is_not_used(self):
         # The band covers the hint's cell, so the gallop stops at its first
         # probe; the search then meets the band where the cold search does.

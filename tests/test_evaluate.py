@@ -175,7 +175,7 @@ class TestOrderProperties:
             f = GridAct(
                 {
                     s: StepProfile(
-                        tuple((iv, better[o]) for iv, o in g.row(s).pieces)
+                        g.row(s).cuts, tuple(better[o] for o in g.row(s).outs)
                     ).normalized()
                     for s in STATES
                 }
@@ -211,7 +211,7 @@ class TestOrderProperties:
         m = model_for(1.0, probs=[0.5, 0.5, 0.0, 0.0])
         for _ in range(100):
             f, g = random_act(rng), random_act(rng)
-            null_state = splice_event(g, Event.on_states({"s2", "s3"}), f)
+            null_state = splice_event(g, Event(states=frozenset({"s2", "s3"}), times=None), f)
             assert m.act_value(null_state) == pytest.approx(m.act_value(f), abs=1e-12)
             null_time = splice_event(g, Event.on_times(TimeSet.empty()), f)
             assert m.act_value(null_time) == pytest.approx(m.act_value(f), abs=1e-12)

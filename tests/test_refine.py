@@ -66,24 +66,21 @@ def naive_cells(rows, time_sets):
 
 def naive_overlay(top, times, bottom):
     bounds = naive_bounds((top, bottom), (times,))
-    pieces = [
-        (TimeInterval(lo, hi), (top if times.contains(lo) else bottom).outcome_at(lo))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    return StepProfile(tuple(pieces)).normalized()
+    outs = [(top if times.contains(lo) else bottom).outcome_at(lo) for lo in bounds[:-1]]
+    return StepProfile(tuple(bounds[1:-1]), tuple(outs)).normalized()
 
 
 def naive_pasted(background, patches):
     bounds = naive_bounds((background,), [ts for ts, _ in patches])
-    pieces = []
-    for lo, hi in zip(bounds, bounds[1:]):
+    outs = []
+    for lo in bounds[:-1]:
         out = background.outcome_at(lo)
         for ts, patch in patches:
             if ts.contains(lo):
                 out = patch
                 break
-        pieces.append((TimeInterval(lo, hi), out))
-    return StepProfile(tuple(pieces)).normalized()
+        outs.append(out)
+    return StepProfile(tuple(bounds[1:-1]), tuple(outs)).normalized()
 
 
 def naive_dual_value(model, act):

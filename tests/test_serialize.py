@@ -50,6 +50,25 @@ class TestCoreRoundTrips:
         with pytest.raises(ValueError, match=r"unlisted states \['c'\]"):
             serialize.act_from_json(doc)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0, 1.0, "x"], [2.0, "inf", "y"]],  # gap
+            [[0.0, 2.0, "x"], [1.0, "inf", "y"]],  # overlap
+            [[0.5, 1.0, "x"], [1.0, "inf", "y"]],  # starts after 0
+            [[0.0, 1.0, "x"], [1.0, 5.0, "y"]],  # ends before inf
+            [[0.0, 2.0, "x"], [2.0, 1.0, "y"], [1.0, "inf", "z"]],  # inverted row
+            [[0.0, float("nan"), "x"], [float("nan"), "inf", "y"]],
+            [],
+        ],
+        ids=["gap", "overlap", "late-start", "early-end", "inverted", "nan", "empty"],
+    )
+    def test_act_with_malformed_profile_is_rejected(self, rows):
+        doc = serialize.act_to_json(sample_act())
+        doc["profiles"]["a"] = rows
+        with pytest.raises(ValueError):
+            serialize.act_from_json(json.loads(json.dumps(doc)))
+
     def test_model(self):
         model = sample_model()
         doc = serialize.model_to_json(model)

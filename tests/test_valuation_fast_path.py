@@ -41,7 +41,7 @@ def acts(draw):
     rows = {}
     for s in STATES:
         p = pool[draw(st.integers(0, len(pool) - 1))]
-        rows[s] = StepProfile(tuple(p.pieces)) if draw(st.booleans()) else p
+        rows[s] = StepProfile(p.cuts, p.outs) if draw(st.booleans()) else p
     return GridAct(rows)
 
 
