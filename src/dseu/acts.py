@@ -13,8 +13,10 @@ opaque string labels.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .measure import INF, TimeInterval, TimeSet
@@ -74,11 +76,11 @@ class StepProfile:
             raise ValueError(
                 f"need {len(bounds) - 1} outcomes for {len(bounds)} bounds, got {len(outs)}"
             )
-        kept = [(lo, out) for lo, hi, out in zip(bounds, bounds[1:], outs) if lo != hi]
+        kept = list(map(operator.ne, bounds, bounds[1:]))
         # Tuples are built from lists throughout: CPython grows a tuple built
         # from a generator by resizing, and the freed results then fill its
         # per-size free lists: about 3 MB more peak memory over 100 audits.
-        return cls(tuple([lo for lo, _ in kept[1:]]), tuple([out for _, out in kept]))
+        return cls(tuple(list(compress(bounds, kept))[1:]), tuple(list(compress(outs, kept))))
 
     def normalized(self) -> StepProfile:
         """Drop each cut between equal outcomes (same pointwise value); ``self`` if none."""
@@ -107,10 +109,6 @@ class StepProfile:
     @property
     def outcomes(self) -> set[Outcome]:
         return set(self.outs)
-
-    @property
-    def breakpoints(self) -> list[float]:
-        return list(self.cuts)
 
     def level_set(self, outcome: Outcome) -> TimeSet:
         """Times at which the profile pays ``outcome``."""
@@ -224,7 +222,8 @@ def _check_same_states(f: GridAct, g: GridAct) -> tuple[State, ...]:
 def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
     """Act equal to ``h`` before time ``t`` and to ``f`` shifted by ``t`` after.
 
-    ``t = 0`` returns ``f`` itself (normalized).
+    ``t = 0`` returns ``f`` itself (normalized).  A piece of ``f`` too short
+    to survive the shift (its two ends round to one float) is dropped.
     """
     if t < 0 or math.isnan(t) or math.isinf(t):
         raise ValueError(f"splice time must be finite and >= 0, got {t!r}")
@@ -236,9 +235,8 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
             continue
         head, tail = h.row(s), f.row(s)
         k = bisect_left(head.cuts, t)
-        out[s] = StepProfile(
-            (*head.cuts[:k], t, *(t + c for c in tail.cuts)),
-            (*head.outs[: k + 1], *tail.outs),
+        out[s] = StepProfile.from_breakpoints(
+            [*head.cuts[:k], t, *[t + c for c in tail.cuts]], [*head.outs[: k + 1], *tail.outs]
         ).normalized()
     return GridAct(out)
 

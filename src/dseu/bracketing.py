@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .acts import GridAct, Outcome, State, StepProfile
 from .evaluate import DSEUModel, UtilityModel
-from .measure import ExpMeasure, TimeInterval, TimeSet
+from .measure import INF, ExpMeasure, TimeInterval, TimeSet
 
 
 @dataclass(frozen=True)
@@ -47,33 +47,43 @@ def _bin_index(value: float, n_bins: int) -> int:
     return min(n_bins, int(value * n_bins) + 1)
 
 
+def _runs(
+    model: DSEUModel, profile: StepProfile, n_bins: int
+) -> list[tuple[float, float, int]]:
+    """Maximal runs of consecutive pieces in one utility bin, as ``(lo, hi, bin)``.
+
+    Bins are 0-based here.  Two runs of one bin are apart by at least one
+    piece of another bin, so each bin's runs are already its canonical
+    intervals.
+    """
+    if n_bins < 1:
+        raise ValueError(f"need at least one bin, got {n_bins}")
+    _, _, u_lo, span = _normalizer(model)
+    bin_of = {x: _bin_index((model.utility(x) - u_lo) / span, n_bins) - 1 for x in profile.outs}
+    bins = [bin_of[x] for x in profile.outs]
+    starts = [0, *[k for k in range(1, len(bins)) if bins[k] != bins[k - 1]]]
+    bounds = (0.0, *profile.cuts, INF)
+    return [(bounds[k], bounds[j], bins[k]) for k, j in zip(starts, [*starts[1:], len(bins)])]
+
+
+def _bin_sets(runs: list[tuple[float, float, int]], n_bins: int) -> list[TimeSet]:
+    """One time set per bin, its intervals the bin's runs."""
+    members: list[list[TimeInterval]] = [[] for _ in range(n_bins)]
+    for lo, hi, b in runs:
+        members[b].append(TimeInterval(lo, hi))
+    return [TimeSet(tuple(ivs)) for ivs in members]
+
+
 def utility_bins(model: DSEUModel, profile: StepProfile, n_bins: int) -> list[TimeSet]:
     """Partition the horizon into utility level bins of width 1/N.
 
     Utilities are rescaled to [0, 1] first.  Bin ``n`` (1-based) collects
     the times whose rescaled utility lies in [(n-1)/N, n/N), with the top
     bin closed at 1.  Empty bins are kept, so the list always has ``n_bins``
-    entries tiling the horizon.
+    entries tiling the horizon.  Each interval of a bin is one run of
+    consecutive pieces of the profile in that bin.
     """
-    if n_bins < 1:
-        raise ValueError(f"need at least one bin, got {n_bins}")
-    _, _, u_lo, span = _normalizer(model)
-    members: list[list[tuple[float, float]]] = [[] for _ in range(n_bins)]
-    for lo, hi, out in profile.segments():
-        scaled = (model.utility(out) - u_lo) / span
-        members[_bin_index(scaled, n_bins) - 1].append((lo, hi))
-    return [TimeSet.from_pairs(pairs) for pairs in members]
-
-
-def _selection(rate: ExpMeasure, bins: list[TimeSet], fracs: list[float]) -> TimeSet:
-    """Left portions of each bin's intervals at that bin's fraction (1 keeps all)."""
-    picked: list[TimeInterval] = []
-    for bin_set, frac in zip(bins, fracs):
-        for iv in bin_set:
-            part = rate.prefix_fraction(iv, frac)
-            if part is not None:
-                picked.append(part)
-    return TimeSet.of(picked)
+    return _bin_sets(_runs(model, profile, n_bins), n_bins)
 
 
 def independent_selection(
@@ -89,16 +99,57 @@ def independent_selection(
         raise ValueError(f"target fraction must be >= 0, got {p_target!r}")
     if p_target >= 1.0:
         raise ValueError(f"target fraction must stay below 1, got {p_target}")
-    return _selection(rate, bins, [p_target] * len(bins))
+    parts = [rate.prefix_fraction(iv, p_target) for bin_set in bins for iv in bin_set]
+    return TimeSet.of(part for part in parts if part is not None)
 
 
-def _two_level_profile(
-    inside: TimeSet, best: Outcome, worst: Outcome
-) -> StepProfile:
-    """Stream paying ``best`` on the set and ``worst`` elsewhere."""
-    bounds = [x for iv in inside for x in (iv.lo, iv.hi)]
-    outs = [worst, best] * len(inside.intervals) + [worst]
-    return StepProfile.from_breakpoints(bounds, outs).normalized()
+def _prefix_end(rate: ExpMeasure, lo: float, hi: float, frac: float) -> float:
+    """``rate.split(TimeInterval(lo, hi), (frac, 1 - frac))[0].hi`` for ``0 < frac < 1``.
+
+    Takes the same steps as ``split`` on the same floats, without building
+    intervals; a mass-zero interval, and a cut that would land on ``lo`` or
+    ``hi`` (where ``split`` raises), go to ``split`` itself.
+    """
+    s_lo = rate.sf(lo)
+    mass = s_lo - rate.sf(hi)
+    survival = s_lo - frac * mass
+    if mass > 0.0 and survival > 0.0:
+        end = min(-math.log(survival) / rate.rate, hi)
+        if lo < end < hi:
+            return end
+    return rate.split(TimeInterval(lo, hi), (frac, 1.0 - frac))[0].hi
+
+
+def _indicator(
+    rate: ExpMeasure,
+    runs: list[tuple[float, float, int]],
+    fracs: list[float],
+    best: Outcome,
+    worst: Outcome,
+) -> tuple[StepProfile, float]:
+    """Stream paying ``best`` on the left portion of each run at its bin's fraction.
+
+    Returns the stream and the mass of its ``best`` pieces, summed in time
+    order.  Portions that touch (a whole run, then the start of the next)
+    merge into one piece.
+    """
+    bounds: list[float] = []
+    for lo, hi, b in runs:
+        frac = fracs[b]
+        if frac == 0.0:
+            continue
+        end = hi if frac == 1.0 else _prefix_end(rate, lo, hi, frac)
+        if bounds and bounds[-1] == lo:
+            bounds[-1] = end
+        else:
+            bounds += (lo, end)
+    mass = sum(rate.sf(lo) - rate.sf(hi) for lo, hi in zip(bounds[::2], bounds[1::2]))
+    outs = [worst, best] * (len(bounds) // 2) + [worst]
+    if bounds and bounds[-1] == INF:
+        del bounds[-1], outs[-1]
+    if bounds and bounds[0] == 0.0:
+        del bounds[0], outs[0]
+    return StepProfile(tuple(bounds), tuple(outs)), mass
 
 
 def bracket_profile(
@@ -109,17 +160,21 @@ def bracket_profile(
     Bin ``n`` of the target is overwritten by the indicator stream of the
     left portion at fraction ``(n-1)/N`` (lower) or ``n/N`` (upper); the
     portions are carved per bin, so each indicator keeps its quota
-    conditionally on every bin.
+    conditionally on every bin.  Both indicators and the bins come from one
+    pass over the runs of consecutive pieces in one bin; each portion ends
+    where ``ExpMeasure.split`` would cut the run, to the bit.  The gap is
+    the upper indicator's ``best`` mass minus the lower one's.
     """
     worst, best, _, _ = _normalizer(model)
-    bins = utility_bins(model, profile, n_bins)
+    runs = _runs(model, profile, n_bins)
     rate = model.discount
     lower_frac = [(n - 1) / n_bins for n in range(1, n_bins + 1)]
     upper_frac = [n / n_bins for n in range(1, n_bins + 1)]
-    lower = _two_level_profile(_selection(rate, bins, lower_frac), best, worst)
-    upper = _two_level_profile(_selection(rate, bins, upper_frac), best, worst)
-    gap = rate.mass(upper.level_set(best)) - rate.mass(lower.level_set(best))
-    return BracketResult(lower=lower, upper=upper, gap=gap, bins=tuple(bins))
+    lower, lower_mass = _indicator(rate, runs, lower_frac, best, worst)
+    upper, upper_mass = _indicator(rate, runs, upper_frac, best, worst)
+    return BracketResult(
+        lower=lower, upper=upper, gap=upper_mass - lower_mass, bins=tuple(_bin_sets(runs, n_bins))
+    )
 
 
 def bracket_act(model: DSEUModel, act: GridAct, n_bins: int) -> BracketResult:

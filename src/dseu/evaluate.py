@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .acts import GridAct, Outcome, State, StepProfile, refine, splice_time
+from .acts import GridAct, Outcome, State, StepProfile, splice_time
 from .measure import INF, ExpMeasure
 
 
@@ -121,20 +121,34 @@ class DSEUModel:
     def act_value_dual(self, act: GridAct) -> float:
         """Time-first order: expectation over a common time refinement.
 
-        Sums cell mass times the believed mean utility over each cell of
-        :func:`~dseu.acts.refine` on the rows.  Agrees with :meth:`act_value`
+        Sums cell mass times the believed mean utility over each cell of the
+        rows' common refinement (the cells of :func:`~dseu.acts.refine`).
+        One sorted pass over every row's cuts keeps the terms
+        ``belief * utility`` of the current cell, one per row in state order,
+        and replaces one term per cut; each cell adds
+        ``(sf(lo) - sf(hi)) * sum(terms)``.  Agrees with :meth:`act_value`
         up to float roundoff.
         """
         check_states(self.states, act)
-        weights = [self.beliefs(s) for s in act.states]
+        rows = [(self.beliefs(s), p) for s, p in act.profiles.items()]
+        terms = [w * self.utility(p.outs[0]) for w, p in rows]
+        # Cuts of one row never repeat, so the sort never compares terms.
+        events = sorted(
+            [
+                (c, i, w * self.utility(x))
+                for i, (w, p) in enumerate(rows)
+                for c, x in zip(p.cuts, p.outs[1:])
+            ]
+        )
         total = 0.0
-        sf_lo = self.discount.sf(0.0)
-        for _, hi, outcomes, _ in refine(act.profiles.values()):
-            sf_hi = self.discount.sf(hi)
-            mean_u = sum(w * self.utility(x) for w, x in zip(weights, outcomes))
-            total += (sf_lo - sf_hi) * mean_u
-            sf_lo = sf_hi
-        return total
+        lo, sf_lo = 0.0, self.discount.sf(0.0)
+        for t, i, term in events:
+            if t > lo:
+                sf_hi = self.discount.sf(t)
+                total += (sf_lo - sf_hi) * sum(terms)
+                lo, sf_lo = t, sf_hi
+            terms[i] = term
+        return total + (sf_lo - self.discount.sf(INF)) * sum(terms)
 
     def prefix_value(self, act: GridAct, t: float) -> float:
         """Expected discounted utility of ``act`` restricted to times before ``t``."""
@@ -144,11 +158,15 @@ class DSEUModel:
         total = 0.0
         for s in act.states:
             row = 0.0
+            # While the loop goes on, each piece starts where the last was
+            # cut (its ``hi`` was below ``t``), so ``sf`` carries over.
+            sf_lo = self.discount.sf(0.0)
             for lo, hi, out in act.row(s).segments():
                 if lo >= t:
                     break
-                mass = self.discount.sf(lo) - self.discount.sf(min(hi, t))
-                row += mass * self.utility(out)
+                sf_hi = self.discount.sf(min(hi, t))
+                row += (sf_lo - sf_hi) * self.utility(out)
+                sf_lo = sf_hi
             total += self.beliefs(s) * row
         return total
 

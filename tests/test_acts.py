@@ -1,5 +1,6 @@
 """Profiles, grid acts, and the time/event splice operators."""
 
+import math
 import random
 
 import pytest
@@ -160,6 +161,13 @@ class TestSpliceTime:
                 else:
                     want = f.at(s, u - t - tp)
                 assert nested.at(s, u) == want
+
+    def test_tail_piece_that_vanishes_in_the_shift_is_dropped(self):
+        # 0.5 + 0.001 and 0.5 + nextafter(0.001) are one float: [0.001, 0.001+) is gone.
+        tail = StepProfile((0.001, math.nextafter(0.001, 1.0)), ("a", "b", "c"))
+        head = GridAct.constant(("s",), "d")
+        spliced = splice_time(head, 0.5, GridAct.deterministic(("s",), tail))
+        assert spliced.row("s") == StepProfile((0.5, 0.501), ("d", "a", "c"))
 
     def test_tail_constant_case(self):
         rng = random.Random(4)

@@ -4,17 +4,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dseu.acts import GridAct, StepProfile
 from dseu.bracketing import (
-    _two_level_profile,
+    _prefix_end,
     bracket_act,
     bracket_profile,
     independent_selection,
     utility_bins,
 )
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
-from dseu.measure import ExpMeasure, TimeSet
+from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
 
 STATES = ("s0", "s1", "s2", "s3", "s4", "s5")
 UTIL = {"lo": 0.0, "q1": 0.3, "mid": 0.5, "q3": 0.8, "hi": 1.0}
@@ -32,6 +34,78 @@ def random_profile(rng, outcomes, max_pieces=6) -> StepProfile:
     n = rng.randint(1, max_pieces)
     cuts = sorted(rng.uniform(0.0, 7.0) for _ in range(n - 1))
     return StepProfile.from_breakpoints(cuts, [rng.choice(outcomes) for _ in range(n)])
+
+
+# -- the selection reference ---------------------------------------------------
+# utility_bins and bracket_profile as they were before the one-pass run
+# construction: one interval per piece merged by TimeSet.from_pairs, and every
+# portion carved by ExpMeasure.prefix_fraction and merged by TimeSet.of.
+
+
+def ref_utility_bins(model, profile, n_bins):
+    if n_bins < 1:
+        raise ValueError(f"need at least one bin, got {n_bins}")
+    worst, best = model.utility.anchors()
+    u_lo = model.utility(worst)
+    span = model.utility(best) - u_lo
+    members = [[] for _ in range(n_bins)]
+    for lo, hi, out in profile.segments():
+        scaled = (model.utility(out) - u_lo) / span
+        members[min(n_bins, int(scaled * n_bins) + 1) - 1].append((lo, hi))
+    return [TimeSet.from_pairs(pairs) for pairs in members]
+
+
+def ref_selection(rate, bins, fracs):
+    picked = []
+    for bin_set, frac in zip(bins, fracs):
+        for iv in bin_set:
+            part = rate.prefix_fraction(iv, frac)
+            if part is not None:
+                picked.append(part)
+    return TimeSet.of(picked)
+
+
+def ref_two_level_profile(inside, best, worst):
+    bounds = [x for iv in inside for x in (iv.lo, iv.hi)]
+    outs = [worst, best] * len(inside.intervals) + [worst]
+    return StepProfile.from_breakpoints(bounds, outs).normalized()
+
+
+def ref_bracket_profile(model, profile, n_bins):
+    worst, best = model.utility.anchors()
+    bins = ref_utility_bins(model, profile, n_bins)
+    rate = model.discount
+    lower_frac = [(n - 1) / n_bins for n in range(1, n_bins + 1)]
+    upper_frac = [n / n_bins for n in range(1, n_bins + 1)]
+    lower = ref_two_level_profile(ref_selection(rate, bins, lower_frac), best, worst)
+    upper = ref_two_level_profile(ref_selection(rate, bins, upper_frac), best, worst)
+    gap = rate.mass(upper.level_set(best)) - rate.mass(lower.level_set(best))
+    return lower, upper, gap, tuple(bins)
+
+
+# Utilities 0.30 and 0.31 share a bin for every N up to 32, "q1" and "mid"
+# share one for N <= 4.
+SHARED_UTIL = {"lo": 0.0, "q1": 0.3, "q1b": 0.31, "mid": 0.45, "q3": 0.8, "hi": 1.0}
+
+
+@st.composite
+def bracket_cases(draw):
+    """A rate, a profile with near, far-tail and ulp-wide pieces, and a bin count."""
+    rate = draw(st.floats(0.2, 3.0))
+    tail = 745.2 / rate  # sf is 0.0 from here on, so pieces have mass 0.0
+    times = st.one_of(
+        st.floats(1e-3, 8.0),
+        st.floats(tail, 4.0 * tail),
+        st.sampled_from((0.5, 1.0, 2.0, tail)),
+    )
+    cuts = set()
+    for t in draw(st.lists(times, max_size=12)):
+        cuts.add(t)
+        if draw(st.booleans()) and draw(st.booleans()):
+            cuts.add(math.nextafter(t, INF))  # a piece one ulp wide
+    n = len(cuts) + 1
+    outs = draw(st.lists(st.sampled_from(tuple(SHARED_UTIL)), min_size=n, max_size=n))
+    return rate, StepProfile(tuple(sorted(cuts)), tuple(outs)), draw(st.integers(1, 32))
 
 
 class TestUtilityBins:
@@ -174,14 +248,14 @@ class TestBracketProfile:
             for bin_set, frac in zip(bins, fractions):
                 parts = [rate.prefix_fraction(iv, frac) for iv in bin_set]
                 union = union.union(TimeSet.of(p for p in parts if p is not None))
-            return _two_level_profile(union, best, worst)
+            return ref_two_level_profile(union, best, worst)
 
         rng = random.Random(80)
         for _ in range(200):
             m = model_for(rate=rng.uniform(0.2, 3.0))
             p = random_profile(rng, list(UTIL), max_pieces=rng.choice((3, 12, 40)))
             n_bins = rng.randint(1, 32)
-            bins = utility_bins(m, p, n_bins)
+            bins = ref_utility_bins(m, p, n_bins)
             tops = [n / n_bins for n in range(1, n_bins + 1)]
             bottoms = [(n - 1) / n_bins for n in range(1, n_bins + 1)]
             lower = pasted(m.discount, bins, bottoms, "hi", "lo")
@@ -191,6 +265,70 @@ class TestBracketProfile:
             got = bracket_profile(m, p, n_bins)
             assert (got.lower, got.upper, got.bins) == (lower, upper, tuple(bins))
             assert got.gap == gap
+
+    @given(bracket_cases())
+    @settings(deadline=None)
+    def test_matches_the_selection_reference(self, case):
+        rate, p, n_bins = case
+        m = model_for(rate=rate, util=SHARED_UTIL)
+        try:
+            want = ref_bracket_profile(m, p, n_bins)
+        except ValueError:
+            with pytest.raises(ValueError):
+                bracket_profile(m, p, n_bins)
+            return
+        got = bracket_profile(m, p, n_bins)
+        assert (got.lower, got.upper, got.bins) == want[:2] + (want[3],)
+        assert got.gap.hex() == want[2].hex()
+        assert utility_bins(m, p, n_bins) == list(want[3])
+
+    def test_far_tail_pieces_split_like_the_degenerate_split(self):
+        # Past 745 / rate every piece has mass 0.0, and split tiles it evenly.
+        m = model_for(rate=1.0, util=SHARED_UTIL)
+        p = StepProfile((1.0, 800.0, 900.0), ("lo", "hi", "mid", "q3"))
+        got = bracket_profile(m, p, 4)
+        want = ref_bracket_profile(m, p, 4)
+        assert (got.lower, got.upper, got.bins) == want[:2] + (want[3],)
+        assert got.gap.hex() == want[2].hex()
+        assert {850.0, 901.0} <= set(got.lower.cuts)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0.0, 1.0),
+            (2.0, INF),
+            (800.0, 900.0),  # sf 0.0 at both ends
+            (900.0, INF),
+            # sf is 5e-324 at both ends: mass 0.0, yet the log of sf would
+            # cut at 744.44007, inside the interval.
+            (744.4, 744.45),
+            (744.45, INF),  # one subnormal of mass: every cut rounds onto an end
+            (1.0, math.nextafter(1.0, INF)),
+        ],
+    )
+    def test_prefix_end_is_the_end_of_the_first_split_piece(self, lo, hi):
+        rate = ExpMeasure(1.0)
+        for frac in (1 / 16, 0.25, 0.5, 0.75, 15 / 16):
+            try:
+                want = rate.split(TimeInterval(lo, hi), (frac, 1.0 - frac))[0].hi
+            except ValueError:
+                with pytest.raises(ValueError):
+                    _prefix_end(rate, lo, hi, frac)
+                continue
+            assert _prefix_end(rate, lo, hi, frac).hex() == want.hex()
+
+    def test_fraction_below_float_resolution_still_raises(self):
+        # One ulp of positive mass: every cut rounds onto an end, so split raises.
+        m = model_for(rate=1.0, util=SHARED_UTIL)
+        p = StepProfile((1.0, math.nextafter(1.0, INF)), ("lo", "hi", "lo"))
+        iv = TimeInterval(*p.cuts)
+        assert m.discount.mass(iv) > 0.0
+        with pytest.raises(ValueError):
+            m.discount.split(iv, (0.5, 0.5))
+        with pytest.raises(ValueError):
+            ref_bracket_profile(m, p, 2)
+        with pytest.raises(ValueError):
+            bracket_profile(m, p, 2)
 
 
 class TestBracketAct:

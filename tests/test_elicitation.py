@@ -66,7 +66,7 @@ class TestElicitLambda:
         with pytest.raises(ProtocolError, match="search ceiling"):
             elicit_lambda(oracle, "x", "y")
         last, _, _ = oracle.log[-1]
-        assert last.row("a").breakpoints == [FALLBACK_HORIZON]
+        assert last.row("a").cuts == (FALLBACK_HORIZON,)
 
     def test_query_budget(self):
         oracle = CountingOracle(seu_for(0.7, {"a": 0.6, "b": 0.4}))

@@ -5,10 +5,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dseu.acts import Event, GridAct, StepProfile, splice_event, splice_time
-from dseu.evaluate import Beliefs, DSEUModel, UtilityModel, decomposition_check
-from dseu.measure import ExpMeasure, TimeSet
+from dseu.acts import Event, GridAct, StepProfile, refine, splice_event, splice_time
+from dseu.evaluate import Beliefs, DSEUModel, UtilityModel, check_states, decomposition_check
+from dseu.measure import INF, ExpMeasure, TimeSet
 
 STATES = ("s0", "s1", "s2", "s3")
 UTIL = {"a": 0.0, "b": 1.0, "c": -0.5, "d": 2.25}
@@ -137,6 +139,76 @@ class TestIntegrationOrderDuality:
             assert m.act_value(act) == pytest.approx(
                 m.act_value_dual(act), abs=1e-12
             )
+
+
+# -- the refinement reference -------------------------------------------------
+# act_value_dual and prefix_value as they were before the one-pass sweep: one
+# refine cell, with a tuple of outcomes, per cell, and two exp calls per piece.
+
+
+def ref_act_value_dual(model, act):
+    check_states(model.states, act)
+    weights = [model.beliefs(s) for s in act.states]
+    total = 0.0
+    sf_lo = model.discount.sf(0.0)
+    for _, hi, outcomes, _ in refine(act.profiles.values()):
+        sf_hi = model.discount.sf(hi)
+        mean_u = sum(w * model.utility(x) for w, x in zip(weights, outcomes))
+        total += (sf_lo - sf_hi) * mean_u
+        sf_lo = sf_hi
+    return total
+
+
+def ref_prefix_value(model, act, t):
+    total = 0.0
+    for s in act.states:
+        row = 0.0
+        for lo, hi, out in act.row(s).segments():
+            if lo >= t:
+                break
+            mass = model.discount.sf(lo) - model.discount.sf(min(hi, t))
+            row += mass * model.utility(out)
+        total += model.beliefs(s) * row
+    return total
+
+
+STATES_6 = ("s0", "s1", "s2", "s3", "s4", "s5")
+
+
+@st.composite
+def acts_with_shared_cuts(draw):
+    """A model and an act on 1-6 states whose rows share cut times and row objects."""
+    rate = draw(st.floats(0.2, 3.0))
+    tail = 745.2 / rate  # sf is 0.0 from here on
+    pool = draw(
+        st.lists(st.floats(1e-3, 8.0) | st.floats(tail, 4.0 * tail), min_size=1, max_size=10)
+    )
+    states = STATES_6[: draw(st.integers(1, 6))]
+    rows: dict[str, StepProfile] = {}
+    for s in states:
+        if rows and draw(st.booleans()):
+            rows[s] = rows[draw(st.sampled_from(sorted(rows)))]
+            continue
+        cuts = sorted(set(draw(st.lists(st.sampled_from(pool), max_size=10))))
+        n = len(cuts) + 1
+        outs = draw(st.lists(st.sampled_from(tuple(UTIL)), min_size=n, max_size=n))
+        rows[s] = StepProfile(tuple(cuts), tuple(outs))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(states), max_size=len(states)))
+    model = DSEUModel(
+        ExpMeasure(rate),
+        UtilityModel(dict(UTIL)),
+        Beliefs({s: w / sum(raw) for s, w in zip(states, raw)}),
+    )
+    return model, GridAct(rows), draw(st.sampled_from(pool) | st.floats(0.0, 10.0))
+
+
+class TestOnePassSweeps:
+    @given(acts_with_shared_cuts())
+    @settings(deadline=None)
+    def test_match_the_refinement_reference(self, case):
+        model, act, t = case
+        assert model.act_value_dual(act).hex() == ref_act_value_dual(model, act).hex()
+        assert model.prefix_value(act, t).hex() == ref_prefix_value(model, act, t).hex()
 
 
 class TestDecomposition:

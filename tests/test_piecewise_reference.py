@@ -55,7 +55,7 @@ def ref_splice_time(head, t, tail):
     if t == 0.0:
         return ref_normalized(tail)
     before = [(lo, min(hi, t), x) for lo, hi, x in head if lo < t]
-    after = [(lo + t, hi + t, x) for lo, hi, x in tail]
+    after = [(lo + t, hi + t, x) for lo, hi, x in tail if lo + t < hi + t]
     return ref_normalized(before + after)
 
 

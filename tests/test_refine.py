@@ -46,7 +46,7 @@ def disjoint_time_sets(draw, min_sets=0, max_sets=3):
 
 
 def naive_bounds(rows, time_sets):
-    cuts = {b for p in rows for b in p.breakpoints}
+    cuts = {b for p in rows for b in p.cuts}
     cuts |= {x for ts in time_sets for iv in ts for x in (iv.lo, iv.hi)}
     return [0.0, *sorted(c for c in cuts if 0.0 < c < INF), INF]
 

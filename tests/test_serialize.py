@@ -1,8 +1,11 @@
 """Round trips for every document format."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dseu import serialize
 from dseu.acts import GridAct, StepProfile
@@ -29,6 +32,46 @@ def sample_act() -> GridAct:
             "c": StepProfile.before_after("z", 0.75, "x"),
         }
     )
+
+
+# Strings that look like a row boundary of the rendered text, or need escapes.
+TRICKY = st.sampled_from(
+    ("],\n  [", "],\n    [", "]", "[", '"', "\\", "\x00\x1f\x7f", "\n\t\r", "é\u2028\U0001f600")
+)
+SCALARS = (
+    st.text()
+    | TRICKY
+    | st.floats()
+    | st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 2**200, -(2**63)))
+    | st.integers()
+    | st.booleans()
+    | st.none()
+)
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=3).map(tuple)
+        # Lists of flat rows, the shape rendered in one piece unless a row is
+        # empty, and rows holding a nested list or dict.
+        | st.lists(st.lists(SCALARS, max_size=4), max_size=4)
+        | st.lists(st.lists(SCALARS | st.lists(SCALARS) | st.dictionaries(st.text(), SCALARS)))
+        | st.dictionaries(st.text() | TRICKY, children, max_size=5)
+        | st.dictionaries(st.integers(), children, max_size=3)
+        | st.dictionaries(st.floats(), children, max_size=3)
+        | st.dictionaries(st.booleans(), children, max_size=2)
+        | st.dictionaries(st.none(), children, max_size=1)
+    )
+
+
+JSON_DOCS = st.recursive(SCALARS, _containers, max_leaves=40)
+
+
+@given(JSON_DOCS)
+@settings(deadline=None)
+def test_dumps_equals_indented_json_dumps(doc):
+    assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class TestCoreRoundTrips:
