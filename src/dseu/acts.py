@@ -5,9 +5,12 @@ finite grid: per state, a step profile given by its cut times
 ``0 < c_1 < ... < c_n < inf`` and the ``n + 1`` outcomes it pays on
 ``[0, c_1), [c_1, c_2), ..., [c_n, inf)``.  Sorted cuts tile ``[0, inf)`` by
 their structure, so a profile is checked once, by its constructor, and
-trusted everywhere else.  Deterministic acts have the same profile in every
-state; stochastic acts are constant over time.  Outcomes and states are
-opaque string labels.
+trusted everywhere else.  Every profile an operation here returns is
+canonical (no zero-width piece, no two equal neighbours): a spliced row is
+built once, by :meth:`StepProfile.canonical`, and a row passed through
+whole goes through :meth:`StepProfile.normalized`.  Deterministic acts
+have the same profile in every state; stochastic acts are constant over
+time.  Outcomes and states are opaque string labels.
 """
 
 from __future__ import annotations
@@ -17,12 +20,20 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .measure import INF, TimeInterval, TimeSet
 
 Outcome = str
 State = str
+
+
+def _bad_cut(cut: float, prev: float) -> str:
+    return f"cuts must be finite, above 0 and strictly increasing: {cut!r} after {prev!r}"
+
+
+def _bad_count(bounds: list[float], outs: list[Outcome]) -> str:
+    return f"need {len(bounds) - 1} outcomes for {len(bounds)} bounds, got {len(outs)}"
 
 
 @dataclass(frozen=True)
@@ -44,12 +55,13 @@ class StepProfile:
             raise ValueError(
                 f"need {len(self.cuts) + 1} outcomes for {len(self.cuts)} cuts, got {len(self.outs)}"
             )
+        cuts = self.cuts
+        if not cuts or (0.0 < cuts[0] and cuts[-1] < INF and all(map(operator.lt, cuts, cuts[1:]))):
+            return
         prev = 0.0
-        for cut in self.cuts:
+        for cut in cuts:
             if not prev < cut < INF:
-                raise ValueError(
-                    f"cuts must be finite, above 0 and strictly increasing: {cut!r} after {prev!r}"
-                )
+                raise ValueError(_bad_cut(cut, prev))
             prev = cut
 
     @classmethod
@@ -73,14 +85,45 @@ class StepProfile:
         bounds = [0.0, *breakpoints, INF]
         outs = list(outcomes)
         if len(outs) != len(bounds) - 1:
-            raise ValueError(
-                f"need {len(bounds) - 1} outcomes for {len(bounds)} bounds, got {len(outs)}"
-            )
+            raise ValueError(_bad_count(bounds, outs))
         kept = list(map(operator.ne, bounds, bounds[1:]))
         # Tuples are built from lists throughout: CPython grows a tuple built
         # from a generator by resizing, and the freed results then fill its
         # per-size free lists: about 3 MB more peak memory over 100 audits.
         return cls(tuple(list(compress(bounds, kept))[1:]), tuple(list(compress(outs, kept))))
+
+    @classmethod
+    def canonical(
+        cls, breakpoints: Iterable[float], outcomes: Iterable[Outcome]
+    ) -> StepProfile:
+        """``from_breakpoints(breakpoints, outcomes).normalized()``, built once.
+
+        Drops the zero-width segments, checks the cuts that remain (also a
+        cut between two equal outcomes, which the merge then drops), and
+        merges equal neighbours.  Raises ``ValueError`` on exactly the inputs
+        on which that chain raises.
+        """
+        bounds = [0.0, *breakpoints, INF]
+        outs = list(outcomes)
+        if len(outs) != len(bounds) - 1:
+            raise ValueError(_bad_count(bounds, outs))
+        # One plain loop: audit witnesses have a handful of pieces, where it
+        # takes about half the time of C-level passes over lists.
+        cuts: list[float] = []
+        runs: list[Outcome] = []
+        prev = 0.0
+        for lo, hi, out in zip(bounds, bounds[1:], outs):
+            if lo == hi:
+                continue
+            if runs:
+                if not prev < lo < INF:
+                    raise ValueError(_bad_cut(lo, prev))
+                prev = lo
+                if out == runs[-1]:
+                    continue
+                cuts.append(lo)
+            runs.append(out)
+        return cls(tuple(cuts), tuple(runs))
 
     def normalized(self) -> StepProfile:
         """Drop each cut between equal outcomes (same pointwise value); ``self`` if none."""
@@ -235,9 +278,9 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
             continue
         head, tail = h.row(s), f.row(s)
         k = bisect_left(head.cuts, t)
-        out[s] = StepProfile.from_breakpoints(
+        out[s] = StepProfile.canonical(
             [*head.cuts[:k], t, *[t + c for c in tail.cuts]], [*head.outs[: k + 1], *tail.outs]
-        ).normalized()
+        )
     return GridAct(out)
 
 
@@ -250,7 +293,9 @@ def refine(
     interval of any time set.  ``outcomes[i]`` is what ``profiles[i]`` pays
     on ``[lo, hi)`` and ``inside[j]`` whether ``time_sets[j]`` holds it.
     Costs one sort of all bounds and one pass over them, so no row is looked
-    up again per cell.
+    up again per cell.  Its one caller in the library is the CLI's act
+    matrix (``cli._render_matrix``); splicing and pasting copy runs of
+    pieces by bisection instead (:func:`_paste`).
     """
     n = len(profiles)
     events = [(lo, i, x) for i, p in enumerate(profiles) for lo, x in zip((0.0, *p.cuts), p.outs)]
@@ -272,13 +317,41 @@ def refine(
     yield lo, INF, tuple(now[:n]), tuple(now[n:])
 
 
+def _paste(
+    background: StepProfile,
+    patches: Iterable[tuple[float, float, Sequence[float], Sequence[Outcome]]],
+) -> StepProfile:
+    """Canonical profile paying each patch on its interval and ``background`` elsewhere.
+
+    A patch ``(lo, hi, cuts, outs)`` is the profile with those cuts and
+    outcomes, restricted to ``[lo, hi)``.  The patches come sorted by ``lo``,
+    on pairwise disjoint nonempty intervals.  Each run of pieces is copied by
+    one pair of bisections on the cuts of its source, and the result is
+    built once, by :meth:`StepProfile.canonical`.
+    """
+    starts: list[float] = []
+    outs: list[Outcome] = []
+
+    def copy(cuts: Sequence[float], src: Sequence[Outcome], lo: float, hi: float) -> None:
+        i, j = bisect_right(cuts, lo), bisect_left(cuts, hi)
+        starts.append(lo)
+        starts.extend(cuts[i:j])
+        outs.extend(src[i : j + 1])
+
+    at = 0.0
+    for lo, hi, cuts, src in patches:
+        if at < lo:
+            copy(background.cuts, background.outs, at, lo)
+        copy(cuts, src, lo, hi)
+        at = hi
+    if at < INF:
+        copy(background.cuts, background.outs, at, INF)
+    return StepProfile.canonical(starts[1:], outs)
+
+
 def _overlay(top: StepProfile, times: TimeSet, bottom: StepProfile) -> StepProfile:
     """Profile equal to ``top`` on ``times`` and to ``bottom`` elsewhere."""
-    cuts, outs = [], []
-    for lo, _, (x, y), (hit,) in refine((top, bottom), (times,)):
-        cuts.append(lo)
-        outs.append(x if hit else y)
-    return StepProfile.from_breakpoints(cuts[1:], outs).normalized()
+    return _paste(bottom, [(iv.lo, iv.hi, top.cuts, top.outs) for iv in times])
 
 
 def splice_event(f: GridAct, event: Event, g: GridAct) -> GridAct:

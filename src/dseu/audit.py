@@ -20,7 +20,7 @@ from .acts import (
     Outcome,
     State,
     StepProfile,
-    refine,
+    _paste,
     splice_event,
     splice_time,
 )
@@ -156,7 +156,7 @@ def _improved_profile(
     i, cand = rng.choice(upgrades)
     outs = list(profile.outs)
     outs[i] = cand
-    return StepProfile(profile.cuts, tuple(outs)).normalized()
+    return StepProfile.canonical(profile.cuts, outs)
 
 
 def check_t_monotonicity(
@@ -283,16 +283,15 @@ def check_dominance(
 def _pasted_profile(
     background: StepProfile, patches: list[tuple[TimeSet, Outcome]]
 ) -> StepProfile:
-    """Background stream overwritten by constant patches on disjoint time sets."""
-    cuts, outs = [], []
-    for lo, _, (out,), inside in refine((background,), [ts for ts, _ in patches]):
-        for hit, (_, patch) in zip(inside, patches):
-            if hit:
-                out = patch
-                break
-        cuts.append(lo)
-        outs.append(out)
-    return StepProfile.from_breakpoints(cuts[1:], outs).normalized()
+    """Background stream overwritten by constant patches on disjoint time sets.
+
+    The patch intervals are sorted once; the background's cuts and outcomes
+    between and around them are copied by bisection (``acts._paste``).
+    """
+    return _paste(
+        background,
+        sorted([(iv.lo, iv.hi, (), (out,)) for ts, out in patches for iv in ts]),
+    )
 
 
 def check_t_separability(

@@ -114,9 +114,11 @@ class DSEUModel:
         Each distinct row object is valued once; the sum runs in the act's
         state order.
         """
-        check_states(self.states, act)
+        probs = self.beliefs.probs
+        if act.profiles.keys() != probs.keys():
+            check_states(probs, act)
         rows = act.row_values(self.profile_value)
-        return sum(self.beliefs(s) * rows[s] for s in act.states)
+        return sum(probs[s] * rows[s] for s in act.profiles)
 
     def act_value_dual(self, act: GridAct) -> float:
         """Time-first order: expectation over a common time refinement.
@@ -185,14 +187,27 @@ def check_states(states: Iterable[State], act: GridAct) -> None:
 def profile_value(
     discount: ExpMeasure, utility: UtilityModel, profile: StepProfile
 ) -> float:
-    """Discounted utility of a stream; beliefs play no role for deterministic acts."""
+    """Discounted utility of a stream; beliefs play no role for deterministic acts.
+
+    Sums ``(sf(lo) - sf(hi)) * u(outcome)`` over the pieces in time order,
+    with one ``exp(-rate * t)`` per cut (the floats of ``discount.sf``) and
+    one lookup in ``utility.values`` per piece; ``sf(0)`` is 1 and
+    ``sf(inf)`` is 0.  An outcome outside the utility's alphabet raises the
+    ``KeyError`` of ``utility(outcome)``.
+    """
+    rate = discount.rate
+    values = utility.values
     total = 0.0
-    sf_lo = discount.sf(0.0)
-    for t, out in zip((*profile.cuts, INF), profile.outs):
-        sf_hi = discount.sf(t)
-        total += (sf_lo - sf_hi) * utility(out)
-        sf_lo = sf_hi
-    return total
+    sf_lo = 1.0
+    try:
+        for t, out in zip(profile.cuts, profile.outs):
+            sf_hi = math.exp(-rate * t)
+            total += (sf_lo - sf_hi) * values[out]
+            sf_lo = sf_hi
+        return total + sf_lo * values[profile.outs[-1]]
+    except KeyError as missing:
+        utility(missing.args[0])
+        raise
 
 
 def decomposition_check(

@@ -8,6 +8,7 @@ into the weightless far tail.  Everything is driven by a caller-owned
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -21,7 +22,14 @@ DISJOINT_ATTEMPTS = 100
 
 @dataclass(frozen=True)
 class ActSampler:
-    """Draws step structure matched to one measure, state space, and alphabet."""
+    """Draws step structure matched to one measure, state space, and alphabet.
+
+    Each profile has 1 to ``max_pieces`` pieces, cut at quantiles of masses
+    drawn uniformly between 0 and ``mass_ceiling``, and is built once by
+    :meth:`StepProfile.canonical`.  Both fields are checked at construction
+    (``max_pieces >= 1``, ``0 <= mass_ceiling <= 1``), so no draw needs a
+    check of its own.
+    """
 
     measure: ExpMeasure
     states: tuple[State, ...]
@@ -38,16 +46,26 @@ class ActSampler:
             )
         return cls(measure, tuple(oracle.states), tuple(oracle.outcomes))
 
+    def __post_init__(self) -> None:
+        if not self.max_pieces >= 1:
+            raise ValueError(f"max_pieces must be >= 1, got {self.max_pieces!r}")
+        if not 0.0 <= self.mass_ceiling <= 1.0:
+            raise ValueError(f"mass_ceiling must lie in [0, 1], got {self.mass_ceiling!r}")
+
     def breakpoints(self, rng: random.Random, count: int) -> list[float]:
+        """``count`` sorted quantiles of masses drawn uniformly below the ceiling."""
         qs = sorted(rng.uniform(0.0, self.mass_ceiling) for _ in range(count))
-        return [self.measure.quantile(q) for q in qs]
+        # ExpMeasure.quantile's formula; a mass drawn below the checked
+        # ceiling needs none of its checks.
+        rate = self.measure.rate
+        return [-math.log1p(-q) / rate for q in qs]
 
     def profile(self, rng: random.Random, pieces: int | None = None) -> StepProfile:
         if pieces is None:
             pieces = rng.randint(1, self.max_pieces)
         cuts = self.breakpoints(rng, pieces - 1)
         outs = [rng.choice(self.outcomes) for _ in range(pieces)]
-        return StepProfile.from_breakpoints(cuts, outs).normalized()
+        return StepProfile.canonical(cuts, outs)
 
     def act(self, rng: random.Random) -> GridAct:
         return GridAct({s: self.profile(rng) for s in self.states})

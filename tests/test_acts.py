@@ -1,9 +1,13 @@
 """Profiles, grid acts, and the time/event splice operators."""
 
 import math
+import operator
 import random
+from itertools import compress
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dseu.acts import (
     Event,
@@ -86,6 +90,84 @@ class TestStepProfile:
         for t in (-1.0, float("nan")):
             with pytest.raises(ValueError):
                 StepProfile.before_after("a", t, "b")
+
+
+# -- the chain that StepProfile.canonical replaces ------------------------------
+# from_breakpoints(...).normalized() as it was before canonical, with the
+# per-cut check of the constructor; ValueError carries the chain's message.
+
+
+def ref_check_cuts(cuts):
+    prev = 0.0
+    for cut in cuts:
+        if not prev < cut < INF:
+            raise ValueError(
+                f"cuts must be finite, above 0 and strictly increasing: {cut!r} after {prev!r}"
+            )
+        prev = cut
+
+
+def ref_canonical(breakpoints, outcomes):
+    bounds = [0.0, *breakpoints, INF]
+    outs = list(outcomes)
+    if len(outs) != len(bounds) - 1:
+        raise ValueError(
+            f"need {len(bounds) - 1} outcomes for {len(bounds)} bounds, got {len(outs)}"
+        )
+    kept = list(map(operator.ne, bounds, bounds[1:]))
+    cuts = list(compress(bounds, kept))[1:]
+    outs = list(compress(outs, kept))
+    ref_check_cuts(cuts)
+    changes = [k for k in range(1, len(outs)) if outs[k] != outs[k - 1]]
+    return StepProfile(tuple([cuts[k - 1] for k in changes]), (outs[0], *[outs[k] for k in changes]))
+
+
+def outcome_of(build, *args):
+    """``("ok", result)`` or ``("ValueError", message)``."""
+    try:
+        return "ok", build(*args)
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+# Repeats, 0.0, -0.0, negatives, NaN and both infinities among ordinary cuts.
+POINTS = st.sampled_from((0.0, -0.0, -1.0, 0.5, 1.0, 3.0, INF, -INF, math.nan)) | st.floats(
+    allow_nan=True, allow_infinity=True
+)
+
+
+@st.composite
+def breakpoint_inputs(draw):
+    """Breakpoints, often sorted, with one outcome per segment give or take one."""
+    points = draw(st.lists(POINTS, max_size=8))
+    if draw(st.booleans()):
+        points.sort()
+    n = max(0, len(points) + 1 + draw(st.sampled_from((0, 0, 0, -1, 1))))
+    outs = draw(st.lists(st.sampled_from(("a", "b")), min_size=n, max_size=n))
+    return points, outs
+
+
+class TestCanonical:
+    @given(breakpoint_inputs())
+    @example(([1.0, 0.5, 2.0], ["a", "a", "a", "b"]))  # bad cut between equal outcomes
+    @example(([1.0, 1.0, 0.0], ["a", "b", "b", "b"]))
+    @example(([INF, INF], ["a", "b", "c"]))
+    @example(([INF, 2.0], ["a", "a", "a"]))
+    @example(([0.0, 0.0, 1.0], ["a", "b", "c", "c"]))
+    @settings(deadline=None)
+    def test_equals_from_breakpoints_then_normalized(self, case):
+        points, outs = case
+        want = outcome_of(ref_canonical, points, outs)
+        assert outcome_of(StepProfile.canonical, points, outs) == want
+        chain = lambda b, o: StepProfile.from_breakpoints(b, o).normalized()  # noqa: E731
+        assert outcome_of(chain, points, outs) == want
+        # The constructor rejects exactly the cuts the per-cut check rejects.
+        if len(outs) == len(points) + 1:
+            built = outcome_of(StepProfile, tuple(points), tuple(outs))
+            checked = outcome_of(ref_check_cuts, points)
+            assert built[0] == checked[0]
+            if built[0] == "ValueError":
+                assert built == checked
 
 
 class TestGridAct:

@@ -1,5 +1,6 @@
 """Axiom checks: conforming oracles pass, crafted deviants are caught and replay."""
 
+import bisect
 import contextlib
 import math
 import random
@@ -7,7 +8,8 @@ import signal
 
 import pytest
 
-from dseu.acts import GridAct, StepProfile
+from dseu import acts, audit, evaluate, oracles
+from dseu.acts import GridAct, StepProfile, refine
 from dseu.audit import (
     FAIL,
     INCONCLUSIVE,
@@ -22,12 +24,13 @@ from dseu.audit import (
     t_measurability_report,
 )
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
-from dseu.measure import ExpMeasure, TimeInterval
+from dseu.measure import INF, ExpMeasure, TimeInterval
 from dseu.oracles import (
     Capacity,
     ChoquetOracle,
     CountingOracle,
     FunctionalOracle,
+    Preference,
     SEUOracle,
     WidenedOracle,
 )
@@ -334,3 +337,147 @@ class TestWrappedAndDegenerateInputs:
             report = check_t_separability(SEUOracle(model), 3, 0, sampler)
         assert (report.checked, report.verdict) == (0, INCONCLUSIVE)
         assert "disjoint time sets" in report.note
+
+
+class TestSamplerArguments:
+    @pytest.mark.parametrize("ceiling", [-0.5, math.nan, 1.5, math.inf])
+    def test_mass_ceiling_outside_the_unit_interval_is_rejected(self, ceiling):
+        model = seu_model()
+        with pytest.raises(ValueError, match="mass_ceiling"):
+            ActSampler(model.discount, STATES, model.outcomes, mass_ceiling=ceiling)
+
+    def test_no_pieces_is_rejected(self):
+        model = seu_model()
+        with pytest.raises(ValueError, match="max_pieces"):
+            ActSampler(model.discount, STATES, model.outcomes, max_pieces=0)
+
+    @pytest.mark.parametrize("ceiling", [0.0, 5e-324, 0.5, 0.995, 1.0])
+    def test_breakpoints_are_the_quantiles_of_the_draws(self, ceiling):
+        for rate in (0.01, 1.0, 7.5):
+            measure = ExpMeasure(rate)
+            sampler = ActSampler(measure, STATES, ("a", "b"), mass_ceiling=ceiling)
+            rng, ref = random.Random(rate), random.Random(rate)
+            for count in range(8):
+                qs = sorted(ref.uniform(0.0, ceiling) for _ in range(count))
+                want = [measure.quantile(q).hex() for q in qs]
+                assert [t.hex() for t in sampler.breakpoints(rng, count)] == want
+
+
+# -- the witness builders as they were before StepProfile.canonical ------------
+# Every quantile through ExpMeasure.quantile, every profile built by
+# from_breakpoints(...).normalized() over refine cells, every row valued by
+# one sf and one utility call per piece.
+
+
+def ref_breakpoints(self, rng, count):
+    qs = sorted(rng.uniform(0.0, self.mass_ceiling) for _ in range(count))
+    return [self.measure.quantile(q) for q in qs]
+
+
+def ref_sampler_profile(self, rng, pieces=None):
+    if pieces is None:
+        pieces = rng.randint(1, self.max_pieces)
+    cuts = self.breakpoints(rng, pieces - 1)
+    outs = [rng.choice(self.outcomes) for _ in range(pieces)]
+    return StepProfile.from_breakpoints(cuts, outs).normalized()
+
+
+def ref_improved_profile(profile, ranking, outcomes, rng):
+    upgrades = [
+        (i, cand)
+        for i, out in enumerate(profile.outs)
+        for cand in outcomes
+        if cand != out and ranking[(cand, out)] is Preference.STRICTLY_PREFERS_FIRST
+    ]
+    if not upgrades:
+        return None
+    i, cand = rng.choice(upgrades)
+    outs = list(profile.outs)
+    outs[i] = cand
+    return StepProfile(profile.cuts, tuple(outs)).normalized()
+
+
+def ref_pasted_profile(background, patches):
+    cuts, outs = [], []
+    for lo, _, (out,), inside in refine((background,), [ts for ts, _ in patches]):
+        for hit, (_, patch) in zip(inside, patches):
+            if hit:
+                out = patch
+                break
+        cuts.append(lo)
+        outs.append(out)
+    return StepProfile.from_breakpoints(cuts[1:], outs).normalized()
+
+
+def ref_overlay(top, times, bottom):
+    cuts, outs = [], []
+    for lo, _, (x, y), (hit,) in refine((top, bottom), (times,)):
+        cuts.append(lo)
+        outs.append(x if hit else y)
+    return StepProfile.from_breakpoints(cuts[1:], outs).normalized()
+
+
+def ref_splice_time(h, t, f):
+    out = {}
+    for s in f.states:
+        if t == 0.0:
+            out[s] = f.row(s).normalized()
+            continue
+        head, tail = h.row(s), f.row(s)
+        k = bisect.bisect_left(head.cuts, t)
+        out[s] = StepProfile.from_breakpoints(
+            [*head.cuts[:k], t, *[t + c for c in tail.cuts]], [*head.outs[: k + 1], *tail.outs]
+        ).normalized()
+    return GridAct(out)
+
+
+def ref_profile_value(discount, utility, profile):
+    total = 0.0
+    sf_lo = discount.sf(0.0)
+    for t, out in zip((*profile.cuts, INF), profile.outs):
+        sf_hi = discount.sf(t)
+        total += (sf_lo - sf_hi) * utility(out)
+        sf_lo = sf_hi
+    return total
+
+
+def audit_respondent(kind, n, seed):
+    rng = random.Random(f"{kind}:{n}:{seed}")
+    raw = [rng.uniform(0.5, 1.5) for _ in range(n)]
+    states = tuple(f"s{i}" for i in range(n))
+    model = DSEUModel(
+        ExpMeasure(rng.uniform(0.3, 3.0)),
+        UtilityModel(dict(UTIL)),
+        Beliefs({s: w / sum(raw) for s, w in zip(states, raw)}),
+    )
+    if kind == "choquet":
+        cap = Capacity.epsilon_contamination(model.beliefs, rng.uniform(0.05, 0.3))
+        return ChoquetOracle(model.discount, model.utility, cap)
+    if kind == "widened":
+        return WidenedOracle(SEUOracle(model), 0.5 * model.utility.span)
+    return SEUOracle(model)
+
+
+class TestWholeAuditIdentity:
+    @pytest.mark.parametrize("kind", ["seu", "choquet", "widened"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_reports_equal_those_of_the_reference_builders(self, monkeypatch, kind, n, seed):
+        report = run_audit(audit_respondent(kind, n, seed), samples=25, seed=seed)
+        valued = []
+
+        def counted_value(discount, utility, profile):
+            valued.append(profile)
+            return ref_profile_value(discount, utility, profile)
+
+        monkeypatch.setattr(ActSampler, "breakpoints", ref_breakpoints)
+        monkeypatch.setattr(ActSampler, "profile", ref_sampler_profile)
+        monkeypatch.setattr(audit, "_improved_profile", ref_improved_profile)
+        monkeypatch.setattr(audit, "_pasted_profile", ref_pasted_profile)
+        monkeypatch.setattr(audit, "splice_time", ref_splice_time)
+        monkeypatch.setattr(acts, "_overlay", ref_overlay)
+        monkeypatch.setattr(evaluate, "profile_value", counted_value)
+        monkeypatch.setattr(oracles, "profile_value", counted_value)
+        reference = run_audit(audit_respondent(kind, n, seed), samples=25, seed=seed)
+        assert valued
+        assert repr(report) == repr(reference)

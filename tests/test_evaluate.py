@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dseu.acts import Event, GridAct, StepProfile, refine, splice_event, splice_time
-from dseu.evaluate import Beliefs, DSEUModel, UtilityModel, check_states, decomposition_check
+from dseu.evaluate import (
+    Beliefs,
+    DSEUModel,
+    UtilityModel,
+    check_states,
+    decomposition_check,
+    profile_value,
+)
 from dseu.measure import INF, ExpMeasure, TimeSet
 
 STATES = ("s0", "s1", "s2", "s3")
@@ -58,6 +65,42 @@ def quad_profile_value(rate: float, profile: StepProfile, horizon=60.0, cells=1_
     return total
 
 
+def ref_profile_value(discount, utility, profile):
+    """profile_value as it was: one ``sf`` and one ``utility`` call per piece."""
+    total = 0.0
+    sf_lo = discount.sf(0.0)
+    for t, out in zip((*profile.cuts, INF), profile.outs):
+        sf_hi = discount.sf(t)
+        total += (sf_lo - sf_hi) * utility(out)
+        sf_lo = sf_hi
+    return total
+
+
+@st.composite
+def valued_profiles(draw):
+    """A rate and a profile with cuts near 0, in the bulk and past ``745 / rate``."""
+    rate = draw(st.floats(1e-3, 50.0))
+    tail = 745.2 / rate  # sf is 0.0 from here on
+    points = draw(
+        st.lists(
+            st.floats(1e-300, 1e-3) | st.floats(1e-3, 10.0) | st.floats(0.9 * tail, 4.0 * tail),
+            max_size=12,
+            unique=True,
+        )
+    )
+    n = len(points) + 1
+    alphabet = (*UTIL, "nope") if draw(st.booleans()) else tuple(UTIL)
+    outs = draw(st.lists(st.sampled_from(alphabet), min_size=n, max_size=n))
+    return rate, StepProfile(tuple(sorted(points)), tuple(outs))
+
+
+def value_or_error(fn, *args):
+    try:
+        return fn(*args).hex()
+    except KeyError as err:
+        return f"KeyError: {err}"
+
+
 class TestProfileValue:
     def test_constant_is_utility(self):
         m = model_for(1.7)
@@ -82,6 +125,16 @@ class TestProfileValue:
         m = model_for(1.0)
         with pytest.raises(KeyError):
             m.profile_value(StepProfile.constant("nope"))
+
+    @given(valued_profiles())
+    @settings(deadline=None)
+    def test_matches_the_per_piece_reference(self, case):
+        rate, profile = case
+        discount, utility = ExpMeasure(rate), UtilityModel(dict(UTIL))
+        want = value_or_error(ref_profile_value, discount, utility, profile)
+        assert value_or_error(profile_value, discount, utility, profile) == want
+        if "nope" in profile.outs:
+            assert want.startswith("KeyError: \"no utility for outcome 'nope'")
 
 
 class TestActValue:

@@ -115,6 +115,24 @@ def test_pasted_profile_matches_per_cell_formula(background, time_sets, outs):
     assert _pasted_profile(background, patches) == naive_pasted(background, patches)
 
 
+@st.composite
+def touching_time_sets(draw):
+    """Disjoint sets from one chain of cuts with no gaps, so intervals of different sets touch."""
+    cuts = sorted(set(draw(st.lists(TIMES, min_size=1, max_size=8))))
+    bounds = [0.0, *cuts, INF] if draw(st.booleans()) else cuts
+    members: list[list[TimeInterval]] = [[], []]
+    for lo, hi in zip(bounds, bounds[1:]):
+        members[draw(st.integers(0, 1))].append(TimeInterval(lo, hi))
+    return [TimeSet.of(ivs) for ivs in members]
+
+
+@given(profiles(), touching_time_sets(), st.lists(st.sampled_from(OUTCOMES), min_size=2, max_size=2))
+@settings(max_examples=100, deadline=None)
+def test_pasted_profile_on_touching_sets_matches_per_cell_formula(background, time_sets, outs):
+    patches = list(zip(time_sets, outs))
+    assert _pasted_profile(background, patches) == naive_pasted(background, patches)
+
+
 @given(
     st.lists(profiles(), min_size=3, max_size=3),
     st.floats(min_value=0.05, max_value=5.0),
