@@ -128,9 +128,9 @@ class StepProfile:
     def normalized(self) -> StepProfile:
         """Drop each cut between equal outcomes (same pointwise value); ``self`` if none."""
         outs = self.outs
-        changes = [k for k in range(1, len(outs)) if outs[k] != outs[k - 1]]
-        if len(changes) == len(self.cuts):
+        if all(map(operator.ne, outs, outs[1:])):
             return self
+        changes = [k for k in range(1, len(outs)) if outs[k] != outs[k - 1]]
         return StepProfile(
             tuple([self.cuts[k - 1] for k in changes]), (outs[0], *[outs[k] for k in changes])
         )
@@ -208,8 +208,7 @@ class GridAct:
 
     @classmethod
     def deterministic(cls, states: Iterable[State], profile: StepProfile) -> GridAct:
-        p = profile.normalized()
-        return cls({s: p for s in states})
+        return cls(dict.fromkeys(states, profile.normalized()))
 
     @classmethod
     def constant(cls, states: Iterable[State], outcome: Outcome) -> GridAct:

@@ -59,7 +59,7 @@ def _runs(
     if n_bins < 1:
         raise ValueError(f"need at least one bin, got {n_bins}")
     _, _, u_lo, span = _normalizer(model)
-    bin_of = {x: _bin_index((model.utility(x) - u_lo) / span, n_bins) - 1 for x in profile.outs}
+    bin_of = {x: _bin_index((model.utility(x) - u_lo) / span, n_bins) - 1 for x in set(profile.outs)}
     bins = [bin_of[x] for x in profile.outs]
     starts = [0, *[k for k in range(1, len(bins)) if bins[k] != bins[k - 1]]]
     bounds = (0.0, *profile.cuts, INF)
@@ -103,15 +103,17 @@ def independent_selection(
     return TimeSet.of(part for part in parts if part is not None)
 
 
-def _prefix_end(rate: ExpMeasure, lo: float, hi: float, frac: float) -> float:
+def _prefix_end(
+    rate: ExpMeasure, lo: float, hi: float, s_lo: float, s_hi: float, frac: float
+) -> float:
     """``rate.split(TimeInterval(lo, hi), (frac, 1 - frac))[0].hi`` for ``0 < frac < 1``.
 
-    Takes the same steps as ``split`` on the same floats, without building
-    intervals; a mass-zero interval, and a cut that would land on ``lo`` or
-    ``hi`` (where ``split`` raises), go to ``split`` itself.
+    ``s_lo`` and ``s_hi`` are ``rate.sf(lo)`` and ``rate.sf(hi)``.  Takes the
+    same steps as ``split`` on the same floats, without building intervals;
+    a mass-zero interval, and a cut that would land on ``lo`` or ``hi``
+    (where ``split`` raises), go to ``split`` itself.
     """
-    s_lo = rate.sf(lo)
-    mass = s_lo - rate.sf(hi)
+    mass = s_lo - s_hi
     survival = s_lo - frac * mass
     if mass > 0.0 and survival > 0.0:
         end = min(-math.log(survival) / rate.rate, hi)
@@ -123,27 +125,35 @@ def _prefix_end(rate: ExpMeasure, lo: float, hi: float, frac: float) -> float:
 def _indicator(
     rate: ExpMeasure,
     runs: list[tuple[float, float, int]],
+    sf: list[float],
     fracs: list[float],
     best: Outcome,
     worst: Outcome,
 ) -> tuple[StepProfile, float]:
     """Stream paying ``best`` on the left portion of each run at its bin's fraction.
 
-    Returns the stream and the mass of its ``best`` pieces, summed in time
-    order.  Portions that touch (a whole run, then the start of the next)
-    merge into one piece.
+    ``sf[k]`` is ``rate.sf`` at the start of run ``k``, and ``sf[-1]`` at
+    the end of the last.  Returns the stream and the mass of its ``best``
+    pieces, summed in time order.  Portions that touch (a whole run, then
+    the start of the next) merge into one piece.
     """
     bounds: list[float] = []
-    for lo, hi, b in runs:
+    bound_sf: list[float] = []
+    for (lo, hi, b), s_lo, s_hi in zip(runs, sf, sf[1:]):
         frac = fracs[b]
         if frac == 0.0:
             continue
-        end = hi if frac == 1.0 else _prefix_end(rate, lo, hi, frac)
+        if frac == 1.0:
+            end, s_end = hi, s_hi
+        else:
+            end = _prefix_end(rate, lo, hi, s_lo, s_hi, frac)
+            s_end = math.exp(-rate.rate * end)
         if bounds and bounds[-1] == lo:
-            bounds[-1] = end
+            bounds[-1], bound_sf[-1] = end, s_end
         else:
             bounds += (lo, end)
-    mass = sum(rate.sf(lo) - rate.sf(hi) for lo, hi in zip(bounds[::2], bounds[1::2]))
+            bound_sf += (s_lo, s_end)
+    mass = sum([a - b for a, b in zip(bound_sf[::2], bound_sf[1::2])])
     outs = [worst, best] * (len(bounds) // 2) + [worst]
     if bounds and bounds[-1] == INF:
         del bounds[-1], outs[-1]
@@ -162,16 +172,21 @@ def bracket_profile(
     portions are carved per bin, so each indicator keeps its quota
     conditionally on every bin.  Both indicators and the bins come from one
     pass over the runs of consecutive pieces in one bin; each portion ends
-    where ``ExpMeasure.split`` would cut the run, to the bit.  The gap is
-    the upper indicator's ``best`` mass minus the lower one's.
+    where ``ExpMeasure.split`` would cut the run, to the bit.  The survival
+    at each run bound is computed once, for both indicators and their
+    masses.  The gap is the upper indicator's ``best`` mass minus the lower
+    one's.
     """
     worst, best, _, _ = _normalizer(model)
     runs = _runs(model, profile, n_bins)
     rate = model.discount
+    r = rate.rate
+    # The floats of ``rate.sf``: sf(inf), at the end of the last run, is 0.
+    sf = [*[math.exp(-r * lo) for lo, _, _ in runs], 0.0]
     lower_frac = [(n - 1) / n_bins for n in range(1, n_bins + 1)]
     upper_frac = [n / n_bins for n in range(1, n_bins + 1)]
-    lower, lower_mass = _indicator(rate, runs, lower_frac, best, worst)
-    upper, upper_mass = _indicator(rate, runs, upper_frac, best, worst)
+    lower, lower_mass = _indicator(rate, runs, sf, lower_frac, best, worst)
+    upper, upper_mass = _indicator(rate, runs, sf, upper_frac, best, worst)
     return BracketResult(
         lower=lower, upper=upper, gap=upper_mass - lower_mass, bins=tuple(_bin_sets(runs, n_bins))
     )

@@ -9,11 +9,12 @@ finite sum, evaluated either state-first or time-first.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .acts import GridAct, Outcome, State, StepProfile, splice_time
-from .measure import INF, ExpMeasure
+from .measure import ExpMeasure
 
 
 @dataclass(frozen=True)
@@ -142,35 +143,49 @@ class DSEUModel:
                 for c, x in zip(p.cuts, p.outs[1:])
             ]
         )
+        rate = self.discount.rate
         total = 0.0
-        lo, sf_lo = 0.0, self.discount.sf(0.0)
+        lo, sf_lo = 0.0, 1.0
         for t, i, term in events:
             if t > lo:
-                sf_hi = self.discount.sf(t)
+                sf_hi = math.exp(-rate * t)
                 total += (sf_lo - sf_hi) * sum(terms)
                 lo, sf_lo = t, sf_hi
             terms[i] = term
-        return total + (sf_lo - self.discount.sf(INF)) * sum(terms)
+        return total + sf_lo * sum(terms)
 
     def prefix_value(self, act: GridAct, t: float) -> float:
-        """Expected discounted utility of ``act`` restricted to times before ``t``."""
+        """Expected discounted utility of ``act`` restricted to times before ``t``.
+
+        Each row sums ``(sf(lo) - sf(hi)) * u(outcome)`` over the pieces that
+        start before ``t``, the last of them cut at ``t``, with one ``exp``
+        per cut and one lookup in ``utility.values`` per piece, as
+        :func:`profile_value` does.
+        """
         if t < 0 or math.isnan(t):
             raise ValueError(f"prefix end must be >= 0, got {t!r}")
         check_states(self.states, act)
+        if t == 0.0:
+            return 0.0
+        rate = self.discount.rate
+        values = self.utility.values
+        probs = self.beliefs.probs
+        sf_t = math.exp(-rate * t)
         total = 0.0
-        for s in act.states:
-            row = 0.0
-            # While the loop goes on, each piece starts where the last was
-            # cut (its ``hi`` was below ``t``), so ``sf`` carries over.
-            sf_lo = self.discount.sf(0.0)
-            for lo, hi, out in act.row(s).segments():
-                if lo >= t:
-                    break
-                sf_hi = self.discount.sf(min(hi, t))
-                row += (sf_lo - sf_hi) * self.utility(out)
-                sf_lo = sf_hi
-            total += self.beliefs(s) * row
-        return total
+        try:
+            for s, p in act.profiles.items():
+                k = bisect_left(p.cuts, t)
+                row = 0.0
+                sf_lo = 1.0
+                for c, out in zip(p.cuts[:k], p.outs):
+                    sf_hi = math.exp(-rate * c)
+                    row += (sf_lo - sf_hi) * values[out]
+                    sf_lo = sf_hi
+                total += probs[s] * (row + (sf_lo - sf_t) * values[p.outs[k]])
+            return total
+        except KeyError as missing:
+            self.utility(missing.args[0])
+            raise
 
 
 def check_states(states: Iterable[State], act: GridAct) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from typing import Any
 
 from .acts import GridAct, State, StepProfile
@@ -34,13 +35,21 @@ def dumps(doc: Any) -> str:
 
     ``json`` ignores its C encoder whenever ``indent`` is set, and then spends
     one Python generator step per number of a long profile.  So this renders
-    the indentation itself and hands each list of flat rows (profile pieces,
-    time-set intervals) to the C encoder in one call.
+    the indentation itself and hands each column of a list of equal-length
+    flat rows (profile pieces, time-set intervals) to the C encoder in one
+    call.  Where each row starts with the object the row before it ends
+    with (a profile's cut), that object's text is reused, not encoded again.
     """
     return _render(doc, "\n") + "\n"
 
 
 _SCALARS = {str, int, float, bool, type(None)}
+
+
+def _texts(column: tuple[Any, ...]) -> list[str]:
+    """The JSON text of each scalar of ``column``, from one C-encoder call."""
+    # An encoded scalar never holds a raw line break, so each is one line.
+    return json.dumps(column, separators=("\n", ":"))[1:-1].split("\n")
 
 
 def _render(doc: Any, nl: str) -> str:
@@ -50,18 +59,28 @@ def _render(doc: Any, nl: str) -> str:
         items = [json.dumps(k) + ": " + _render(v, inner) for k, v in sorted(doc.items())]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if type(doc) is list and doc:
+        width = len(doc[0]) if type(doc[0]) is list else 0
         if (
-            set(map(type, doc)) == {list}
-            and all(doc)
+            width
+            and set(map(type, doc)) == {list}
+            and set(map(len, doc)) == {width}
             and set(map(type, itertools.chain.from_iterable(doc))) <= _SCALARS
         ):
-            # Rows of scalars: one C call separates every number by ``sep``.
-            # A line break never occurs inside an encoded string, and no
-            # scalar ends in "]", so "]" + sep + "[" is a row boundary.
-            sep = "," + inner + "  "
-            rows = json.dumps(doc, separators=(sep, ": "))[2:-2]
-            rows = rows.replace("]" + sep + "[", inner + "]," + inner + "[" + inner + "  ")
-            return "[" + inner + "[" + inner + "  " + rows + inner + "]" + nl + "]"
+            first, *rest = zip(*doc)
+            texts = [_texts(c) for c in rest]
+            if rest and all(map(operator.is_, first[1:], rest[0])):
+                texts.insert(0, [*_texts(first[:1]), *texts[0][:-1]])
+            else:
+                texts.insert(0, _texts(first))
+            # Interleave the columns with the text between two cells of a
+            # row, and between the last cell of a row and the next row's first.
+            cell = inner + "  "
+            step = 2 * width
+            parts = ["," + cell] * (step * len(doc) - 1)
+            parts[step - 1 :: step] = [inner + "]," + inner + "[" + cell] * (len(doc) - 1)
+            for j, column in enumerate(texts):
+                parts[2 * j :: step] = column
+            return "[" + inner + "[" + cell + "".join(parts) + inner + "]" + nl + "]"
         return "[" + inner + ("," + inner).join([_render(x, inner) for x in doc]) + nl + "]"
     return json.dumps(doc, indent=2, sort_keys=True).replace("\n", nl)
 
@@ -70,12 +89,20 @@ def _bound_out(x: float) -> float | str:
     return INF_SENTINEL if math.isinf(x) else x
 
 
+# The types a time bound may have in a document (a bool is not a time).
+_NUMBERS = {int, float}
+
+
+def _number(x: Any, expected: str) -> float:
+    if type(x) in _NUMBERS:
+        return float(x)
+    raise ValueError(f"expected {expected}, got {x!r}")
+
+
 def _bound_in(x: Any) -> float:
     if x == INF_SENTINEL:
         return INF
-    if isinstance(x, (int, float)):
-        return float(x)
-    raise ValueError(f"expected a number or {INF_SENTINEL!r}, got {x!r}")
+    return _number(x, f"a number or {INF_SENTINEL!r}")
 
 
 # -- time sets ---------------------------------------------------------------
@@ -86,32 +113,51 @@ def time_set_to_json(ts: TimeSet) -> list[list[float | str]]:
 
 
 def time_set_from_json(doc: Any) -> TimeSet:
-    return TimeSet.from_pairs((float(lo), _bound_in(hi)) for lo, hi in doc)
+    """Time set from ``[lo, hi]`` pairs; ``lo`` is a number, ``hi`` one or ``"inf"``."""
+    return TimeSet.from_pairs((_number(lo, "a number"), _bound_in(hi)) for lo, hi in doc)
 
 
 # -- profiles and acts -------------------------------------------------------
 
 
 def profile_to_json(p: StepProfile) -> list[list[Any]]:
-    return [[lo, _bound_out(hi), out] for lo, hi, out in p.segments()]
+    """``[lo, hi, outcome]`` rows; each row's ``lo`` is the row before's ``hi`` object."""
+    return list(map(list, zip((0.0, *p.cuts), (*p.cuts, INF_SENTINEL), p.outs)))
 
 
 def profile_from_json(rows: Any) -> StepProfile:
     """Profile from ``[lo, hi, outcome]`` rows, which must tile ``[0, inf)`` in order.
 
-    The first row starts at 0, each row starts where the one before it
-    ends, no row is empty, inverted or NaN, and the last row ends at
-    ``"inf"``; anything else raises ``ValueError``.
+    Every ``lo`` and ``hi`` is an int or a float (not a bool), except that
+    the last ``hi`` is ``"inf"``.  The first row starts at 0, each row
+    starts where the one before it ends, no row is empty, inverted or NaN,
+    and the last row ends at ``"inf"``; anything else raises ``ValueError``.
     """
-    bounds = [(float(lo), _bound_in(hi)) for lo, hi, _ in rows]
+    try:
+        los, his, outs = zip(*rows, strict=True)
+    except (TypeError, ValueError):
+        raise _tiling_error(rows) from None
+    cuts = his[:-1]
+    if set(map(type, los + cuts)) <= _NUMBERS and (
+        his[-1] == INF_SENTINEL or type(his[-1]) is float and his[-1] == INF
+    ):
+        # Checked on whole lists, as ``StepProfile`` checks its cuts.  A NaN
+        # fails ``lo < hi`` even where ``==`` on lists meets the same object.
+        lo, cuts = list(map(float, los)), list(map(float, cuts))
+        if lo[0] == 0.0 and lo[1:] == cuts and all(map(operator.lt, lo, [*cuts, INF])):
+            return StepProfile(tuple(cuts), tuple([*map(str, outs)]))
+    raise _tiling_error(rows)
+
+
+def _tiling_error(rows: Any) -> ValueError:
+    """The error for rows that ``profile_from_json`` rejects, worded row by row."""
+    bounds = [(_number(lo, "a number"), _bound_in(hi)) for lo, hi, _ in rows]
     end = 0.0
     for lo, hi in bounds:
         if lo != end or not lo < hi:
-            raise ValueError(f"profile rows must tile [0, inf) in order: [{lo}, {hi}) after {end}")
+            return ValueError(f"profile rows must tile [0, inf) in order: [{lo}, {hi}) after {end}")
         end = hi
-    if end != INF:
-        raise ValueError(f"profile rows must reach {INF_SENTINEL!r}, last ends at {end}")
-    return StepProfile(tuple([hi for _, hi in bounds[:-1]]), tuple([str(out) for *_, out in rows]))
+    return ValueError(f"profile rows must reach {INF_SENTINEL!r}, last ends at {end}")
 
 
 def act_to_json(act: GridAct) -> dict[str, Any]:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dseu.aa import (
     Lottery,
@@ -22,7 +24,7 @@ from dseu.aa import (
 from dseu.acts import GridAct, StepProfile
 from dseu.equivalents import time_equivalent_act
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
-from dseu.measure import ExpMeasure, TimeInterval
+from dseu.measure import INF, ExpMeasure, TimeInterval
 
 STATES = ("s0", "s1", "s2")
 UTIL = {"a": 0.0, "b": 1.0, "c": 0.3, "d": 0.55}
@@ -52,7 +54,40 @@ def random_lottery_act(rng, support=("a", "b", "c")) -> LotteryAct:
     return LotteryAct(lots)
 
 
+def ref_reduce_profile(rate, profile):
+    """``reduce_profile`` as it was: one ``rate.sf`` call per bound."""
+    probs = {}
+    sf = [rate.sf(t) for t in (0.0, *profile.cuts, INF)]
+    for a, b, out in zip(sf, sf[1:], profile.outs):
+        probs[out] = probs.get(out, 0.0) + (a - b)
+    return Lottery(probs)
+
+
+@st.composite
+def rated_profiles(draw):
+    """A rate and a profile with cuts near 0, in the bulk and past ``745 / rate``."""
+    rate = draw(st.floats(1e-3, 50.0))
+    tail = 745.2 / rate  # sf is 0.0 from here on
+    cuts = draw(
+        st.lists(
+            st.floats(1e-300, 1e-3) | st.floats(1e-3, 10.0) | st.floats(0.9 * tail, 4.0 * tail),
+            max_size=12,
+            unique=True,
+        )
+    )
+    n = len(cuts) + 1
+    outs = draw(st.lists(st.sampled_from(tuple(UTIL)), min_size=n, max_size=n))
+    return ExpMeasure(rate), StepProfile(tuple(sorted(cuts)), tuple(outs))
+
+
 class TestReduce:
+    @given(rated_profiles())
+    @settings(deadline=None)
+    def test_matches_the_per_cut_survival_reference(self, case):
+        rate, p = case
+        got, want = reduce_profile(rate, p).probs, ref_reduce_profile(rate, p).probs
+        assert [(o, q.hex()) for o, q in got.items()] == [(o, q.hex()) for o, q in want.items()]
+
     def test_constant_profile_degenerate(self):
         got = reduce_profile(ExpMeasure(1.3), StepProfile.constant("b"))
         assert got == Lottery.degenerate("b")

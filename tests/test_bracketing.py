@@ -313,9 +313,9 @@ class TestBracketProfile:
                 want = rate.split(TimeInterval(lo, hi), (frac, 1.0 - frac))[0].hi
             except ValueError:
                 with pytest.raises(ValueError):
-                    _prefix_end(rate, lo, hi, frac)
+                    _prefix_end(rate, lo, hi, rate.sf(lo), rate.sf(hi), frac)
                 continue
-            assert _prefix_end(rate, lo, hi, frac).hex() == want.hex()
+            assert _prefix_end(rate, lo, hi, rate.sf(lo), rate.sf(hi), frac).hex() == want.hex()
 
     def test_fraction_below_float_resolution_still_raises(self):
         # One ulp of positive mass: every cut rounds onto an end, so split raises.

@@ -263,6 +263,18 @@ class TestOnePassSweeps:
         assert model.act_value_dual(act).hex() == ref_act_value_dual(model, act).hex()
         assert model.prefix_value(act, t).hex() == ref_prefix_value(model, act, t).hex()
 
+    @given(acts_with_shared_cuts(), st.data())
+    @settings(deadline=None)
+    def test_prefix_value_of_an_unknown_outcome_raises_as_the_reference(self, case, data):
+        model, act, t = case
+        s = data.draw(st.sampled_from(act.states))
+        row = act.row(s)
+        outs = list(row.outs)
+        outs[data.draw(st.integers(0, len(outs) - 1))] = "nope"
+        act = GridAct({**act.profiles, s: StepProfile(row.cuts, tuple(outs))})
+        want = value_or_error(ref_prefix_value, model, act, t)
+        assert value_or_error(model.prefix_value, act, t) == want
+
 
 class TestDecomposition:
     def test_zero_offset(self):

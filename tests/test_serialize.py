@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dseu import serialize
@@ -49,13 +49,44 @@ SCALARS = (
 )
 
 
+# Bounds equal to one another but distinct objects (two NaN objects are never
+# equal): the encoder may reuse a text only for the very same object.
+TWINS = st.sampled_from((0.0, -0.0, 1, 1.0, True, math.nan, float("nan")))
+
+
+@st.composite
+def chained_rows(draw):
+    """Rows ``[lo, hi, *rest]``, each ``lo`` mostly the object ending the row before.
+
+    Otherwise a ``lo`` is a fresh draw, often one of :data:`TWINS`, so an
+    equal but distinct object stands where the same one would; one row may
+    end up a cell longer or shorter than the others.
+    """
+    width = draw(st.integers(2, 4))
+    bound = SCALARS | TWINS
+    rows: list[list] = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo = rows[-1][1] if rows and draw(st.booleans()) else draw(bound)
+        rest = draw(st.lists(SCALARS, min_size=width - 2, max_size=width - 2))
+        rows.append([lo, draw(bound), *rest])
+    if draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(SCALARS))
+    return rows
+
+
 def _containers(children):
     return (
         st.lists(children, max_size=5)
         | st.lists(children, max_size=3).map(tuple)
-        # Lists of flat rows, the shape rendered in one piece unless a row is
-        # empty, and rows holding a nested list or dict.
+        # Lists of flat rows, the shape rendered one column at a time unless
+        # a row is empty or rows differ in length, and rows holding a nested
+        # list or dict.
         | st.lists(st.lists(SCALARS, max_size=4), max_size=4)
+        | chained_rows()
         | st.lists(st.lists(SCALARS | st.lists(SCALARS) | st.dictionaries(st.text(), SCALARS)))
         | st.dictionaries(st.text() | TRICKY, children, max_size=5)
         | st.dictionaries(st.integers(), children, max_size=3)
@@ -68,10 +99,109 @@ def _containers(children):
 JSON_DOCS = st.recursive(SCALARS, _containers, max_leaves=40)
 
 
+SHARED_NAN = float("nan")
+
+
 @given(JSON_DOCS)
+@example([[0.0, 0.0, "x"], [-0.0, "inf", "y"]])
+@example([[0, 1, "x"], [1.0, 1.0, "y"], [True, "inf", "z"]])
+@example([[0.0, math.nan, "x"], [float("nan"), "inf", "y"]])
+@example([[SHARED_NAN, SHARED_NAN], [SHARED_NAN, SHARED_NAN], [SHARED_NAN, 1.5]])
+@example([[0.0, "inf", "x"]])
+@example([[0.0, 1.5, "x"], [1.5, "inf"]])
 @settings(deadline=None)
 def test_dumps_equals_indented_json_dumps(doc):
     assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# -- profile_from_json against the per-row loop it replaced -------------------
+
+
+def ref_profile_from_json(rows):
+    def bound_in(x):
+        if x == "inf":
+            return INF
+        if isinstance(x, (int, float)):
+            return float(x)
+        raise ValueError(f"expected a number or 'inf', got {x!r}")
+
+    bounds = [(float(lo), bound_in(hi)) for lo, hi, _ in rows]
+    end = 0.0
+    for lo, hi in bounds:
+        if lo != end or not lo < hi:
+            raise ValueError(f"profile rows must tile [0, inf) in order: [{lo}, {hi}) after {end}")
+        end = hi
+    if end != INF:
+        raise ValueError(f"profile rows must reach 'inf', last ends at {end}")
+    return StepProfile(tuple([hi for _, hi in bounds[:-1]]), tuple([str(out) for *_, out in rows]))
+
+
+BOUNDS = (
+    st.floats(0.0, 10.0)
+    | st.sampled_from((math.nan, INF, -0.0, -1.0, 1e308))
+    | st.integers(-2, 12)
+    | st.just(10**400)  # too large for a float
+    | st.just("inf")
+)
+# Bounds the loop read as numbers and that now raise.
+BAD_BOUNDS = st.booleans() | st.sampled_from(("0", "1.5", "inf", "x"))
+
+
+@st.composite
+def profile_rows(draw):
+    """``[lo, hi, outcome]`` rows that tile ``[0, inf)``, then perturbed a few times.
+
+    A perturbation puts a fresh bound in a row, drops, repeats or empties a
+    row, or gives it a cell more or less; ints stand in for floats.
+    """
+    cuts = sorted(set(draw(st.lists(st.floats(1e-3, 10.0) | st.integers(1, 9), max_size=6))))
+    ends = [draw(st.sampled_from((0.0, 0, -0.0))), *cuts, "inf"]
+    rows = [[lo, hi, draw(st.sampled_from("xyz"))] for lo, hi in zip(ends, ends[1:])]
+    for _ in range(draw(st.integers(0, 3))):
+        if not rows:
+            break
+        k = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(("bound", "bound", "bad", "drop", "repeat", "empty", "length")))
+        if kind in ("bound", "bad"):
+            if rows[k]:
+                i = draw(st.integers(0, min(1, len(rows[k]) - 1)))
+                rows[k][i] = draw(BOUNDS if kind == "bound" else BAD_BOUNDS)
+        elif kind == "drop":
+            del rows[k]
+        elif kind == "repeat":
+            rows.insert(k, list(rows[k]))
+        elif kind == "empty":
+            rows[k] = []
+        elif not rows[k] or draw(st.booleans()):
+            rows[k].append(draw(st.sampled_from((1.0, "w"))))
+        else:
+            rows[k].pop()
+    return rows
+
+
+def result_or_error(fn, rows):
+    try:
+        return fn(rows)
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@given(profile_rows())
+@example([])
+@example([[0.0, INF, "x"], [INF, "inf", "y"]])
+@settings(deadline=None)
+def test_profile_from_json_matches_the_row_loop(rows):
+    got = result_or_error(serialize.profile_from_json, rows)
+    bad = any(
+        type(row[0]) in (bool, str) or len(row) > 1 and type(row[1]) is bool
+        for row in rows
+        if row
+    )
+    if bad:
+        # A bound too large for a float may raise first, as it always did.
+        assert isinstance(got, str) and got.startswith(("ValueError: ", "OverflowError: "))
+    else:
+        assert got == result_or_error(ref_profile_from_json, rows)
 
 
 class TestCoreRoundTrips:
@@ -80,6 +210,13 @@ class TestCoreRoundTrips:
         doc = serialize.time_set_to_json(ts)
         assert doc == [[0.0, 1.5], [2.0, "inf"]]
         assert serialize.time_set_from_json(doc) == ts
+
+    @pytest.mark.parametrize(
+        "doc", [[["0.5", "inf"]], [[True, 2.0]], [[0.0, True]], [["inf", "inf"]], [[None, 1.0]]]
+    )
+    def test_time_set_with_malformed_bounds_is_rejected(self, doc):
+        with pytest.raises(ValueError, match="expected a number"):
+            serialize.time_set_from_json(doc)
 
     def test_act(self):
         act = sample_act()
@@ -103,8 +240,26 @@ class TestCoreRoundTrips:
             [[0.0, 2.0, "x"], [2.0, 1.0, "y"], [1.0, "inf", "z"]],  # inverted row
             [[0.0, float("nan"), "x"], [float("nan"), "inf", "y"]],
             [],
+            [["0", 1.0, "x"], [True, "inf", "y"]],  # once read as cuts (1.0,)
+            [[0.0, 1.0, "x"], [True, "inf", "y"]],
+            [[False, 1.0, "x"], [1.0, "inf", "y"]],
+            [[0.0, True, "x"], [1.0, "inf", "y"]],
+            [[0.0, "1.0", "x"], [1.0, "inf", "y"]],
         ],
-        ids=["gap", "overlap", "late-start", "early-end", "inverted", "nan", "empty"],
+        ids=[
+            "gap",
+            "overlap",
+            "late-start",
+            "early-end",
+            "inverted",
+            "nan",
+            "empty",
+            "string-and-bool-lo",
+            "bool-lo",
+            "bool-first-lo",
+            "bool-hi",
+            "string-hi",
+        ],
     )
     def test_act_with_malformed_profile_is_rejected(self, rows):
         doc = serialize.act_to_json(sample_act())
