@@ -19,7 +19,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .measure import INF, TimeInterval, TimeSet
@@ -71,6 +71,8 @@ class StepProfile:
     @classmethod
     def before_after(cls, early: Outcome, t: float, late: Outcome) -> StepProfile:
         """``early`` on ``[0, t)`` then ``late`` forever; ``t = 0`` drops ``early``."""
+        if 0.0 < t < INF:
+            return cls((t,), (early, late))
         return cls.from_breakpoints((t,), (early, late))
 
     @classmethod
@@ -153,10 +155,6 @@ class StepProfile:
     def outcomes(self) -> set[Outcome]:
         return set(self.outs)
 
-    def level_set(self, outcome: Outcome) -> TimeSet:
-        """Times at which the profile pays ``outcome``."""
-        return TimeSet.from_pairs((lo, hi) for lo, hi, out in self.segments() if out == outcome)
-
 
 @dataclass(frozen=True)
 class GridAct:
@@ -181,6 +179,16 @@ class GridAct:
 
     def row(self, state: State) -> StepProfile:
         return self.profiles[state]
+
+    def shared_row(self) -> StepProfile | None:
+        """The one row object every state holds, else ``None``.
+
+        Tested by identity, so equal rows held as distinct objects give
+        ``None``.
+        """
+        rows = list(self.profiles.values())
+        first = rows[0]
+        return first if all(map(operator.is_, rows, repeat(first))) else None
 
     def row_values(self, value: Callable[[StepProfile], float]) -> dict[State, float]:
         """``value`` of each state's row, called once per distinct row object."""

@@ -139,7 +139,7 @@ def _subset_families(
         pairs = [
             (e, f)
             for e, f in itertools.combinations([s for s in events if s], 2)
-            if not (e & f)
+            if e.isdisjoint(f)
         ]
         return events, pairs
     singletons = [frozenset({s}) for s in states]

@@ -145,32 +145,30 @@ def bisect_indifference(
     prefers the second side at ``ceiling``.
 
     A ``hint``, a predicted switch time, warm-starts the search: at most four
-    probes near it (:func:`_gallop`) bracket the switch, and the same loop
-    then runs, taking every answer below the bracket as "second" and above
-    it as "first" without asking.  When the probe's answers are weakly
-    monotone in ``t`` (second, then indifferent, then first), those are the
-    answers it would have given, so the result equals the unhinted one bit
-    for bit, with at most four probes more; a good hint saves most of them.
+    probes near it (:func:`_gallop`) bracket the switch, and the same loops
+    then run, taking every step at or below the bracket as "second" and at
+    or above it as "first" without asking.  When the probe's answers are
+    weakly monotone in ``t`` (second, then indifferent, then first), those
+    are the answers it would have given, so the result equals the unhinted
+    one bit for bit, with at most four probes more; a good hint saves most
+    of them.  Without a hint every step is asked, also at ``t = inf``.
     """
+    # Without a hint both bounds are NaN, and every comparison with NaN is false.
+    second_below = first_above = math.nan
     if hint is not None:
         second_below, first_above = _gallop(probe, hint, ceiling, tol)
-        ask = probe
-
-        def probe(t: float) -> Preference:
-            if t <= second_below:
-                return Preference.STRICTLY_PREFERS_SECOND
-            if t >= first_above:
-                return Preference.STRICTLY_PREFERS_FIRST
-            return ask(t)
 
     lo = 0.0
     hi = min(1.0, ceiling)
     while True:
-        answer = probe(hi)
-        if answer is Preference.INDIFFERENT:
-            return hi, 0.0
-        if answer is Preference.STRICTLY_PREFERS_FIRST:
-            break
+        if not hi <= second_below:
+            if hi >= first_above:
+                break
+            answer = probe(hi)
+            if answer is Preference.INDIFFERENT:
+                return hi, 0.0
+            if answer is Preference.STRICTLY_PREFERS_FIRST:
+                break
         if hi >= ceiling:
             return None
         lo, hi = hi, min(hi * 2.0, ceiling)
@@ -178,13 +176,18 @@ def bisect_indifference(
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        answer = probe(mid)
-        if answer is Preference.INDIFFERENT:
-            return mid, 0.0
-        if answer is Preference.STRICTLY_PREFERS_FIRST:
+        if mid <= second_below:
+            lo = mid
+        elif mid >= first_above:
             hi = mid
         else:
-            lo = mid
+            answer = probe(mid)
+            if answer is Preference.INDIFFERENT:
+                return mid, 0.0
+            if answer is Preference.STRICTLY_PREFERS_FIRST:
+                hi = mid
+            else:
+                lo = mid
     return 0.5 * (lo + hi), hi - lo
 
 

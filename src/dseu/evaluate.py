@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Mapping
 
 from .acts import GridAct, Outcome, State, StepProfile, splice_time
@@ -113,11 +115,17 @@ class DSEUModel:
         """State-first order: expectation over states of row values.
 
         Each distinct row object is valued once; the sum runs in the act's
-        state order.
+        state order.  A deterministic act whose states share one row object
+        is valued from that row alone, with the same products in the same
+        order.
         """
         probs = self.beliefs.probs
         if act.profiles.keys() != probs.keys():
             check_states(probs, act)
+        row = act.shared_row()
+        if row is not None:
+            v = self.profile_value(row)
+            return sum(map(mul, map(probs.__getitem__, act.profiles), repeat(v)))
         rows = act.row_values(self.profile_value)
         return sum(probs[s] * rows[s] for s in act.profiles)
 

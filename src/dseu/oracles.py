@@ -17,7 +17,12 @@ and memoise the values of the last two acts they valued, keyed by identity
 (see :func:`_recall`).  A search compares many probes against one fixed
 act, so that act is valued once per search.  This relies on acts being
 immutable: the library never mutates a :class:`~dseu.acts.GridAct` after
-construction.
+construction.  Every probe of a search is a deterministic act whose states
+share one row object (:meth:`~dseu.acts.GridAct.shared_row`); both oracles
+value that row once and weight it without walking the states: the SEU
+model by its beliefs in state order, the Choquet oracle by the capacity
+steps of :class:`Capacity`.  Either way the floats are those of the
+per-row path.
 """
 
 from __future__ import annotations
@@ -158,12 +163,18 @@ class Capacity:
     """Normalized monotone set function on the subsets of a finite state space.
 
     Besides ``weights``, it keeps the same values in a list indexed by
-    bitmask, bit ``i`` standing for ``states[i]``, for :func:`choquet_value`.
+    bitmask, bit ``i`` standing for ``states[i]``, for :func:`choquet_value`,
+    and the steps ``by_mask[top_k] - by_mask[top_{k-1}]`` along the states
+    in label order (``top_k`` the first ``k`` of them, ``by_mask[top_0]``
+    read as 0).  Label order is the order :func:`choquet_value` takes when
+    every state has the same value, so that value times each step, summed
+    in turn, is its integral.
     """
 
     states: tuple[State, ...]
     weights: Mapping[frozenset[State], float]
     _by_mask: list[float] = field(init=False, repr=False, compare=False)
+    _steps: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         full = frozenset(self.states)
@@ -188,6 +199,14 @@ class Capacity:
         for subset, v in spec.items():
             by_mask[sum(1 << i for i, s in enumerate(self.states) if s in subset)] = v
         object.__setattr__(self, "_by_mask", by_mask)
+        steps = []
+        prev = 0.0
+        top = 0
+        for i in sorted(range(len(self.states)), key=self.states.__getitem__):
+            top |= 1 << i
+            steps.append(by_mask[top] - prev)
+            prev = by_mask[top]
+        object.__setattr__(self, "_steps", steps)
 
     def __repr__(self) -> str:
         """Subsets as tuples in ``states`` order, so equal capacities print alike."""
@@ -264,8 +283,16 @@ class ChoquetOracle(Oracle):
 
     def _value(self, f: GridAct) -> float:
         check_states(self.states, f)
-        rows = f.row_values(partial(profile_value, self.discount, self.utility))
-        return choquet_value(self.capacity, rows)
+        row = f.shared_row()
+        if row is None:
+            rows = f.row_values(partial(profile_value, self.discount, self.utility))
+            return choquet_value(self.capacity, rows)
+        v = profile_value(self.discount, self.utility, row)
+        # The loop of choquet_value: sum() of floats is compensated from Python 3.12.
+        total = 0.0
+        for step in self.capacity._steps:
+            total += step * v
+        return total
 
 
 @dataclass(frozen=True)

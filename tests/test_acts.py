@@ -19,6 +19,8 @@ from dseu.acts import (
 )
 from dseu.measure import INF, ExpMeasure, TimeSet
 
+from level_sets import level_set
+
 STATES = ("s0", "s1", "s2")
 OUTCOMES = ("a", "b", "c", "d")
 
@@ -81,8 +83,8 @@ class TestStepProfile:
 
     def test_level_set(self):
         p = StepProfile.from_breakpoints([1.0, 2.0, 3.0], ["a", "b", "a", "c"])
-        assert p.level_set("a") == TimeSet.from_pairs([(0.0, 1.0), (2.0, 3.0)])
-        assert p.level_set("z").is_empty
+        assert level_set(p, "a") == TimeSet.from_pairs([(0.0, 1.0), (2.0, 3.0)])
+        assert level_set(p, "z").is_empty
 
     def test_before_after_boundaries(self):
         assert StepProfile.before_after("a", 0.0, "b") == StepProfile.constant("b")

@@ -18,6 +18,8 @@ from dseu.bracketing import (
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
 
+from level_sets import level_set
+
 STATES = ("s0", "s1", "s2", "s3", "s4", "s5")
 UTIL = {"lo": 0.0, "q1": 0.3, "mid": 0.5, "q3": 0.8, "hi": 1.0}
 
@@ -79,7 +81,7 @@ def ref_bracket_profile(model, profile, n_bins):
     upper_frac = [n / n_bins for n in range(1, n_bins + 1)]
     lower = ref_two_level_profile(ref_selection(rate, bins, lower_frac), best, worst)
     upper = ref_two_level_profile(ref_selection(rate, bins, upper_frac), best, worst)
-    gap = rate.mass(upper.level_set(best)) - rate.mass(lower.level_set(best))
+    gap = rate.mass(level_set(upper, best)) - rate.mass(level_set(lower, best))
     return lower, upper, gap, tuple(bins)
 
 
@@ -119,8 +121,8 @@ class TestUtilityBins:
         m = model_for()
         p = StepProfile.from_breakpoints([1.0, 2.5], ["lo", "hi", "lo"])
         bins = utility_bins(m, p, 2)
-        assert bins[0] == p.level_set("lo")
-        assert bins[1] == p.level_set("hi")
+        assert bins[0] == level_set(p, "lo")
+        assert bins[1] == level_set(p, "hi")
 
     def test_membership_pointwise(self):
         m = model_for()
@@ -261,7 +263,7 @@ class TestBracketProfile:
             lower = pasted(m.discount, bins, bottoms, "hi", "lo")
             upper = pasted(m.discount, bins, tops, "hi", "lo")
             mass = m.discount.mass
-            gap = mass(upper.level_set("hi")) - mass(lower.level_set("hi"))
+            gap = mass(level_set(upper, "hi")) - mass(level_set(lower, "hi"))
             got = bracket_profile(m, p, n_bins)
             assert (got.lower, got.upper, got.bins) == (lower, upper, tuple(bins))
             assert got.gap == gap

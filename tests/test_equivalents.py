@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,13 +12,14 @@ from hypothesis import strategies as st
 from dseu.acts import GridAct, StepProfile
 from dseu.equivalents import (
     TimeEquivalent,
+    _gallop,
     bisect_indifference,
     time_equivalent_act,
     time_equivalent_bisect,
     time_equivalent_value,
 )
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
-from dseu.measure import ExpMeasure
+from dseu.measure import INF, ExpMeasure
 from dseu.oracles import (
     Capacity,
     ChoquetOracle,
@@ -184,6 +187,22 @@ class TestBisection:
         )
 
 
+class TestBeforeAfter:
+    @pytest.mark.parametrize(
+        "t", [0.0, -0.0, INF, math.nan, -1.0, -INF, 1e-300, 1.5, 2**60, 1]
+    )
+    def test_equals_from_breakpoints_or_raises_its_error(self, t):
+        try:
+            expected = StepProfile.from_breakpoints((t,), ("x", "y"))
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                StepProfile.before_after("x", t, "y")
+            return
+        got = StepProfile.before_after("x", t, "y")
+        assert got == expected
+        assert list(map(type, got.cuts)) == list(map(type, expected.cuts))
+
+
 class TestTimeEquivalentType:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -240,7 +259,97 @@ def hinted_searches(draw):
     return switch, band, ceiling, tol, hint
 
 
+def ref_bisect_indifference(probe, ceiling, tol, hint=None):
+    """The search with its known steps answered by a wrapper around ``probe``."""
+    if hint is not None:
+        second_below, first_above = _gallop(probe, hint, ceiling, tol)
+        ask = probe
+
+        def probe(t):
+            if t <= second_below:
+                return Preference.STRICTLY_PREFERS_SECOND
+            if t >= first_above:
+                return Preference.STRICTLY_PREFERS_FIRST
+            return ask(t)
+
+    lo = 0.0
+    hi = min(1.0, ceiling)
+    while True:
+        answer = probe(hi)
+        if answer is Preference.INDIFFERENT:
+            return hi, 0.0
+        if answer is Preference.STRICTLY_PREFERS_FIRST:
+            break
+        if hi >= ceiling:
+            return None
+        lo, hi = hi, min(hi * 2.0, ceiling)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        answer = probe(mid)
+        if answer is Preference.INDIFFERENT:
+            return mid, 0.0
+        if answer is Preference.STRICTLY_PREFERS_FIRST:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), hi - lo
+
+
+class ScrambledProbe:
+    """Answers drawn from ``t`` and a seed, with no monotonicity; logs each time asked."""
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.asked: list[float] = []
+
+    def __call__(self, t: float) -> Preference:
+        self.asked.append(t)
+        return random.Random(f"{self.seed}:{t!r}").choice(list(Preference))
+
+
+@st.composite
+def searches(draw):
+    """A probe factory, a ceiling (also infinite), a tolerance and a hint or none."""
+    ceiling = draw(st.floats(1e-3, 1e3) | st.just(math.inf))
+    tol = draw(st.floats(1e-12, 1e-3))
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2**16))
+        make = partial(ScrambledProbe, seed)
+    else:
+        top = 1e3 if ceiling == math.inf else 1.5 * ceiling
+        switch = draw(st.floats(0.0, top) | st.just(math.inf))
+        band = draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, 1.0))
+        make = partial(RecordingProbe, switch, band)
+    # _gallop cannot place a cell at an infinite hint under an infinite ceiling.
+    hints = st.floats(0.0, 2e3) | st.just(0.0)
+    if ceiling < math.inf:
+        hints |= st.just(math.inf)
+    hint = draw(st.none() | hints)
+    return make, ceiling, tol, hint
+
+
 class TestBisectIndifference:
+    @given(searches())
+    @settings(deadline=None)
+    def test_asks_and_returns_what_the_wrapper_search_did(self, search):
+        make, ceiling, tol, hint = search
+        probe, ref = make(), make()
+        got = bisect_indifference(probe, ceiling, tol, hint)
+        assert got == ref_bisect_indifference(ref, ceiling, tol, hint)
+        assert probe.asked == ref.asked
+
+    def test_unhinted_search_asks_every_step_up_to_an_infinite_ceiling(self):
+        asked = []
+
+        def never_first(t: float) -> Preference:
+            asked.append(t)
+            return Preference.STRICTLY_PREFERS_SECOND
+
+        assert bisect_indifference(never_first, math.inf, 1e-9) is None
+        assert asked == [2.0**k for k in range(1024)] + [math.inf]
+
     def test_indifferent_probe_returns_at_once(self):
         probe = RecordingProbe(None)
         assert bisect_indifference(probe, 100.0, 1e-9) == (1.0, 0.0)

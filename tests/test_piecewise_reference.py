@@ -16,6 +16,8 @@ from dseu.acts import Event, GridAct, StepProfile, splice_event, splice_time
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel, profile_value
 from dseu.measure import INF, ExpMeasure, TimeSet
 
+from level_sets import level_set
+
 UTIL = {"a": 0.0, "b": 1.0, "c": -0.35}
 STATES = ("s0", "s1", "s2")
 # Shared grid points make cuts coincide often; 0 and inf give zero-width segments.
@@ -140,7 +142,7 @@ def test_flat_profiles_match_the_piecewise_reference(rows, t, event_states, even
             for at in (lo, 0.5 * (lo + hi) if hi < INF else lo + 1.0):
                 assert p.outcome_at(at) == ref_outcome_at(ref, at)
         for x in UTIL:
-            assert p.level_set(x) == ref_level_set(ref, x)
+            assert level_set(p, x) == ref_level_set(ref, x)
         assert profile_value(model.discount, model.utility, p) == ref_profile_value(model, ref)
         doc = serialize.profile_to_json(p)
         assert doc == ref_json(ref)

@@ -1,9 +1,10 @@
 """Row grouping and the two-act value memo against per-row references.
 
 The references value every row of an act separately, as the oracles did
-before rows were grouped and values remembered.  The fast path must give
+before rows were grouped and values remembered.  The fast paths must give
 exactly the same floats (``==``), whether the rows of an act are one shared
-object, equal but distinct objects, or all different.
+object (valued from that row alone), equal but distinct objects, or all
+different.
 """
 
 from collections.abc import Mapping
@@ -16,7 +17,14 @@ from hypothesis import strategies as st
 from dseu.acts import GridAct, StepProfile
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel, profile_value
 from dseu.measure import ExpMeasure
-from dseu.oracles import Capacity, ChoquetOracle, SEUOracle, WidenedOracle, choquet_value
+from dseu.oracles import (
+    Capacity,
+    ChoquetOracle,
+    SEUOracle,
+    WidenedOracle,
+    choquet_value,
+    subsets,
+)
 
 UTIL = {"a": 0.0, "b": 1.0, "c": -0.5, "d": 2.25}
 STATES = ("s0", "s1", "s2", "s3")
@@ -24,6 +32,8 @@ TIMES = st.one_of(
     st.sampled_from((0.25, 0.5, 1.0, 2.0, 3.5)),
     st.floats(min_value=1e-3, max_value=20.0),
 )
+# The identity tests run 150 examples, or the loaded profile's count when larger.
+IDENTITY_EXAMPLES = max(150, settings.default.max_examples)
 
 
 @st.composite
@@ -85,6 +95,56 @@ def oracles_with_reference(draw):
     return (lambda: WidenedOracle(base(), band)), reference
 
 
+LABELS = ("s0", "s1", "s2", "s10", "b", "a", "Z")
+
+
+@st.composite
+def deterministic_cases(draw):
+    """A model, a capacity on its states and an act paying one stream in every state.
+
+    The beliefs list the states in one order and the act in another; labels
+    sort unlike either.  Rows are one shared object, equal but distinct
+    copies, or a mix of the two; a null state is drawn half the time.
+    """
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=6, unique=True))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(labels), max_size=len(labels)))
+    if len(labels) > 1 and draw(st.booleans()):
+        raw[draw(st.integers(0, len(labels) - 1))] = 0.0
+    model = DSEUModel(
+        ExpMeasure(draw(st.floats(0.1, 3.0))),
+        UtilityModel(dict(UTIL)),
+        Beliefs({s: w / sum(raw) for s, w in zip(labels, raw)}),
+    )
+    if draw(st.booleans()):
+        capacity = Capacity.epsilon_contamination(model.beliefs, draw(st.floats(0.0, 0.5)))
+    else:
+        power = draw(st.sampled_from((0.5, 2.0, 3.0)))
+        weights = {
+            c: sum(model.beliefs(s) for s in labels if s in c) ** power for c in subsets(labels)
+        }
+        weights[frozenset(labels)] = 1.0
+        capacity = Capacity(tuple(labels), weights)
+    row = draw(profiles())
+    copies = draw(st.sampled_from(("shared", "copies", "mixed")))
+    rows = {}
+    for s in draw(st.permutations(labels)):
+        copy = copies == "copies" or (copies == "mixed" and draw(st.booleans()))
+        rows[s] = StepProfile(row.cuts, row.outs) if copy else row
+    return model, capacity, GridAct(rows)
+
+
+@settings(max_examples=IDENTITY_EXAMPLES, deadline=None)
+@given(deterministic_cases())
+def test_deterministic_act_values_equal_the_per_row_reference(case):
+    model, capacity, f = case
+    shared = all(p is f.row(f.states[0]) for p in f.profiles.values())
+    assert (f.shared_row() is not None) == shared
+    assert model.act_value(f) == ref_seu(model, f)
+    assert SEUOracle(model).value(f) == ref_seu(model, f)
+    choquet = ChoquetOracle(model.discount, model.utility, capacity)
+    assert choquet.value(f) == ref_choquet(choquet, f)
+
+
 def memo_of(oracle):
     return oracle.inner._memo if isinstance(oracle, WidenedOracle) else oracle._memo
 
@@ -95,7 +155,7 @@ def test_act_value_equals_the_per_row_sum(model, f):
     assert model.act_value(f) == ref_seu(model, f)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=IDENTITY_EXAMPLES, deadline=None)
 @given(oracles_with_reference(), acts())
 def test_oracle_value_equals_the_per_row_reference(made, f):
     make, reference = made
