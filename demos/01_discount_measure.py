@@ -22,7 +22,7 @@ for p in (0.25, 0.5, 0.9):
 
 print("\n== masses of interval unions are sums of survival differences ==")
 ts = TimeSet.from_pairs([(0.0, 0.5), (1.0, 2.0), (3.0, math.inf)])
-print(f"  set: {[(iv.lo, iv.hi) for iv in ts]}")
+print(f"  set: {list(ts)}")
 print(f"  mass = {rate.mass(ts):.6f}")
 print(f"  complement mass = {rate.mass(ts.complement()):.6f} (sums to 1)")
 

@@ -33,7 +33,7 @@ act = GridAct(
 
 print("== the act, row by row ==")
 for s in act.states:
-    pieces = [(iv.lo, iv.hi, out) for iv, out in act.row(s).pieces]
+    pieces = list(act.row(s).segments())
     print(f"  {s}: {pieces}")
 
 print("\n== same value in either integration order ==")

@@ -3,8 +3,11 @@
 A capacity that gives each color of the unknown urn weight 0.45 (instead of
 additive halves) strictly prefers the deterministic half-life stream - the
 time analogue of a known 50/50 bet - over betting on either color.  The same
-non-additivity shows up as a 0.1 residual in the elicitation audit, and the
-axiom audit pinpoints which behavioral conditions break.
+non-additivity shows up as a 0.1 residual in the elicitation audit, which
+flags the capacity.  The axiom audit cannot: its witnesses are deterministic
+acts, and on those every capacity weighs the whole state set 1, like an
+additive belief.  So it runs here on the additive decision maker, and on a
+value functional that breaks stationarity, which it does catch.
 """
 
 from dseu import (

@@ -5,12 +5,13 @@ finite grid: per state, a step profile given by its cut times
 ``0 < c_1 < ... < c_n < inf`` and the ``n + 1`` outcomes it pays on
 ``[0, c_1), [c_1, c_2), ..., [c_n, inf)``.  Sorted cuts tile ``[0, inf)`` by
 their structure, so a profile is checked once, by its constructor, and
-trusted everywhere else.  Every profile an operation here returns is
-canonical (no zero-width piece, no two equal neighbours): a spliced row is
-built once, by :meth:`StepProfile.canonical`, and a row passed through
-whole goes through :meth:`StepProfile.normalized`.  Deterministic acts
-have the same profile in every state; stochastic acts are constant over
-time.  Outcomes and states are opaque string labels.
+trusted everywhere else, as is the flat bounds tuple of an event's time set.
+Every profile an operation here returns is canonical (no zero-width piece,
+no two equal neighbours): a spliced row is built once, from runs of pieces
+copied by bisection, by :meth:`StepProfile.canonical`, and a row passed
+through whole goes through :meth:`StepProfile.normalized`.  Deterministic
+acts have the same profile in every state; stochastic acts are constant
+over time.  Outcomes and states are opaque string labels.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .measure import INF, TimeInterval, TimeSet
+from .measure import INF, TimeSet
 
 Outcome = str
 State = str
@@ -140,11 +141,6 @@ class StepProfile:
     def segments(self) -> Iterator[tuple[float, float, Outcome]]:
         """``(lo, hi, outcome)`` of each piece, in time order."""
         return zip((0.0, *self.cuts), (*self.cuts, INF), self.outs)
-
-    @property
-    def pieces(self) -> tuple[tuple[TimeInterval, Outcome], ...]:
-        """The pieces as ``(interval, outcome)`` pairs; a view for display and tests."""
-        return tuple((TimeInterval(lo, hi), out) for lo, hi, out in self.segments())
 
     def outcome_at(self, t: float) -> Outcome:
         if not t >= 0:
@@ -291,39 +287,6 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
     return GridAct(out)
 
 
-def refine(
-    profiles: Collection[StepProfile], time_sets: Collection[TimeSet] = ()
-) -> Iterator[tuple[float, float, tuple[Outcome, ...], tuple[bool, ...]]]:
-    """Cells ``(lo, hi, outcomes, inside)`` of the common refinement, in time order.
-
-    The cuts are every cut of any profile and every finite bound > 0 of an
-    interval of any time set.  ``outcomes[i]`` is what ``profiles[i]`` pays
-    on ``[lo, hi)`` and ``inside[j]`` whether ``time_sets[j]`` holds it.
-    Costs one sort of all bounds and one pass over them, so no row is looked
-    up again per cell.  Its one caller in the library is the CLI's act
-    matrix (``cli._render_matrix``); splicing and pasting copy runs of
-    pieces by bisection instead (:func:`_paste`).
-    """
-    n = len(profiles)
-    events = [(lo, i, x) for i, p in enumerate(profiles) for lo, x in zip((0.0, *p.cuts), p.outs)]
-    for j, ts in enumerate(time_sets, n):
-        for iv in ts:
-            events.append((iv.lo, j, True))
-            if iv.hi < INF:
-                events.append((iv.hi, j, False))
-    # Bounds of one row or one canonical set never repeat, so ties on
-    # (time, index) cannot happen and the sort never compares values.
-    events.sort()
-    now = [False] * (n + len(time_sets))
-    lo = 0.0
-    for t, k, value in events:
-        if t > lo:
-            yield lo, t, tuple(now[:n]), tuple(now[n:])
-            lo = t
-        now[k] = value
-    yield lo, INF, tuple(now[:n]), tuple(now[n:])
-
-
 def _paste(
     background: StepProfile,
     patches: Iterable[tuple[float, float, Sequence[float], Sequence[Outcome]]],
@@ -358,7 +321,7 @@ def _paste(
 
 def _overlay(top: StepProfile, times: TimeSet, bottom: StepProfile) -> StepProfile:
     """Profile equal to ``top`` on ``times`` and to ``bottom`` elsewhere."""
-    return _paste(bottom, [(iv.lo, iv.hi, top.cuts, top.outs) for iv in times])
+    return _paste(bottom, [(lo, hi, top.cuts, top.outs) for lo, hi in times])
 
 
 def splice_event(f: GridAct, event: Event, g: GridAct) -> GridAct:

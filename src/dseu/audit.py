@@ -290,7 +290,7 @@ def _pasted_profile(
     """
     return _paste(
         background,
-        sorted([(iv.lo, iv.hi, (), (out,)) for ts, out in patches for iv in ts]),
+        sorted([(lo, hi, (), (out,)) for ts, out in patches for lo, hi in ts]),
     )
 
 
@@ -360,7 +360,7 @@ def check_monotone_continuity(
             f"tail-continuity proxy needs a strict preference, oracle said {base.name}"
         )
     for n in range(1, horizon_max + 1):
-        tail = Event.on_times(TimeSet.from_pairs([(float(n), INF)]))
+        tail = Event.on_times(TimeSet((float(n), INF)))
         patched_f = splice_event(GridAct.constant(f.states, x), tail, f)
         patched_g = splice_event(GridAct.constant(g.states, x), tail, g)
         a1 = oracle.compare(patched_f, g)

@@ -67,11 +67,11 @@ def _runs(
 
 
 def _bin_sets(runs: list[tuple[float, float, int]], n_bins: int) -> list[TimeSet]:
-    """One time set per bin, its intervals the bin's runs."""
-    members: list[list[TimeInterval]] = [[] for _ in range(n_bins)]
+    """One time set per bin, its bounds those of the bin's runs."""
+    members: list[list[float]] = [[] for _ in range(n_bins)]
     for lo, hi, b in runs:
-        members[b].append(TimeInterval(lo, hi))
-    return [TimeSet(tuple(ivs)) for ivs in members]
+        members[b] += (lo, hi)
+    return [TimeSet(tuple(bounds)) for bounds in members]
 
 
 def utility_bins(model: DSEUModel, profile: StepProfile, n_bins: int) -> list[TimeSet]:
@@ -99,8 +99,8 @@ def independent_selection(
         raise ValueError(f"target fraction must be >= 0, got {p_target!r}")
     if p_target >= 1.0:
         raise ValueError(f"target fraction must stay below 1, got {p_target}")
-    parts = [rate.prefix_fraction(iv, p_target) for bin_set in bins for iv in bin_set]
-    return TimeSet.of(part for part in parts if part is not None)
+    parts = [rate.prefix_fraction(TimeInterval(*iv), p_target) for ts in bins for iv in ts]
+    return TimeSet.from_pairs((part.lo, part.hi) for part in parts if part is not None)
 
 
 def _prefix_end(

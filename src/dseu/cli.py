@@ -15,7 +15,7 @@ from typing import Any
 
 from . import serialize
 from .aa import aa_value, independence_witness, reduce_act
-from .acts import GridAct, StepProfile, refine
+from .acts import GridAct, StepProfile
 from .audit import run_audit
 from .bracketing import bracket_act, bracket_profile
 from .elicitation import run_session, section2_demo
@@ -59,8 +59,9 @@ def _emit(doc: Any, out: str | None) -> None:
 def _render_matrix(act: GridAct) -> str:
     width = max(len(lbl) for lbl in (*act.states, *act.outcomes))
     lines = ["    " + " ".join(s.rjust(width) for s in act.states) + "  | period"]
-    for lo, hi, outcomes, _ in refine(act.profiles.values()):
-        row = " ".join(x.rjust(width) for x in outcomes)
+    cuts = sorted({c for p in act.profiles.values() for c in p.cuts})
+    for lo, hi in zip([0.0, *cuts], [*cuts, math.inf]):
+        row = " ".join(p.outcome_at(lo).rjust(width) for p in act.profiles.values())
         hi_txt = "inf" if math.isinf(hi) else f"{hi:.6g}"
         lines.append(f"    {row}  | [{lo:.6g}, {hi_txt})")
     return "\n".join(lines)

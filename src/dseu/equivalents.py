@@ -92,17 +92,20 @@ def _gallop(
 ) -> tuple[float, float]:
     """Times near ``hint`` that bracket the switch, as ``(lo, hi)``.
 
-    ``lo`` is the highest time the probe answered "second" (else 0) and
-    ``hi`` the lowest it answered "first" (else infinity).  The probes sit
-    on the grid of the search's final bracket width: the top of the hint's
-    cell and then up to one more point above, widening 4x, until the probe
-    answers "first"; then the bottom of the cell and up to one more point
-    below, until it answers "second".  An indifferent answer ends the
-    gallop and is dropped.
+    ``lo`` is the highest time the probe answered "second" and ``hi`` the
+    lowest it answered "first", each NaN if none did (both are, unasked, for
+    a hint with no finite cell).  The probes sit on the grid of the search's
+    final bracket width: the top of the hint's cell and then up to one more
+    point above, widening 4x, until the probe answers "first"; then the
+    bottom of the cell and up to one more point below, until it answers
+    "second".  An indifferent answer ends the gallop and is dropped.
     """
+    lo = hi = math.nan
     grid = 2.0 ** math.floor(math.log2(tol))
-    cell = math.floor(min(max(hint, 0.0), ceiling) / grid) * grid
-    lo, hi = 0.0, math.inf
+    cell = min(max(hint, 0.0), ceiling) / grid
+    if not math.isfinite(cell):
+        return lo, hi
+    cell = math.floor(cell) * grid
     for t in (cell + grid, cell + 4 * grid):
         t = min(t, ceiling)
         answer = probe(t)
@@ -113,7 +116,7 @@ def _gallop(
         lo = t
         if t == ceiling:
             break
-    if lo > 0.0 or hi == math.inf:
+    if not math.isnan(lo) or math.isnan(hi):
         return lo, hi
     for t in (cell, cell - 4 * grid):
         if t <= 0.0:
@@ -151,9 +154,10 @@ def bisect_indifference(
     weakly monotone in ``t`` (second, then indifferent, then first), those
     are the answers it would have given, so the result equals the unhinted
     one bit for bit, with at most four probes more; a good hint saves most
-    of them.  Without a hint every step is asked, also at ``t = inf``.
+    of them.  Every step the gallop's answers do not cover is asked, also
+    at ``t = inf``.
     """
-    # Without a hint both bounds are NaN, and every comparison with NaN is false.
+    # A bound no answer gave is NaN, and every comparison with NaN is false.
     second_below = first_above = math.nan
     if hint is not None:
         second_below, first_above = _gallop(probe, hint, ceiling, tol)

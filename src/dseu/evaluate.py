@@ -133,7 +133,7 @@ class DSEUModel:
         """Time-first order: expectation over a common time refinement.
 
         Sums cell mass times the believed mean utility over each cell of the
-        rows' common refinement (the cells of :func:`~dseu.acts.refine`).
+        rows' common refinement (between consecutive cuts of any row).
         One sorted pass over every row's cuts keeps the terms
         ``belief * utility`` of the current cell, one per row in state order,
         and replaces one term per cut; each cell adds

@@ -10,6 +10,8 @@ closed form, so no numerical integration happens anywhere in this module.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +23,18 @@ def _require_finite(name: str, x: float) -> None:
         raise ValueError(f"{name} must be finite, got {x!r}")
 
 
+def _interval(lo: float, hi: float) -> tuple[float, float]:
+    """``(lo, hi)``, checked to be an interval with ``0 <= lo < hi <= inf``."""
+    _require_finite("interval lower bound", lo)
+    if lo < 0:
+        raise ValueError(f"interval lower bound must be >= 0, got {lo}")
+    if math.isnan(hi):
+        raise ValueError("interval upper bound is NaN")
+    if not lo < hi:
+        raise ValueError(f"empty or inverted interval [{lo}, {hi})")
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class TimeInterval:
     """Half-open interval ``[lo, hi)`` with ``0 <= lo < hi <= inf``."""
@@ -29,65 +43,37 @@ class TimeInterval:
     hi: float
 
     def __post_init__(self) -> None:
-        _require_finite("interval lower bound", self.lo)
-        if self.lo < 0:
-            raise ValueError(f"interval lower bound must be >= 0, got {self.lo}")
-        if math.isnan(self.hi):
-            raise ValueError("interval upper bound is NaN")
-        if not self.lo < self.hi:
-            raise ValueError(f"empty or inverted interval [{self.lo}, {self.hi})")
-
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.hi)
-
-    def shift(self, t: float) -> TimeInterval:
-        return TimeInterval(self.lo + t, self.hi + t)
-
-    def contains(self, t: float) -> bool:
-        return self.lo <= t < self.hi
-
-    def intersect(self, other: TimeInterval) -> TimeInterval | None:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return TimeInterval(lo, hi) if lo < hi else None
+        _interval(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
 class TimeSet:
-    """Finite disjoint union of half-open intervals, kept in canonical form.
+    """Finite disjoint union of half-open intervals, as one flat tuple of bounds.
 
-    Canonical means sorted by lower bound with a strict gap between
-    consecutive intervals (touching intervals are merged).  The empty tuple
-    is the empty set.  Use :meth:`of` to build one from arbitrary intervals;
-    the bare constructor validates canonicity instead of repairing it.
+    ``bounds`` is ``(lo0, hi0, lo1, hi1, ...)``, even in length, at least 0
+    and strictly increasing: touching intervals are merged, and only the
+    last bound may be ``inf``.  Iterating yields the ``(lo, hi)`` pairs.
+    The bare constructor validates the bounds; :meth:`from_pairs` builds a
+    set from arbitrary intervals.
     """
 
-    intervals: tuple[TimeInterval, ...] = ()
+    bounds: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if not a.hi < b.lo:
-                raise ValueError(
-                    f"intervals not canonical: [{a.lo},{a.hi}) then [{b.lo},{b.hi})"
-                )
-
-    @classmethod
-    def of(cls, intervals: Iterable[TimeInterval]) -> TimeSet:
-        """Union of arbitrary intervals, canonicalized."""
-        items = sorted(intervals, key=lambda iv: iv.lo)
-        merged: list[TimeInterval] = []
-        for iv in items:
-            if merged and iv.lo <= merged[-1].hi:
-                last = merged.pop()
-                merged.append(TimeInterval(last.lo, max(last.hi, iv.hi)))
-            else:
-                merged.append(iv)
-        return cls(tuple(merged))
+        b = self.bounds
+        if len(b) % 2 or (b and not (0.0 <= b[0] and all(map(operator.lt, b, b[1:])))):
+            raise ValueError(f"bounds must be even in number, >= 0 and strictly increasing: {b!r}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[float, float]]) -> TimeSet:
-        return cls.of(TimeInterval(lo, hi) for lo, hi in pairs)
+        """Union of ``(lo, hi)`` intervals, each checked as a :class:`TimeInterval`, sorted and merged."""
+        bounds: list[float] = []
+        for lo, hi in sorted([_interval(lo, hi) for lo, hi in pairs], key=operator.itemgetter(0)):
+            if bounds and lo <= bounds[-1]:
+                bounds[-1] = max(bounds[-1], hi)
+            else:
+                bounds += (lo, hi)
+        return cls(tuple(bounds))
 
     @classmethod
     def empty(cls) -> TimeSet:
@@ -95,51 +81,51 @@ class TimeSet:
 
     @classmethod
     def full(cls) -> TimeSet:
-        return cls((TimeInterval(0.0, INF),))
+        return cls((0.0, INF))
 
-    def __iter__(self) -> Iterator[TimeInterval]:
-        return iter(self.intervals)
+    def __iter__(self) -> Iterator[tuple[float, float]]:
+        return zip(self.bounds[::2], self.bounds[1::2])
 
     def __bool__(self) -> bool:
-        return bool(self.intervals)
+        return bool(self.bounds)
 
     @property
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not self.bounds
 
     def contains(self, t: float) -> bool:
-        return any(iv.contains(t) for iv in self.intervals)
+        # Inside exactly when an odd number of bounds lie at or below t.
+        return bisect_right(self.bounds, t) % 2 == 1
 
     def shift(self, t: float) -> TimeSet:
         if t < 0:
             raise ValueError(f"shift must be >= 0, got {t}")
-        return TimeSet(tuple(iv.shift(t) for iv in self.intervals))
+        return TimeSet(tuple([b + t for b in self.bounds]))
 
     def union(self, other: TimeSet) -> TimeSet:
-        return TimeSet.of((*self.intervals, *other.intervals))
+        # The sort in from_pairs merges the two sorted runs in one linear pass.
+        return TimeSet.from_pairs((*self, *other))
 
     def intersect(self, other: TimeSet) -> TimeSet:
-        out = []
-        for a in self.intervals:
-            for b in other.intervals:
-                if b.lo >= a.hi:
-                    break
-                got = a.intersect(b)
-                if got is not None:
-                    out.append(got)
+        a, b = self.bounds, other.bounds
+        out: list[float] = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            lo, hi = max(a[i], b[j]), min(a[i + 1], b[j + 1])
+            if lo < hi:
+                out += (lo, hi)
+            if a[i + 1] < b[j + 1]:
+                i += 2
+            else:
+                j += 2
         return TimeSet(tuple(out))
 
     def complement(self) -> TimeSet:
         """Complement within the whole horizon ``[0, inf)``."""
-        gaps: list[TimeInterval] = []
-        cursor = 0.0
-        for iv in self.intervals:
-            if cursor < iv.lo:
-                gaps.append(TimeInterval(cursor, iv.lo))
-            cursor = iv.hi
-        if cursor < INF:
-            gaps.append(TimeInterval(cursor, INF))
-        return TimeSet(tuple(gaps))
+        b = self.bounds
+        b = b[1:] if b and b[0] == 0.0 else (0.0, *b)
+        b = b[:-1] if b and b[-1] == INF else (*b, INF)
+        return TimeSet(b)
 
 
 @dataclass(frozen=True)
@@ -184,7 +170,7 @@ class ExpMeasure:
     def mass(self, a: TimeSet | TimeInterval) -> float:
         if isinstance(a, TimeInterval):
             return self.interval_mass(a)
-        return sum(self.interval_mass(iv) for iv in a.intervals)
+        return sum([self.sf(lo) - self.sf(hi) for lo, hi in a])
 
     def split(
         self, iv: TimeInterval, weights: Sequence[float]
@@ -229,7 +215,7 @@ class ExpMeasure:
         """Tile a mass-zero interval into ``n`` pieces (any tiling is exact)."""
         if n <= 1:
             return [iv]
-        if iv.bounded:
+        if iv.hi < INF:
             width = (iv.hi - iv.lo) / n
             bounds = [iv.lo + k * width for k in range(n)]
         else:

@@ -80,17 +80,12 @@ class ActSampler:
     def disjoint_time_sets(self, rng: random.Random) -> tuple[TimeSet, TimeSet] | None:
         """Two nonempty disjoint sets from alternating quantile slices, or ``None``."""
         for _ in range(DISJOINT_ATTEMPTS):
-            cuts = self.breakpoints(rng, rng.randint(2, 6) * 2)
-            cuts = sorted(set(cuts))
-            pairs = [
-                (lo, hi) for lo, hi in zip(cuts[::2], cuts[1::2]) if lo < hi
-            ]
-            if len(pairs) < 2:
-                continue
-            first = TimeSet.from_pairs(pairs[0::2])
-            second = TimeSet.from_pairs(pairs[1::2])
-            if not first.is_empty and not second.is_empty:
-                return first, second
+            cuts = sorted(set(self.breakpoints(rng, rng.randint(2, 6) * 2)))
+            if len(cuts) >= 4:
+                pairs = [cuts[k : k + 2] for k in range(0, len(cuts) - 1, 2)]
+                # Tuples from lists, not iterators (see StepProfile.from_breakpoints).
+                first, second = [[c for p in pairs[j::2] for c in p] for j in (0, 1)]
+                return TimeSet(tuple(first)), TimeSet(tuple(second))
         return None
 
     def splice_time_point(self, rng: random.Random) -> float:

@@ -109,7 +109,7 @@ def _bound_in(x: Any) -> float:
 
 
 def time_set_to_json(ts: TimeSet) -> list[list[float | str]]:
-    return [[iv.lo, _bound_out(iv.hi)] for iv in ts]
+    return [[lo, _bound_out(hi)] for lo, hi in ts]
 
 
 def time_set_from_json(doc: Any) -> TimeSet:

@@ -345,6 +345,6 @@ class TestTilingPreserved:
                     # construction re-validates the tiling invariant
                     StepProfile(act.row(s).cuts, act.row(s).outs)
                     assert measure.mass(TimeSet.full()) == pytest.approx(
-                        sum(measure.interval_mass(iv) for iv, _ in act.row(s).pieces),
+                        sum(measure.sf(lo) - measure.sf(hi) for lo, hi, _ in act.row(s).segments()),
                         abs=1e-12,
                     )

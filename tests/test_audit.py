@@ -9,7 +9,7 @@ import signal
 import pytest
 
 from dseu import acts, audit, evaluate, oracles
-from dseu.acts import GridAct, StepProfile, refine
+from dseu.acts import GridAct, StepProfile
 from dseu.audit import (
     FAIL,
     INCONCLUSIVE,
@@ -36,6 +36,8 @@ from dseu.oracles import (
 )
 from dseu.sampling import ActSampler
 
+from refinement import refine
+
 STATES = ("s0", "s1", "s2")
 UTIL = {"a": 0.0, "b": 1.0, "c": 0.4}
 
@@ -50,8 +52,8 @@ def seu_model(rate=1.0, probs=(0.5, 0.3, 0.2), util=None) -> DSEUModel:
 
 def clipped_row_value(model: DSEUModel, row: StepProfile, lo: float, hi: float) -> float:
     total = 0.0
-    for iv, out in row.pieces:
-        a, b = max(iv.lo, lo), min(iv.hi, hi)
+    for p_lo, p_hi, out in row.segments():
+        a, b = max(p_lo, lo), min(p_hi, hi)
         if a < b:
             total += model.discount.interval_mass(TimeInterval(a, b)) * model.utility(out)
     return total

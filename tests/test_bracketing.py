@@ -41,7 +41,7 @@ def random_profile(rng, outcomes, max_pieces=6) -> StepProfile:
 # -- the selection reference ---------------------------------------------------
 # utility_bins and bracket_profile as they were before the one-pass run
 # construction: one interval per piece merged by TimeSet.from_pairs, and every
-# portion carved by ExpMeasure.prefix_fraction and merged by TimeSet.of.
+# portion carved by ExpMeasure.prefix_fraction and merged by TimeSet.from_pairs.
 
 
 def ref_utility_bins(model, profile, n_bins):
@@ -60,16 +60,16 @@ def ref_utility_bins(model, profile, n_bins):
 def ref_selection(rate, bins, fracs):
     picked = []
     for bin_set, frac in zip(bins, fracs):
-        for iv in bin_set:
-            part = rate.prefix_fraction(iv, frac)
+        for lo, hi in bin_set:
+            part = rate.prefix_fraction(TimeInterval(lo, hi), frac)
             if part is not None:
-                picked.append(part)
-    return TimeSet.of(picked)
+                picked.append((part.lo, part.hi))
+    return TimeSet.from_pairs(picked)
 
 
 def ref_two_level_profile(inside, best, worst):
-    bounds = [x for iv in inside for x in (iv.lo, iv.hi)]
-    outs = [worst, best] * len(inside.intervals) + [worst]
+    bounds = list(inside.bounds)
+    outs = [worst, best] * (len(bounds) // 2) + [worst]
     return StepProfile.from_breakpoints(bounds, outs).normalized()
 
 
@@ -164,9 +164,9 @@ class TestIndependentSelection:
     def test_single_bin_prefix(self):
         rate = ExpMeasure(1.0)
         got = independent_selection(rate, [TimeSet.full()], 0.5)
-        assert len(got.intervals) == 1
-        assert got.intervals[0].lo == 0.0
-        assert got.intervals[0].hi == pytest.approx(rate.quantile(0.5), abs=1e-12)
+        assert len(got.bounds) == 2
+        assert got.bounds[0] == 0.0
+        assert got.bounds[1] == pytest.approx(rate.quantile(0.5), abs=1e-12)
 
     def test_per_bin_mass_ratios(self):
         rng = random.Random(74)
@@ -248,8 +248,8 @@ class TestBracketProfile:
         def pasted(rate, bins, fractions, best, worst):
             union = TimeSet.empty()
             for bin_set, frac in zip(bins, fractions):
-                parts = [rate.prefix_fraction(iv, frac) for iv in bin_set]
-                union = union.union(TimeSet.of(p for p in parts if p is not None))
+                parts = [rate.prefix_fraction(TimeInterval(lo, hi), frac) for lo, hi in bin_set]
+                union = union.union(TimeSet.from_pairs((p.lo, p.hi) for p in parts if p is not None))
             return ref_two_level_profile(union, best, worst)
 
         rng = random.Random(80)

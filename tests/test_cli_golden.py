@@ -28,6 +28,7 @@ CASES = {
     "audit_seu": ["audit", "oracle_seu.json", "--samples", "20", "--seed", "7"],
     "audit_choquet": ["audit", "oracle_choquet.json", "--samples", "20", "--seed", "7"],
     "bracket": ["bracket", "model.json", "act.json", "--bins", "16"],
+    "bracket_profile": ["bracket", "model.json", "stream.json", "--bins", "4", "--mode", "profile"],
     "aa": ["aa", "model.json", "act.json", "--witnesses"],
     "demo_section2": ["demo-section2"],
     "demo_ellsberg": ["demo-ellsberg"],

@@ -6,7 +6,7 @@ import re
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dseu.acts import GridAct, StepProfile
@@ -239,22 +239,26 @@ class RecordingProbe:
 
 @st.composite
 def hinted_searches(draw):
-    """A monotone probe's switch and band, a ceiling, a tolerance and a hint."""
-    ceiling = draw(st.floats(1e-3, 1e3))
+    """A monotone probe's switch and band, a ceiling (also infinite), a tolerance and a hint."""
+    ceiling = draw(st.floats(1e-3, 1e3) | st.just(math.inf))
+    # Switches, bands and hints are drawn on the finite part of the range.
+    span = min(ceiling, 1e3)
     tol = draw(st.floats(1e-12, 1e-3))
     switch = draw(
-        st.floats(0.0, 1.5 * ceiling)
+        st.floats(0.0, 1.5 * span)
         | st.integers(0, 2**12).map(lambda k: k / 2**6)
+        | st.just(math.inf)
     )
-    band = draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, ceiling))
+    band = draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, span))
     grid = 2.0 ** math.floor(math.log2(tol))
     hint = draw(
         st.just(switch)
         | st.integers(-40, 40).map(lambda k: max(0.0, switch + k * grid))
-        | st.floats(0.0, 2.0 * ceiling)
+        | st.floats(0.0, 2.0 * span)
         | st.just(0.0)
-        | st.floats(1.0, 1e6).map(lambda k: ceiling * k)
+        | st.floats(1.0, 1e6).map(lambda k: span * k)
         | st.just(math.inf)
+        | st.just(math.nan)
     )
     return switch, band, ceiling, tol, hint
 
@@ -322,11 +326,7 @@ def searches(draw):
         switch = draw(st.floats(0.0, top) | st.just(math.inf))
         band = draw(st.just(0.0) | st.floats(0.0, 1e-3) | st.floats(0.0, 1.0))
         make = partial(RecordingProbe, switch, band)
-    # _gallop cannot place a cell at an infinite hint under an infinite ceiling.
-    hints = st.floats(0.0, 2e3) | st.just(0.0)
-    if ceiling < math.inf:
-        hints |= st.just(math.inf)
-    hint = draw(st.none() | hints)
+    hint = draw(st.none() | st.floats(0.0, 2e3) | st.just(0.0) | st.just(math.inf))
     return make, ceiling, tol, hint
 
 
@@ -380,6 +380,10 @@ class TestBisectIndifference:
         assert len(probe.asked) == doublings + halvings
 
     @given(hinted_searches())
+    @example((math.inf, 0.0, math.inf, 1e-9, 5.0))
+    @example((math.inf, 0.0, math.inf, 1e-9, math.inf))
+    @example((5.0, 0.0, math.inf, 1e-9, math.inf))
+    @example((5.0, 0.0, math.inf, 1e-9, 1e300))
     @settings(deadline=None)
     def test_hint_keeps_the_result_and_costs_at_most_four_probes(self, search):
         switch, band, ceiling, tol, hint = search

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseu.acts import Event, GridAct, StepProfile, refine, splice_event, splice_time
+from dseu.acts import Event, GridAct, StepProfile, splice_event, splice_time
 from dseu.evaluate import (
     Beliefs,
     DSEUModel,
@@ -18,6 +18,8 @@ from dseu.evaluate import (
     profile_value,
 )
 from dseu.measure import INF, ExpMeasure, TimeSet
+
+from refinement import refine
 
 STATES = ("s0", "s1", "s2", "s3")
 UTIL = {"a": 0.0, "b": 1.0, "c": -0.5, "d": 2.25}
@@ -54,8 +56,8 @@ def quad_profile_value(rate: float, profile: StepProfile, horizon=60.0, cells=1_
     Cells are laid out piecewise so none straddles a jump of the step function.
     """
     total = 0.0
-    for iv, out in profile.pieces:
-        lo, hi = iv.lo, min(iv.hi, horizon)
+    for lo, hi, out in profile.segments():
+        hi = min(hi, horizon)
         if lo >= hi:
             continue
         n = max(1, int(cells * (hi - lo) / horizon))

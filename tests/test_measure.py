@@ -32,20 +32,24 @@ class TestIntervalAndSet:
 
     def test_canonicalization_merges_touching(self):
         ts = TimeSet.from_pairs([(1.0, 2.0), (0.0, 1.0), (3.0, INF)])
-        assert ts.intervals == (TimeInterval(0.0, 2.0), TimeInterval(3.0, INF))
+        assert ts.bounds == (0.0, 2.0, 3.0, INF)
 
     def test_strict_constructor_rejects_touching(self):
         with pytest.raises(ValueError):
-            TimeSet((TimeInterval(0.0, 1.0), TimeInterval(1.0, 2.0)))
+            TimeSet((0.0, 1.0, 1.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [(0.0, 1.0, 2.0), (-1.0, 1.0), (math.nan, 1.0), (0.0, math.nan), (0.0, INF, 5.0, 6.0), (2.0, 1.0)],
+    )
+    def test_strict_constructor_rejects_bad_bounds(self, bounds):
+        with pytest.raises(ValueError):
+            TimeSet(bounds)
 
     def test_complement_roundtrip(self):
         ts = TimeSet.from_pairs([(0.5, 1.0), (2.0, 4.0)])
         comp = ts.complement()
-        assert comp.intervals == (
-            TimeInterval(0.0, 0.5),
-            TimeInterval(1.0, 2.0),
-            TimeInterval(4.0, INF),
-        )
+        assert comp.bounds == (0.0, 0.5, 1.0, 2.0, 4.0, INF)
         assert comp.complement() == ts
         assert ts.union(comp) == TimeSet.full()
         assert ts.intersect(comp).is_empty

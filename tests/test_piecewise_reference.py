@@ -64,7 +64,7 @@ def ref_splice_time(head, t, tail):
 def ref_overlay(top, times, bottom):
     """``top`` on ``times`` and ``bottom`` elsewhere, looked up per cell."""
     bounds = {b for lo, hi, _ in top + bottom for b in (lo, hi)}
-    bounds |= {b for iv in times for b in (iv.lo, iv.hi)}
+    bounds |= set(times.bounds)
     bounds = sorted(bounds)
     return ref_normalized(
         [

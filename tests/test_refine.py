@@ -1,17 +1,20 @@
-"""The common-refinement sweep against naive per-cell references.
+"""The common-refinement sweep and the code it checks, against naive per-cell references.
 
 Each reference collects every cut, then looks every row and time set up
-again at the left end of each cell.  The sweep must give exactly the same
-cells and, through them, bit-identical profiles and values.
+again at the left end of each cell.  The sweep (``refinement.refine``, the
+reference of the one-pass valuations) must give exactly the same cells, and
+splices, pastes and the time-first value bit-identical profiles and values.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseu.acts import GridAct, StepProfile, _overlay, refine
+from dseu.acts import GridAct, StepProfile, _overlay
 from dseu.audit import _pasted_profile
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
+
+from refinement import refine
 
 OUTCOMES = ("a", "b", "c")
 STATES = ("s0", "s1", "s2")
@@ -38,16 +41,16 @@ def disjoint_time_sets(draw, min_sets=0, max_sets=3):
         cuts.insert(0, 0.0)
     if len(cuts) % 2:
         cuts.append(INF)
-    members: list[list[TimeInterval]] = [[] for _ in range(n)]
+    members: list[list[float]] = [[] for _ in range(n)]
     for lo, hi in zip(cuts[::2], cuts[1::2]):
         if n:
-            members[draw(st.integers(0, n - 1))].append(TimeInterval(lo, hi))
-    return [TimeSet(tuple(ivs)) for ivs in members]
+            members[draw(st.integers(0, n - 1))] += (lo, hi)
+    return [TimeSet(tuple(bounds)) for bounds in members]
 
 
 def naive_bounds(rows, time_sets):
     cuts = {b for p in rows for b in p.cuts}
-    cuts |= {x for ts in time_sets for iv in ts for x in (iv.lo, iv.hi)}
+    cuts |= {x for ts in time_sets for x in ts.bounds}
     return [0.0, *sorted(c for c in cuts if 0.0 < c < INF), INF]
 
 
@@ -120,10 +123,10 @@ def touching_time_sets(draw):
     """Disjoint sets from one chain of cuts with no gaps, so intervals of different sets touch."""
     cuts = sorted(set(draw(st.lists(TIMES, min_size=1, max_size=8))))
     bounds = [0.0, *cuts, INF] if draw(st.booleans()) else cuts
-    members: list[list[TimeInterval]] = [[], []]
+    members: list[list[tuple[float, float]]] = [[], []]
     for lo, hi in zip(bounds, bounds[1:]):
-        members[draw(st.integers(0, 1))].append(TimeInterval(lo, hi))
-    return [TimeSet.of(ivs) for ivs in members]
+        members[draw(st.integers(0, 1))].append((lo, hi))
+    return [TimeSet.from_pairs(pairs) for pairs in members]
 
 
 @given(profiles(), touching_time_sets(), st.lists(st.sampled_from(OUTCOMES), min_size=2, max_size=2))

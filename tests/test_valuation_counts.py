@@ -75,7 +75,7 @@ def test_bisection_values_each_row_of_the_fixed_act_once(rows):
 
     m = model(states)
     f = GridAct({s: row() for s in states})
-    assert all(len(f.row(s).pieces) > 300 for s in states)
+    assert all(len(f.row(s).outs) > 300 for s in states)
     oracle = CountingOracle(SEUOracle(m))
     te = time_equivalent_bisect(oracle, f, "hi", "lo", rate=m.discount)
     assert [sum(p is f.row(s) for p in rows) for s in states] == [1, 1, 1]
