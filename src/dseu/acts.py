@@ -21,7 +21,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .measure import INF, TimeSet
 
@@ -104,7 +104,10 @@ class StepProfile:
         Drops the zero-width segments, checks the cuts that remain (also a
         cut between two equal outcomes, which the merge then drops), and
         merges equal neighbours.  Raises ``ValueError`` on exactly the inputs
-        on which that chain raises.
+        on which that chain raises.  The loop checks every cut it keeps (above
+        0, below ``inf``, strictly increasing) and keeps one outcome more than
+        cuts, so the result is built without running the constructor's check
+        again.
         """
         bounds = [0.0, *breakpoints, INF]
         outs = list(outcomes)
@@ -126,7 +129,10 @@ class StepProfile:
                     continue
                 cuts.append(lo)
             runs.append(out)
-        return cls(tuple(cuts), tuple(runs))
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "cuts", tuple(cuts))
+        object.__setattr__(profile, "outs", tuple(runs))
+        return profile
 
     def normalized(self) -> StepProfile:
         """Drop each cut between equal outcomes (same pointwise value); ``self`` if none."""
@@ -185,18 +191,6 @@ class GridAct:
         rows = list(self.profiles.values())
         first = rows[0]
         return first if all(map(operator.is_, rows, repeat(first))) else None
-
-    def row_values(self, value: Callable[[StepProfile], float]) -> dict[State, float]:
-        """``value`` of each state's row, called once per distinct row object."""
-        # Keyed by id(): the act keeps every row alive for the whole call.
-        done: dict[int, float] = {}
-        out: dict[State, float] = {}
-        for s, p in self.profiles.items():
-            v = done.get(id(p))
-            if v is None:
-                v = done[id(p)] = value(p)
-            out[s] = v
-        return out
 
     def at(self, state: State, t: float) -> Outcome:
         return self.profiles[state].outcome_at(t)
@@ -301,22 +295,34 @@ def _paste(
     """
     starts: list[float] = []
     outs: list[Outcome] = []
-
-    def copy(cuts: Sequence[float], src: Sequence[Outcome], lo: float, hi: float) -> None:
-        i, j = bisect_right(cuts, lo), bisect_left(cuts, hi)
-        starts.append(lo)
-        starts.extend(cuts[i:j])
-        outs.extend(src[i : j + 1])
-
     at = 0.0
     for lo, hi, cuts, src in patches:
         if at < lo:
-            copy(background.cuts, background.outs, at, lo)
-        copy(cuts, src, lo, hi)
+            _copy_run(starts, outs, background.cuts, background.outs, at, lo)
+        _copy_run(starts, outs, cuts, src, lo, hi)
         at = hi
     if at < INF:
-        copy(background.cuts, background.outs, at, INF)
+        _copy_run(starts, outs, background.cuts, background.outs, at, INF)
     return StepProfile.canonical(starts[1:], outs)
+
+
+def _copy_run(
+    starts: list[float],
+    outs: list[Outcome],
+    cuts: Sequence[float],
+    src: Sequence[Outcome],
+    lo: float,
+    hi: float,
+) -> None:
+    """Append the pieces of the profile ``(cuts, src)`` on ``[lo, hi)`` to ``starts`` and ``outs``.
+
+    The run starts at ``lo``; its other starts are the cuts inside
+    ``(lo, hi)``, found by one pair of bisections.
+    """
+    i, j = bisect_right(cuts, lo), bisect_left(cuts, hi)
+    starts.append(lo)
+    starts.extend(cuts[i:j])
+    outs.extend(src[i : j + 1])
 
 
 def _overlay(top: StepProfile, times: TimeSet, bottom: StepProfile) -> StepProfile:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 from .acts import (
@@ -20,7 +21,7 @@ from .acts import (
     Outcome,
     State,
     StepProfile,
-    _paste,
+    _copy_run,
     splice_event,
     splice_time,
 )
@@ -280,18 +281,51 @@ def check_dominance(
     )
 
 
-def _pasted_profile(
-    background: StepProfile, patches: list[tuple[TimeSet, Outcome]]
-) -> StepProfile:
-    """Background stream overwritten by constant patches on disjoint time sets.
+def _swapped_pastes(
+    first: TimeSet, second: TimeSet
+) -> Callable[[StepProfile, Outcome, Outcome], tuple[StepProfile, StepProfile]]:
+    """Builder of the two witnesses on one pair of disjoint time sets.
 
-    The patch intervals are sorted once; the background's cuts and outcomes
-    between and around them are copied by bisection (``acts._paste``).
+    The intervals of both sets are sorted once, here.  The returned function
+    maps a background stream and an outcome pair ``(better, worse)`` to the
+    stream paying ``better`` on ``first`` and ``worse`` on ``second``, and
+    the stream paying them the other way round; both pay the background
+    elsewhere.  Each is ``acts._paste`` of the background with those
+    constant patches, and both come from one walk over the background's
+    cuts, whose runs between the patches they share.
     """
-    return _paste(
-        background,
-        sorted([(lo, hi, (), (out,)) for ts, out in patches for lo, hi in ts]),
+    spans = sorted(
+        [
+            *zip(first.bounds[::2], first.bounds[1::2], repeat(True)),
+            *zip(second.bounds[::2], second.bounds[1::2], repeat(False)),
+        ]
     )
+
+    def build(
+        background: StepProfile, better: Outcome, worse: Outcome
+    ) -> tuple[StepProfile, StepProfile]:
+        cuts, src = background.cuts, background.outs
+        starts: list[float] = []
+        left: list[Outcome] = []
+        right: list[Outcome] = []
+        at = 0.0
+        for lo, hi, on_first in spans:
+            if at < lo:
+                n = len(left)
+                _copy_run(starts, left, cuts, src, at, lo)
+                right += left[n:]
+            starts.append(lo)
+            left.append(better if on_first else worse)
+            right.append(worse if on_first else better)
+            at = hi
+        if at < INF:
+            n = len(left)
+            _copy_run(starts, left, cuts, src, at, INF)
+            right += left[n:]
+        del starts[0]
+        return StepProfile.canonical(starts, left), StepProfile.canonical(starts, right)
+
+    return build
 
 
 def check_t_separability(
@@ -321,13 +355,12 @@ def check_t_separability(
             note = f"no two disjoint time sets in {DISJOINT_ATTEMPTS} sampler draws"
             verdict = FAIL if violations else INCONCLUSIVE
             return CheckReport("t_separability", done, violations, verdict, note)
-        first, second = pair
+        paste = _swapped_pastes(*pair)
         combos = []
         n_pairs = min(2, len(strict_pairs))
         for better, worse in rng.sample(strict_pairs, n_pairs):
             for background in (sampler.profile(rng), sampler.profile(rng)):
-                left = _pasted_profile(background, [(first, better), (second, worse)])
-                right = _pasted_profile(background, [(first, worse), (second, better)])
+                left, right = paste(background, better, worse)
                 fa, fb = _lift(left, states), _lift(right, states)
                 combos.append((fa, fb, oracle.compare(fa, fb)))
         answers = {answer for _, _, answer in combos}

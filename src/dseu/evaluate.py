@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
 from typing import Iterable, Mapping
 
 from .acts import GridAct, Outcome, State, StepProfile, splice_time
@@ -114,20 +112,24 @@ class DSEUModel:
     def act_value(self, act: GridAct) -> float:
         """State-first order: expectation over states of row values.
 
-        Each distinct row object is valued once; the sum runs in the act's
-        state order.  A deterministic act whose states share one row object
-        is valued from that row alone, with the same products in the same
-        order.
+        Each distinct row object is valued once, by the module-level
+        :func:`profile_value`, so a deterministic act whose states share one
+        row object is valued from that row alone; ``sum`` runs over the
+        products in the act's state order.
         """
         probs = self.beliefs.probs
         if act.profiles.keys() != probs.keys():
             check_states(probs, act)
-        row = act.shared_row()
-        if row is not None:
-            v = self.profile_value(row)
-            return sum(map(mul, map(probs.__getitem__, act.profiles), repeat(v)))
-        rows = act.row_values(self.profile_value)
-        return sum(probs[s] * rows[s] for s in act.profiles)
+        discount, utility = self.discount, self.utility
+        # Keyed by id(): the act keeps every row alive for the whole call.
+        done: dict[int, float] = {}
+        terms: list[float] = []
+        for s, p in act.profiles.items():
+            v = done.get(id(p))
+            if v is None:
+                v = done[id(p)] = profile_value(discount, utility, p)
+            terms.append(probs[s] * v)
+        return sum(terms)
 
     def act_value_dual(self, act: GridAct) -> float:
         """Time-first order: expectation over a common time refinement.

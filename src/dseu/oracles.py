@@ -12,17 +12,19 @@ attribute they do not define from the oracle they wrap.  All oracles here
 are deterministic, so elicitation sessions and audit witnesses replay
 exactly.
 
-The SEU and Choquet oracles value each distinct row object of an act once,
-and memoise the values of the last two acts they valued, keyed by identity
-(see :func:`_recall`).  A search compares many probes against one fixed
-act, so that act is valued once per search.  This relies on acts being
-immutable: the library never mutates a :class:`~dseu.acts.GridAct` after
-construction.  Every probe of a search is a deterministic act whose states
-share one row object (:meth:`~dseu.acts.GridAct.shared_row`); both oracles
-value that row once and weight it without walking the states: the SEU
-model by its beliefs in state order, the Choquet oracle by the capacity
-steps of :class:`Capacity`.  Either way the floats are those of the
-per-row path.
+The SEU and Choquet oracles memoise the values of the last two acts they
+valued, keyed by identity, in two slots that :func:`_recall` tests in
+order.  A search compares many probes against one fixed act, so that act
+is valued once per search.  This relies on acts being immutable: the
+library never mutates a :class:`~dseu.acts.GridAct` after construction.
+An act is valued by walking its states and valuing each distinct row
+object once, keyed by ``id``, through the module-level ``profile_value``
+(so a wrapper bound to that name sees every row).  Every probe of a search
+is a deterministic act whose states share one row object, so it costs one
+row valuation.  The Choquet oracle weights such a row
+(:meth:`~dseu.acts.GridAct.shared_row`) by the capacity steps of
+:class:`Capacity`, without sorting the states.  Either way the floats are
+those of the per-row path.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterable, Mapping
 
 from .acts import GridAct, Outcome, State
@@ -106,14 +107,20 @@ def _recall(
     The first slot holds the act most recently found here again, which in
     a search is the fixed side; each newly valued act takes the second
     slot.  Until some act has been found again, a new act evicts the older
-    one.  Holding the acts keeps their identities unique.
+    one.  Holding the acts keeps their identities unique.  Each slot is
+    ``(act, value, found again)``; a hit tests the slots in order.
     """
-    for i, (act, v, _) in enumerate(memo):
-        if act is f:
-            memo[i] = (act, v, True)
-            if i:
-                memo.reverse()
-            return v
+    if memo:
+        first = memo[0]
+        if first[0] is f:
+            if not first[2]:
+                memo[0] = (f, first[1], True)
+            return first[1]
+        if len(memo) == 2:
+            second = memo[1]
+            if second[0] is f:
+                memo[0], memo[1] = (f, second[1], True), first
+                return second[1]
     v = compute(f)
     if len(memo) == 2 and not memo[0][2]:
         del memo[0]
@@ -283,11 +290,20 @@ class ChoquetOracle(Oracle):
 
     def _value(self, f: GridAct) -> float:
         check_states(self.states, f)
+        discount, utility = self.discount, self.utility
         row = f.shared_row()
         if row is None:
-            rows = f.row_values(partial(profile_value, self.discount, self.utility))
+            # Each distinct row object valued once, keyed by id(): the act
+            # keeps every row alive for the whole call.
+            done: dict[int, float] = {}
+            rows: dict[State, float] = {}
+            for s, p in f.profiles.items():
+                v = done.get(id(p))
+                if v is None:
+                    v = done[id(p)] = profile_value(discount, utility, p)
+                rows[s] = v
             return choquet_value(self.capacity, rows)
-        v = profile_value(self.discount, self.utility, row)
+        v = profile_value(discount, utility, row)
         # The loop of choquet_value: sum() of floats is compensated from Python 3.12.
         total = 0.0
         for step in self.capacity._steps:

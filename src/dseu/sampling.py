@@ -27,8 +27,16 @@ class ActSampler:
     Each profile has 1 to ``max_pieces`` pieces, cut at quantiles of masses
     drawn uniformly between 0 and ``mass_ceiling``, and is built once by
     :meth:`StepProfile.canonical`.  Both fields are checked at construction
-    (``max_pieces >= 1``, ``0 <= mass_ceiling <= 1``), so no draw needs a
-    check of its own.
+    (``max_pieces`` an integer ``>= 1``, ``0 <= mass_ceiling <= 1``), so no
+    draw needs a check of its own.
+
+    The draws are exactly those of ``randint(1, max_pieces)``,
+    ``uniform(0.0, mass_ceiling)`` and ``choice(outcomes)``, in the same
+    order and with the same arithmetic, so every stream of a seed is the
+    stream those calls give.  They are made through ``rng.random`` and the
+    ``rng._randbelow`` that ``randint`` and ``choice`` call, without their
+    frames; a subclass of ``random.Random`` that overrides only ``random()``
+    gets its own ``_randbelow``, as those calls do.
     """
 
     measure: ExpMeasure
@@ -47,24 +55,34 @@ class ActSampler:
         return cls(measure, tuple(oracle.states), tuple(oracle.outcomes))
 
     def __post_init__(self) -> None:
-        if not self.max_pieces >= 1:
-            raise ValueError(f"max_pieces must be >= 1, got {self.max_pieces!r}")
+        if not (isinstance(self.max_pieces, int) and self.max_pieces >= 1):
+            raise ValueError(f"max_pieces must be an integer >= 1, got {self.max_pieces!r}")
         if not 0.0 <= self.mass_ceiling <= 1.0:
             raise ValueError(f"mass_ceiling must lie in [0, 1], got {self.mass_ceiling!r}")
 
     def breakpoints(self, rng: random.Random, count: int) -> list[float]:
         """``count`` sorted quantiles of masses drawn uniformly below the ceiling."""
-        qs = sorted(rng.uniform(0.0, self.mass_ceiling) for _ in range(count))
+        # uniform(0.0, ceiling) is 0.0 + (ceiling - 0.0) * random().
+        random, ceiling = rng.random, self.mass_ceiling
+        qs = sorted([0.0 + ceiling * random() for _ in range(count)])
         # ExpMeasure.quantile's formula; a mass drawn below the checked
         # ceiling needs none of its checks.
         rate = self.measure.rate
         return [-math.log1p(-q) / rate for q in qs]
 
     def profile(self, rng: random.Random, pieces: int | None = None) -> StepProfile:
+        below = rng._randbelow
         if pieces is None:
-            pieces = rng.randint(1, self.max_pieces)
+            # randint(1, n) is randrange(1, n + 1), that is 1 + _randbelow(n).
+            pieces = 1 + below(self.max_pieces)
         cuts = self.breakpoints(rng, pieces - 1)
-        outs = [rng.choice(self.outcomes) for _ in range(pieces)]
+        outcomes = self.outcomes
+        n = len(outcomes)
+        # choice(seq) is seq[_randbelow(len(seq))]; it raises on no outcomes.
+        if n:
+            outs = [outcomes[below(n)] for _ in range(pieces)]
+        else:
+            outs = [rng.choice(outcomes) for _ in range(pieces)]
         return StepProfile.canonical(cuts, outs)
 
     def act(self, rng: random.Random) -> GridAct:

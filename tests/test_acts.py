@@ -160,7 +160,14 @@ class TestCanonical:
     def test_equals_from_breakpoints_then_normalized(self, case):
         points, outs = case
         want = outcome_of(ref_canonical, points, outs)
-        assert outcome_of(StepProfile.canonical, points, outs) == want
+        got = outcome_of(StepProfile.canonical, points, outs)
+        assert got == want
+        # canonical skips the constructor's check; the constructor must
+        # still accept every profile it hands out, and build an equal one.
+        if got[0] == "ok":
+            p = got[1]
+            assert type(p) is StepProfile
+            assert StepProfile(p.cuts, p.outs) == p
         chain = lambda b, o: StepProfile.from_breakpoints(b, o).normalized()  # noqa: E731
         assert outcome_of(chain, points, outs) == want
         # The constructor rejects exactly the cuts the per-cut check rejects.

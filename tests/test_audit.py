@@ -7,6 +7,8 @@ import random
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dseu import acts, audit, evaluate, oracles
 from dseu.acts import GridAct, StepProfile
@@ -365,10 +367,68 @@ class TestSamplerArguments:
                 assert [t.hex() for t in sampler.breakpoints(rng, count)] == want
 
 
+class RandomOnly(random.Random):
+    """Overrides ``random()`` alone, so CPython gives it ``_randbelow_without_getrandbits``."""
+
+    def random(self):
+        return super().random()
+
+
+def draws_profile(sampler, rng, pieces=None):
+    """``ActSampler.profile`` through ``randint``, ``uniform`` and ``choice``."""
+    if pieces is None:
+        pieces = rng.randint(1, sampler.max_pieces)
+    qs = sorted(rng.uniform(0.0, sampler.mass_ceiling) for _ in range(pieces - 1))
+    cuts = [-math.log1p(-q) / sampler.measure.rate for q in qs]
+    outs = [rng.choice(sampler.outcomes) for _ in range(pieces)]
+    return StepProfile.canonical(cuts, outs)
+
+
+class TestSamplerStream:
+    @given(
+        st.sampled_from((random.Random, RandomOnly)),
+        st.integers(0, 2**32),
+        st.sampled_from((0.01, 1.0, 7.5)),
+        st.integers(1, 9),
+        st.integers(1, 5),
+        st.sampled_from((0.0, 5e-324, 0.5, 0.995, 1.0)),
+        st.lists(st.none() | st.integers(1, 9), min_size=1, max_size=6),
+    )
+    @settings(deadline=None)
+    def test_profile_draws_what_randint_uniform_and_choice_draw(
+        self, kind, seed, rate, max_pieces, n_outcomes, ceiling, pieces
+    ):
+        outcomes = tuple(f"o{k}" for k in range(n_outcomes))
+        sampler = ActSampler(ExpMeasure(rate), STATES, outcomes, max_pieces, ceiling)
+        rng, ref = kind(seed), kind(seed)
+        for n in pieces:
+            got, want = sampler.profile(rng, n), draws_profile(sampler, ref, n)
+            assert [c.hex() for c in got.cuts] == [c.hex() for c in want.cuts]
+            assert got.outs == want.outs
+            assert rng.getstate() == ref.getstate()
+
+    def test_the_subclass_draws_integers_without_getrandbits(self):
+        assert RandomOnly._randbelow is random.Random._randbelow_without_getrandbits
+        assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+    @pytest.mark.parametrize("max_pieces", [2.0, 2.5, "3", None])
+    def test_max_pieces_must_be_an_integer(self, max_pieces):
+        model = seu_model()
+        with pytest.raises(ValueError, match="max_pieces"):
+            ActSampler(model.discount, STATES, model.outcomes, max_pieces=max_pieces)
+
+    def test_no_outcomes_raises_as_choice_does(self):
+        sampler = ActSampler(ExpMeasure(1.0), STATES, ())
+        with pytest.raises(IndexError):
+            sampler.profile(random.Random(0))
+        assert sampler.disjoint_time_sets(random.Random(0)) is not None
+
+
 # -- the witness builders as they were before StepProfile.canonical ------------
-# Every quantile through ExpMeasure.quantile, every profile built by
-# from_breakpoints(...).normalized() over refine cells, every row valued by
-# one sf and one utility call per piece.
+# Every quantile through ExpMeasure.quantile, every draw through randint,
+# uniform and choice, every profile built by from_breakpoints(...).normalized()
+# over refine cells, each t-separability witness pasted on its own, every row
+# valued by one sf and one utility call per piece.
 
 
 def ref_breakpoints(self, rng, count):
@@ -409,6 +469,18 @@ def ref_pasted_profile(background, patches):
         cuts.append(lo)
         outs.append(out)
     return StepProfile.from_breakpoints(cuts[1:], outs).normalized()
+
+
+def ref_swapped_pastes(first, second):
+    """The t-separability witnesses as they were built: one pasted profile each."""
+
+    def build(background, better, worse):
+        return (
+            ref_pasted_profile(background, [(first, better), (second, worse)]),
+            ref_pasted_profile(background, [(first, worse), (second, better)]),
+        )
+
+    return build
 
 
 def ref_overlay(top, times, bottom):
@@ -465,7 +537,10 @@ class TestWholeAuditIdentity:
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("seed", [0, 11])
     def test_reports_equal_those_of_the_reference_builders(self, monkeypatch, kind, n, seed):
-        report = run_audit(audit_respondent(kind, n, seed), samples=25, seed=seed)
+        # The counting wrapper logs every witness asked, also where no
+        # violation puts it into the report; the audit looks through it.
+        asked = CountingOracle(audit_respondent(kind, n, seed), keep_log=True)
+        report = run_audit(asked, samples=25, seed=seed)
         valued = []
 
         def counted_value(discount, utility, profile):
@@ -475,11 +550,13 @@ class TestWholeAuditIdentity:
         monkeypatch.setattr(ActSampler, "breakpoints", ref_breakpoints)
         monkeypatch.setattr(ActSampler, "profile", ref_sampler_profile)
         monkeypatch.setattr(audit, "_improved_profile", ref_improved_profile)
-        monkeypatch.setattr(audit, "_pasted_profile", ref_pasted_profile)
+        monkeypatch.setattr(audit, "_swapped_pastes", ref_swapped_pastes)
         monkeypatch.setattr(audit, "splice_time", ref_splice_time)
         monkeypatch.setattr(acts, "_overlay", ref_overlay)
         monkeypatch.setattr(evaluate, "profile_value", counted_value)
         monkeypatch.setattr(oracles, "profile_value", counted_value)
-        reference = run_audit(audit_respondent(kind, n, seed), samples=25, seed=seed)
+        ref_asked = CountingOracle(audit_respondent(kind, n, seed), keep_log=True)
+        reference = run_audit(ref_asked, samples=25, seed=seed)
         assert valued
         assert repr(report) == repr(reference)
+        assert repr(asked.log) == repr(ref_asked.log)

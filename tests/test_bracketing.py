@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -90,10 +91,8 @@ def ref_bracket_profile(model, profile, n_bins):
 SHARED_UTIL = {"lo": 0.0, "q1": 0.3, "q1b": 0.31, "mid": 0.45, "q3": 0.8, "hi": 1.0}
 
 
-@st.composite
-def bracket_cases(draw):
-    """A rate, a profile with near, far-tail and ulp-wide pieces, and a bin count."""
-    rate = draw(st.floats(0.2, 3.0))
+def draw_cuts(draw, rate):
+    """Distinct times near 0 and in the far tail, some pairs one ulp apart."""
     tail = 745.2 / rate  # sf is 0.0 from here on, so pieces have mass 0.0
     times = st.one_of(
         st.floats(1e-3, 8.0),
@@ -105,9 +104,37 @@ def bracket_cases(draw):
         cuts.add(t)
         if draw(st.booleans()) and draw(st.booleans()):
             cuts.add(math.nextafter(t, INF))  # a piece one ulp wide
+    return cuts
+
+
+@st.composite
+def bracket_cases(draw):
+    """A rate, a profile with near, far-tail and ulp-wide pieces, and a bin count."""
+    rate = draw(st.floats(0.2, 3.0))
+    cuts = draw_cuts(draw, rate)
     n = len(cuts) + 1
     outs = draw(st.lists(st.sampled_from(tuple(SHARED_UTIL)), min_size=n, max_size=n))
     return rate, StepProfile(tuple(sorted(cuts)), tuple(outs)), draw(st.integers(1, 32))
+
+
+@st.composite
+def selection_cases(draw):
+    """A rate, disjoint bins with near, far-tail (mass 0.0) and ulp-wide intervals, a fraction."""
+    rate = draw(st.floats(0.2, 3.0))
+    bounds = sorted(draw_cuts(draw, rate))
+    if draw(st.booleans()):
+        bounds.insert(0, 0.0)
+    if len(bounds) % 2:
+        bounds.append(INF)
+    n_bins = draw(st.integers(1, 4))
+    members = [[] for _ in range(n_bins)]
+    for lo, hi in zip(bounds[::2], bounds[1::2]):
+        members[draw(st.integers(0, n_bins - 1))] += (lo, hi)
+    frac = draw(
+        st.sampled_from((0.0, -0.0, 5e-324, 1e-17, 0.25, 0.5, 1.0 - 2**-53))
+        | st.floats(0.0, 1.0, exclude_max=True)
+    )
+    return rate, [TimeSet(tuple(m)) for m in members], frac
 
 
 class TestUtilityBins:
@@ -198,6 +225,20 @@ class TestIndependentSelection:
     def test_rejects_unit_fraction(self):
         with pytest.raises(ValueError):
             independent_selection(ExpMeasure(1.0), [TimeSet.full()], 1.0)
+
+    @given(selection_cases())
+    @settings(deadline=None)
+    def test_matches_the_prefix_fraction_reference(self, case):
+        rate, bins, frac = case
+        measure = ExpMeasure(rate)
+        try:
+            want = ref_selection(measure, bins, [frac] * len(bins))
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                independent_selection(measure, bins, frac)
+            return
+        got = independent_selection(measure, bins, frac)
+        assert [b.hex() for b in got.bounds] == [b.hex() for b in want.bounds]
 
 
 class TestBracketProfile:

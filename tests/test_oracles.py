@@ -20,6 +20,7 @@ from dseu.oracles import (
     Preference,
     SEUOracle,
     WidenedOracle,
+    _recall,
     choquet_value,
 )
 
@@ -345,3 +346,62 @@ class TestOracleInterface:
         ):
             assert twin == oracle
             assert repr(twin) == repr(oracle)
+
+
+# -- the memo policy as it was before the slots were tested directly -----------
+
+
+def ref_recall(memo, f, compute):
+    for i, (act, v, _) in enumerate(memo):
+        if act is f:
+            memo[i] = (act, v, True)
+            if i:
+                memo.reverse()
+            return v
+    v = compute(f)
+    if len(memo) == 2 and not memo[0][2]:
+        del memo[0]
+    memo[1:] = [(f, v, False)]
+    return v
+
+
+def memo_contents(memo):
+    return [(id(act), v, seen) for act, v, seen in memo]
+
+
+class TestRecall:
+    @given(st.integers(1, 4), st.lists(st.integers(0, 3), max_size=40))
+    @settings(deadline=None)
+    def test_keeps_the_memo_the_enumerate_version_kept(self, n_acts, picks):
+        acts = [GridAct.constant(STATES, "w") for _ in range(n_acts)]
+        values = {id(a): float(k) for k, a in enumerate(acts)}
+        computed, ref_computed = [], []
+
+        def compute(f):
+            computed.append(f)
+            return values[id(f)]
+
+        def ref_compute(f):
+            ref_computed.append(f)
+            return values[id(f)]
+
+        memo, ref_memo = [], []
+        for k in picks:
+            f = acts[k % n_acts]
+            assert _recall(memo, f, compute) == ref_recall(ref_memo, f, ref_compute)
+            assert memo_contents(memo) == memo_contents(ref_memo)
+            assert [id(a) for a in computed] == [id(a) for a in ref_computed]
+
+    def test_a_failed_valuation_leaves_the_memo_as_it_was(self):
+        acts = [GridAct.constant(STATES, "w") for _ in range(3)]
+        memo = []
+        _recall(memo, acts[0], lambda f: 0.0)
+        _recall(memo, acts[1], lambda f: 1.0)
+        before = list(memo)
+
+        def fail(f):
+            raise KeyError("no")
+
+        with pytest.raises(KeyError):
+            _recall(memo, acts[2], fail)
+        assert memo_contents(memo) == memo_contents(before)
