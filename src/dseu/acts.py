@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from itertools import compress, repeat
+from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .measure import INF, TimeSet
@@ -66,14 +66,22 @@ class StepProfile:
             prev = cut
 
     @classmethod
+    def _unchecked(cls, cuts: tuple[float, ...], outs: tuple[Outcome, ...]) -> StepProfile:
+        """The profile ``cls(cuts, outs)`` of fields a builder here has already checked."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "cuts", cuts)
+        object.__setattr__(profile, "outs", outs)
+        return profile
+
+    @classmethod
     def constant(cls, outcome: Outcome) -> StepProfile:
-        return cls((), (outcome,))
+        return cls._unchecked((), (outcome,))
 
     @classmethod
     def before_after(cls, early: Outcome, t: float, late: Outcome) -> StepProfile:
         """``early`` on ``[0, t)`` then ``late`` forever; ``t = 0`` drops ``early``."""
         if 0.0 < t < INF:
-            return cls((t,), (early, late))
+            return cls._unchecked((t,), (early, late))
         return cls.from_breakpoints((t,), (early, late))
 
     @classmethod
@@ -129,10 +137,7 @@ class StepProfile:
                     continue
                 cuts.append(lo)
             runs.append(out)
-        profile = object.__new__(cls)
-        object.__setattr__(profile, "cuts", tuple(cuts))
-        object.__setattr__(profile, "outs", tuple(runs))
-        return profile
+        return cls._unchecked(tuple(cuts), tuple(runs))
 
     def normalized(self) -> StepProfile:
         """Drop each cut between equal outcomes (same pointwise value); ``self`` if none."""
@@ -158,6 +163,9 @@ class StepProfile:
         return set(self.outs)
 
 
+_NO_STATES = "an act needs at least one state"
+
+
 @dataclass(frozen=True)
 class GridAct:
     """Act given by one step profile per state.
@@ -167,13 +175,32 @@ class GridAct:
     Acts are immutable: the library never mutates ``profiles`` after
     construction, so valuations may be remembered per act object.  Several
     states may share one profile object (deterministic acts and bets do).
+    :meth:`deterministic` and :meth:`constant` record the one row they hold
+    as ``common_row``, so a valuation can read it once instead of walking
+    the states; an act built from a mapping has ``common_row`` ``None``,
+    whatever its rows.  ``common_row`` takes no part in ``==`` or ``repr``.
     """
 
     profiles: Mapping[State, StepProfile]
+    common_row: StepProfile | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.profiles:
-            raise ValueError("an act needs at least one state")
+            raise ValueError(_NO_STATES)
+
+    @classmethod
+    def _unchecked(
+        cls, profiles: dict[State, StepProfile], common_row: StepProfile | None = None
+    ) -> GridAct:
+        """``cls(profiles)`` for rows a builder here made; only emptiness is checked."""
+        if not profiles:
+            raise ValueError(_NO_STATES)
+        act = object.__new__(cls)
+        object.__setattr__(act, "profiles", profiles)
+        object.__setattr__(act, "common_row", common_row)
+        return act
 
     @property
     def states(self) -> tuple[State, ...]:
@@ -181,16 +208,6 @@ class GridAct:
 
     def row(self, state: State) -> StepProfile:
         return self.profiles[state]
-
-    def shared_row(self) -> StepProfile | None:
-        """The one row object every state holds, else ``None``.
-
-        Tested by identity, so equal rows held as distinct objects give
-        ``None``.
-        """
-        rows = list(self.profiles.values())
-        first = rows[0]
-        return first if all(map(operator.is_, rows, repeat(first))) else None
 
     def at(self, state: State, t: float) -> Outcome:
         return self.profiles[state].outcome_at(t)
@@ -206,7 +223,8 @@ class GridAct:
 
     @classmethod
     def deterministic(cls, states: Iterable[State], profile: StepProfile) -> GridAct:
-        return cls(dict.fromkeys(states, profile.normalized()))
+        row = profile.normalized()
+        return cls._unchecked(dict.fromkeys(states, row), row)
 
     @classmethod
     def constant(cls, states: Iterable[State], outcome: Outcome) -> GridAct:
@@ -226,9 +244,14 @@ class GridAct:
         win: Outcome,
         lose: Outcome,
     ) -> GridAct:
-        """The classic bet: ``win`` forever on the event, ``lose`` elsewhere."""
+        """The classic bet: ``win`` forever on the event, ``lose`` elsewhere.
+
+        As with :meth:`stochastic`, states paying the same outcome share one row.
+        """
         event = set(on)
-        return cls.stochastic({s: win if s in event else lose for s in states})
+        rows = {lose: StepProfile.constant(lose), win: StepProfile.constant(win)}
+        won, lost = rows[win], rows[lose]
+        return cls._unchecked({s: won if s in event else lost for s in states})
 
 
 @dataclass(frozen=True)

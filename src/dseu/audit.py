@@ -74,14 +74,22 @@ class AuditReport:
         return all(c.verdict == PASS for c in self.checks.values())
 
 
+#: An oracle's answers on constant acts, by ordered outcome pair.
+Ranking = dict[tuple[Outcome, Outcome], Preference]
+
+
 def _lift(profile: StepProfile, states: tuple[State, ...]) -> GridAct:
     return GridAct.deterministic(states, profile)
 
 
-def _outcome_ranking(oracle) -> dict[tuple[Outcome, Outcome], Preference]:
-    """Oracle's ranking of constant acts, queried once per ordered pair."""
+def _outcome_ranking(oracle) -> Ranking:
+    """Oracle's ranking of constant acts, queried once per ordered pair.
+
+    :func:`run_audit` asks it once and hands it to each check that reads it
+    as the keyword ``ranking``; a check called without it asks the oracle.
+    """
     states = tuple(oracle.states)
-    ranking: dict[tuple[Outcome, Outcome], Preference] = {}
+    ranking: Ranking = {}
     outs = tuple(oracle.outcomes)
     for i, a in enumerate(outs):
         for b in outs[i + 1 :]:
@@ -93,9 +101,7 @@ def _outcome_ranking(oracle) -> dict[tuple[Outcome, Outcome], Preference]:
     return ranking
 
 
-def _strict_pairs(
-    ranking: dict[tuple[Outcome, Outcome], Preference], outcomes
-) -> list[tuple[Outcome, Outcome]]:
+def _strict_pairs(ranking: Ranking, outcomes) -> list[tuple[Outcome, Outcome]]:
     """(better, worse) pairs among ``outcomes`` that the ranking separates strictly."""
     keep = set(outcomes)
     return [
@@ -140,7 +146,7 @@ def check_stationarity(
 
 def _improved_profile(
     profile: StepProfile,
-    ranking: dict[tuple[Outcome, Outcome], Preference],
+    ranking: Ranking,
     outcomes: tuple[Outcome, ...],
     rng: random.Random,
 ) -> StepProfile | None:
@@ -161,7 +167,12 @@ def _improved_profile(
 
 
 def check_t_monotonicity(
-    oracle, samples: int, seed: int, sampler: ActSampler | None = None
+    oracle,
+    samples: int,
+    seed: int,
+    sampler: ActSampler | None = None,
+    *,
+    ranking: Ranking | None = None,
 ) -> CheckReport:
     """Pointwise-better deterministic streams must be weakly (here: strictly) preferred.
 
@@ -173,7 +184,8 @@ def check_t_monotonicity(
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
     rng = random.Random(seed)
-    ranking = _outcome_ranking(oracle)
+    if ranking is None:
+        ranking = _outcome_ranking(oracle)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("t_monotonicity")
     states = tuple(oracle.states)
@@ -211,6 +223,8 @@ def check_dominance(
     samples: int,
     seed: int,
     sampler: ActSampler | None = None,
+    *,
+    ranking: Ranking | None = None,
 ) -> CheckReport:
     """Statewise-better acts must be preferred; strictly so on believed states.
 
@@ -221,7 +235,8 @@ def check_dominance(
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
     rng = random.Random(seed)
-    ranking = _outcome_ranking(oracle)
+    if ranking is None:
+        ranking = _outcome_ranking(oracle)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("dominance")
     states = tuple(oracle.states)
@@ -329,7 +344,12 @@ def _swapped_pastes(
 
 
 def check_t_separability(
-    oracle, samples: int, seed: int, sampler: ActSampler | None = None
+    oracle,
+    samples: int,
+    seed: int,
+    sampler: ActSampler | None = None,
+    *,
+    ranking: Ranking | None = None,
 ) -> CheckReport:
     """Which of two disjoint periods gets the better outcome must be a fixed choice.
 
@@ -342,7 +362,8 @@ def check_t_separability(
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
     rng = random.Random(seed)
-    ranking = _outcome_ranking(oracle)
+    if ranking is None:
+        ranking = _outcome_ranking(oracle)
     states = tuple(oracle.states)
     strict_pairs = _strict_pairs(ranking, oracle.outcomes)
     if not strict_pairs:
@@ -483,7 +504,8 @@ def run_audit(
     non-null; an expected-utility oracle supplies its own, any other oracle
     exposing a utility gets uniform reference beliefs.  A
     :class:`CountingOracle` only counts the comparisons of the oracle it
-    wraps, so it is audited like that oracle.
+    wraps, so it is audited like that oracle.  The oracle's ranking of the
+    constant acts is asked once and handed to every check that reads it.
     """
     sampler = sampler or ActSampler.for_oracle(oracle)
     base = oracle
@@ -499,13 +521,19 @@ def run_audit(
         )
     checks: dict[str, CheckReport] = {}
     checks["stationarity"] = check_stationarity(oracle, samples, seed, sampler)
-    checks["t_monotonicity"] = check_t_monotonicity(oracle, samples, seed + 1, sampler)
+    # Asked where check_t_monotonicity asked it, so the queries keep their order.
+    ranking = _outcome_ranking(oracle)
+    checks["t_monotonicity"] = check_t_monotonicity(
+        oracle, samples, seed + 1, sampler, ranking=ranking
+    )
     if row_model is not None:
         checks["dominance"] = check_dominance(
-            oracle, row_model, samples, seed + 2, sampler
+            oracle, row_model, samples, seed + 2, sampler, ranking=ranking
         )
-    checks["t_separability"] = check_t_separability(oracle, samples, seed + 3, sampler)
-    strict = _strict_pairs(_outcome_ranking(oracle), oracle.outcomes)
+    checks["t_separability"] = check_t_separability(
+        oracle, samples, seed + 3, sampler, ranking=ranking
+    )
+    strict = _strict_pairs(ranking, oracle.outcomes)
     if strict:
         best, worst = strict[0]
         states = tuple(oracle.states)

@@ -11,9 +11,11 @@ other oracle deviates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .acts import GridAct, Outcome, State, StepProfile
 from .equivalents import (
@@ -25,7 +27,7 @@ from .equivalents import (
 )
 from .evaluate import Beliefs, DSEUModel, UtilityModel
 from .measure import ExpMeasure
-from .oracles import CountingOracle, Preference, ProtocolError, subsets
+from .oracles import CountingOracle, Preference, ProtocolError
 
 #: Residual size above which a recovered set function is flagged non-additive.
 DEFAULT_RESIDUAL_TOLERANCE = 1e-3
@@ -110,11 +112,12 @@ def elicit_event(
     """
     states = oracle.states
     event = frozenset(event)
-    if not event <= set(states):
+    space = set(states)
+    if not event <= space:
         raise ValueError(f"event {sorted(event)} is not a subset of {sorted(states)}")
     if not event:
         return 0.0
-    if event == frozenset(states):
+    if len(event) == len(space):
         return 1.0
     bet = GridAct.bet(states, event, x, y)
     te: TimeEquivalent = time_equivalent_bisect(
@@ -125,28 +128,38 @@ def elicit_event(
     return -math.expm1(-rate.rate * te.t)
 
 
-def _subset_families(
-    states: tuple[State, ...],
-) -> tuple[list[frozenset[State]], list[tuple[frozenset[State], frozenset[State]]]]:
-    """Subsets to elicit and the disjoint pairs to audit.
+@functools.lru_cache(maxsize=None)
+def _power_set_plan(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Every subset of ``n`` states and every disjoint pair of nonempty ones, as masks.
+
+    Bit ``i`` stands for the ``i``-th state.  Subsets come in the order of
+    :func:`~dseu.oracles.subsets` (by size, each size in combination order)
+    and pairs in the order of ``itertools.combinations`` over the nonempty
+    subsets.
+    """
+    events = tuple(
+        sum(1 << i for i in c)
+        for r in range(n + 1)
+        for c in itertools.combinations(range(n), r)
+    )
+    pairs = tuple(
+        (e, f) for e, f in itertools.combinations(events[1:], 2) if not e & f
+    )
+    return events, pairs
+
+
+def _event_plan(n: int) -> tuple[Sequence[int], Sequence[tuple[int, int]]]:
+    """State masks to elicit and the disjoint pairs to audit, for ``n`` states.
 
     Up to 10 states every subset is elicited and every disjoint pair of
-    nonempty subsets is audited; beyond that only singletons and their
-    pairwise unions are used.
+    nonempty subsets is audited (a plan built once per state count and
+    cached); beyond that only singletons and their pairwise unions are used,
+    built on each call.
     """
-    if len(states) <= 10:
-        events = subsets(states)
-        pairs = [
-            (e, f)
-            for e, f in itertools.combinations([s for s in events if s], 2)
-            if e.isdisjoint(f)
-        ]
-        return events, pairs
-    singletons = [frozenset({s}) for s in states]
-    pairs = [
-        (frozenset({a}), frozenset({b})) for a, b in itertools.combinations(states, 2)
-    ]
-    events = singletons + [e | f for e, f in pairs]
+    if n <= 10:
+        return _power_set_plan(n)
+    pairs = [(1 << a, 1 << b) for a, b in itertools.combinations(range(n), 2)]
+    events = [1 << i for i in range(n)] + [e | f for e, f in pairs]
     return events, pairs
 
 
@@ -159,32 +172,40 @@ def elicit_measure(
 ) -> ElicitationReport:
     """Elicit a whole set function and audit its additivity.
 
-    Events are elicited by size, so each event ``E`` of two or more states
-    comes after ``E - {s}`` and ``{s}``, with ``s`` the last state of ``E``
-    in ``states`` order.  Its search starts from the additive prediction,
-    the time equivalent of ``mu(E - {s}) + mu({s})`` (no hint when that sum
-    is at least 1).  For an oracle whose answers are weakly monotone in the
-    prefix length every estimate equals the cold search's bit for bit, each
-    event costing at most four queries more; near-additive oracles cost far
-    fewer.
+    The events and the audited pairs come from a plan of state masks that
+    depends only on the state count (see :func:`_event_plan`; the power-set
+    plans of up to 10 states are built once and cached).  Events are
+    elicited by size, so each event ``E`` of two or more states comes after
+    ``E - {s}`` and ``{s}``, with ``s`` the last state of ``E`` in ``states``
+    order (the highest bit of its mask).  Its search starts from the
+    additive prediction, the time equivalent of ``mu(E - {s}) + mu({s})``
+    (no hint when that sum is at least 1).  For an oracle whose answers are
+    weakly monotone in the prefix length every estimate equals the cold
+    search's bit for bit, each event costing at most four queries more;
+    near-additive oracles cost far fewer.  Estimates are kept by mask; the
+    report's set-keyed ``mu_hat`` and residuals are built once, at the end.
     """
     counting = CountingOracle(oracle)
     states = oracle.states
-    events, pairs = _subset_families(states)
-    mu_hat: dict[frozenset[State], float] = {}
+    events, pairs = _event_plan(len(states))
+    named: dict[int, frozenset[State]] = {0: frozenset()}
+    named.update((1 << i, frozenset((s,))) for i, s in enumerate(states))
+    est: dict[int, float] = {}
     for e in events:
         hint = None
-        if len(e) >= 2:
-            last = max(e, key=states.index)
-            p = mu_hat[e - {last}] + mu_hat[frozenset({last})]
+        if e & (e - 1):
+            last = 1 << (e.bit_length() - 1)
+            named[e] = named[e ^ last] | named[last]
+            p = est[e ^ last] + est[last]
             if p < 1.0:
                 hint = -math.log1p(-p) / rate.rate
-        mu_hat[e] = elicit_event(counting, rate, e, x, y, tol, hint)
-    residuals = {(e, f): mu_hat[e | f] - mu_hat[e] - mu_hat[f] for e, f in pairs}
+        est[e] = elicit_event(counting, rate, named[e], x, y, tol, hint)
     return ElicitationReport(
         lambda_hat=rate.rate,
-        mu_hat=mu_hat,
-        additivity_residuals=residuals,
+        mu_hat={named[e]: v for e, v in est.items()},
+        additivity_residuals={
+            (named[e], named[f]): est[e | f] - est[e] - est[f] for e, f in pairs
+        },
         query_count=counting.count,
     )
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import Iterable, Mapping
 
 from .acts import GridAct, Outcome, State, StepProfile, splice_time
@@ -113,14 +115,20 @@ class DSEUModel:
         """State-first order: expectation over states of row values.
 
         Each distinct row object is valued once, by the module-level
-        :func:`profile_value`, so a deterministic act whose states share one
-        row object is valued from that row alone; ``sum`` runs over the
-        products in the act's state order.
+        :func:`profile_value`; ``sum`` runs over the products
+        ``belief * row value`` in the act's state order.  The recorded row
+        of a deterministic act (``act.common_row``) is valued without
+        walking the rows; an act built from a mapping is walked by row
+        ``id``, which gives the same floats.
         """
         probs = self.beliefs.probs
         if act.profiles.keys() != probs.keys():
             check_states(probs, act)
         discount, utility = self.discount, self.utility
+        row = act.common_row
+        if row is not None:
+            v = profile_value(discount, utility, row)
+            return sum(map(mul, map(probs.__getitem__, act.profiles), repeat(v)))
         # Keyed by id(): the act keeps every row alive for the whole call.
         done: dict[int, float] = {}
         terms: list[float] = []

@@ -17,14 +17,16 @@ valued, keyed by identity, in two slots that :func:`_recall` tests in
 order.  A search compares many probes against one fixed act, so that act
 is valued once per search.  This relies on acts being immutable: the
 library never mutates a :class:`~dseu.acts.GridAct` after construction.
-An act is valued by walking its states and valuing each distinct row
-object once, keyed by ``id``, through the module-level ``profile_value``
-(so a wrapper bound to that name sees every row).  Every probe of a search
-is a deterministic act whose states share one row object, so it costs one
-row valuation.  The Choquet oracle weights such a row
-(:meth:`~dseu.acts.GridAct.shared_row`) by the capacity steps of
-:class:`Capacity`, without sorting the states.  Either way the floats are
-those of the per-row path.
+Every row is valued through the module-level ``profile_value`` (so a
+wrapper bound to that name sees every row).  Every probe of a search is a
+deterministic act, which records its one row
+(:attr:`~dseu.acts.GridAct.common_row`): it is valued from that row alone,
+without walking the states.  The SEU oracle sums its belief products in the
+act's state order; the Choquet oracle weights it by the capacity steps of
+:class:`Capacity`, without sorting the states.  Any other act is valued by
+walking its states and valuing each distinct row object once, keyed by
+``id``, also when all of its states share one row.  Either way the floats
+are those of the per-row path.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ class Oracle:
     """
 
     def __post_init__(self) -> None:
-        if self.band < 0:
+        if not self.band >= 0:
             raise ValueError(f"indifference band must be >= 0, got {self.band}")
 
     def compare(self, f: GridAct, g: GridAct) -> Preference:
@@ -169,22 +171,25 @@ def subsets(states: tuple[State, ...]) -> list[frozenset[State]]:
 class Capacity:
     """Normalized monotone set function on the subsets of a finite state space.
 
-    Besides ``weights``, it keeps the same values in a list indexed by
-    bitmask, bit ``i`` standing for ``states[i]``, for :func:`choquet_value`,
-    and the steps ``by_mask[top_k] - by_mask[top_{k-1}]`` along the states
-    in label order (``top_k`` the first ``k`` of them, ``by_mask[top_0]``
-    read as 0).  Label order is the order :func:`choquet_value` takes when
-    every state has the same value, so that value times each step, summed
-    in turn, is its integral.
+    Besides ``weights``, it keeps its state set, for the oracle's state
+    check, the same values in a list indexed by bitmask, bit ``i`` standing
+    for ``states[i]``, for :func:`choquet_value`, and the steps
+    ``by_mask[top_k] - by_mask[top_{k-1}]`` along the states in label order
+    (``top_k`` the first ``k`` of them, ``by_mask[top_0]`` read as 0).
+    Label order is the order :func:`choquet_value` takes when every state
+    has the same value, so that value times each step, summed in turn, is
+    its integral.
     """
 
     states: tuple[State, ...]
     weights: Mapping[frozenset[State], float]
+    _full: frozenset[State] = field(init=False, repr=False, compare=False)
     _by_mask: list[float] = field(init=False, repr=False, compare=False)
     _steps: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         full = frozenset(self.states)
+        object.__setattr__(self, "_full", full)
         spec = dict(self.weights)
         spec.setdefault(frozenset(), 0.0)
         spec.setdefault(full, 1.0)
@@ -289,9 +294,11 @@ class ChoquetOracle(Oracle):
         return _recall(self._memo, f, self._value)
 
     def _value(self, f: GridAct) -> float:
-        check_states(self.states, f)
+        capacity = self.capacity
+        if f.profiles.keys() != capacity._full:
+            check_states(capacity.states, f)
         discount, utility = self.discount, self.utility
-        row = f.shared_row()
+        row = f.common_row
         if row is None:
             # Each distinct row object valued once, keyed by id(): the act
             # keeps every row alive for the whole call.
@@ -302,11 +309,11 @@ class ChoquetOracle(Oracle):
                 if v is None:
                     v = done[id(p)] = profile_value(discount, utility, p)
                 rows[s] = v
-            return choquet_value(self.capacity, rows)
+            return choquet_value(capacity, rows)
         v = profile_value(discount, utility, row)
         # The loop of choquet_value: sum() of floats is compensated from Python 3.12.
         total = 0.0
-        for step in self.capacity._steps:
+        for step in capacity._steps:
             total += step * v
         return total
 
@@ -342,7 +349,7 @@ class WidenedOracle(Oracle):
     __getattr__ = _forward
 
     def __post_init__(self) -> None:
-        if self.extra_band < 0:
+        if not self.extra_band >= 0:
             raise ValueError(f"band inflation must be >= 0, got {self.extra_band}")
 
     @property

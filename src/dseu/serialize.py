@@ -254,9 +254,10 @@ def oracle_from_json(doc: Any):
     else:
         raise ValueError(f"unknown oracle kind {kind!r}; expected 'seu' or 'choquet'")
     inflation = float(doc.get("band_inflation", 0.0))
-    if inflation > 0.0:
-        return WidenedOracle(oracle, inflation)
-    return oracle
+    if inflation == 0.0:
+        return oracle
+    # A negative or NaN inflation raises the ValueError of WidenedOracle.
+    return WidenedOracle(oracle, inflation)
 
 
 def oracle_to_json(oracle) -> dict[str, Any]:

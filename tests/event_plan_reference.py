@@ -1,0 +1,60 @@
+"""The set-keyed event families and session the mask plan of ``elicitation`` replaced.
+
+``subset_families`` and ``elicit_measure`` are the frozenset versions, kept
+as the reference the plan and the mask-keyed session must match in order
+and bit for bit.
+"""
+
+import itertools
+import math
+
+from dseu import elicitation
+from dseu.elicitation import ElicitationReport
+from dseu.equivalents import DEFAULT_TOL
+from dseu.oracles import CountingOracle, subsets
+
+
+def subset_families(states):
+    """Subsets to elicit and the disjoint pairs to audit.
+
+    Up to 10 states every subset is elicited and every disjoint pair of
+    nonempty subsets is audited; beyond that only singletons and their
+    pairwise unions are used.
+    """
+    if len(states) <= 10:
+        events = subsets(states)
+        pairs = [
+            (e, f)
+            for e, f in itertools.combinations([s for s in events if s], 2)
+            if e.isdisjoint(f)
+        ]
+        return events, pairs
+    singletons = [frozenset({s}) for s in states]
+    pairs = [
+        (frozenset({a}), frozenset({b})) for a, b in itertools.combinations(states, 2)
+    ]
+    events = singletons + [e | f for e, f in pairs]
+    return events, pairs
+
+
+def elicit_measure(oracle, rate, x, y, tol=DEFAULT_TOL):
+    """The session's event phase on frozenset keys, each hint from ``max(e, key=states.index)``."""
+    counting = CountingOracle(oracle)
+    states = oracle.states
+    events, pairs = subset_families(states)
+    mu_hat = {}
+    for e in events:
+        hint = None
+        if len(e) >= 2:
+            last = max(e, key=states.index)
+            p = mu_hat[e - {last}] + mu_hat[frozenset({last})]
+            if p < 1.0:
+                hint = -math.log1p(-p) / rate.rate
+        mu_hat[e] = elicitation.elicit_event(counting, rate, e, x, y, tol, hint)
+    residuals = {(e, f): mu_hat[e | f] - mu_hat[e] - mu_hat[f] for e, f in pairs}
+    return ElicitationReport(
+        lambda_hat=rate.rate,
+        mu_hat=mu_hat,
+        additivity_residuals=residuals,
+        query_count=counting.count,
+    )

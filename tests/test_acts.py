@@ -179,6 +179,101 @@ class TestCanonical:
                 assert built == checked
 
 
+def profile_fields_are_tuples(p):
+    return type(p) is StepProfile and type(p.cuts) is tuple and type(p.outs) is tuple
+
+
+def act_outcome(build, *args):
+    """``outcome_of``, after checking what ``==`` does not see: the act's types."""
+    got = outcome_of(build, *args)
+    if got[0] == "ValueError":
+        return got
+    act = got[1]
+    assert type(act) is GridAct and type(act.profiles) is dict
+    assert all(map(profile_fields_are_tuples, act.profiles.values()))
+    return got
+
+
+ACT_STATES = st.lists(st.sampled_from(("s0", "s1", "s2", "s10", "b", "a")), max_size=5)
+
+
+class TestUncheckedBuilders:
+    """Builders that skip the constructor's check against the checked constructors."""
+
+    @given(st.sampled_from(OUTCOMES), POINTS, st.sampled_from(OUTCOMES))
+    @example("a", 0.0, "b")
+    @example("a", -0.0, "b")
+    @example("a", INF, "b")
+    @example("a", math.nan, "b")
+    @example("a", -1.0, "b")
+    @example("a", 2.0, "a")
+    @settings(deadline=None)
+    def test_profiles_equal_the_checked_constructors(self, early, t, late):
+        # from_breakpoints runs the constructor's check on every t.
+        want = outcome_of(StepProfile.from_breakpoints, (t,), (early, late))
+        got = outcome_of(StepProfile.before_after, early, t, late)
+        assert got == want
+        if got[0] == "ok":
+            assert profile_fields_are_tuples(got[1])
+            if 0.0 < t < INF:
+                assert got[1] == StepProfile((t,), (early, late))
+        constant = StepProfile.constant(early)
+        assert constant == StepProfile((), (early,))
+        assert profile_fields_are_tuples(constant)
+
+    @given(
+        ACT_STATES,
+        st.lists(POINTS.filter(lambda t: 0.0 < t < INF), max_size=4),
+        st.lists(st.sampled_from(OUTCOMES), min_size=5, max_size=5),
+        st.lists(st.sampled_from(("s0", "s1", "b", "x")), max_size=3),
+    )
+    @example([], [], ["a"] * 5, [])
+    @example(["s0", "s1", "s0"], [1.0, 2.0], ["a", "a", "b", "c", "d"], ["s0"])
+    @settings(deadline=None)
+    def test_acts_equal_the_checked_constructors(self, states, cuts, outs, on):
+        cuts = sorted(set(cuts))
+        profile = StepProfile.from_breakpoints(cuts, outs[: len(cuts) + 1])
+        win, lose = outs[-2:]
+
+        def ref_deterministic(states, profile):
+            return GridAct(dict.fromkeys(states, profile.normalized()))
+
+        def ref_bet(states, on, win, lose):
+            event = set(on)
+            return GridAct({s: StepProfile((), (win if s in event else lose,)) for s in states})
+
+        def ref_constant(states, outcome):
+            return GridAct(dict.fromkeys(states, StepProfile((), (outcome,))))
+
+        cases = [
+            (GridAct.deterministic, ref_deterministic, (states, profile)),
+            (GridAct.constant, ref_constant, (states, win)),
+            (GridAct.bet, ref_bet, (states, on, win, lose)),
+        ]
+        for build, ref, args in cases:
+            got = act_outcome(build, *args)
+            assert got == act_outcome(ref, *args)
+        if not states:
+            return
+        # deterministic and constant record their one row; a bet does not.
+        for act in (GridAct.deterministic(states, profile), GridAct.constant(states, win)):
+            assert all(p is act.common_row for p in act.profiles.values())
+        bet = GridAct.bet(states, on, win, lose)
+        assert bet.common_row is None
+        # As in GridAct.stochastic, states paying the same outcome share one row.
+        assert len({id(p) for p in bet.profiles.values()}) == len(
+            {p.outs for p in bet.profiles.values()}
+        )
+
+    def test_acts_from_a_mapping_record_no_row(self):
+        row = StepProfile.constant("a")
+        for act in (GridAct(dict.fromkeys(STATES, row)), GridAct.stochastic({"s0": "a"})):
+            assert act.common_row is None
+        recorded = GridAct.constant(STATES, "a")
+        assert recorded == GridAct(dict.fromkeys(STATES, row))
+        assert repr(recorded) == repr(GridAct(dict.fromkeys(STATES, row)))
+
+
 class TestGridAct:
     def test_deterministic_flag(self):
         det = GridAct.deterministic(STATES, StepProfile.before_after("a", 1.0, "b"))

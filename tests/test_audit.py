@@ -331,6 +331,44 @@ class TestWrappedAndDegenerateInputs:
             assert report.all_pass
         assert counted.count > 0
 
+    @pytest.mark.parametrize("kind", ["seu", "choquet", "noisy"])
+    def test_run_audit_asks_the_outcome_ranking_once(self, kind, monkeypatch):
+        model = seu_model()
+        cap = Capacity.epsilon_contamination(model.beliefs, 0.2)
+        oracle = {
+            "seu": SEUOracle(model),
+            "choquet": ChoquetOracle(model.discount, model.utility, cap),
+            "noisy": WidenedOracle(SEUOracle(model), 0.5),
+        }[kind]
+        sampler = ActSampler.for_oracle(oracle)
+        # Each check on its own asks the oracle for the ranking itself.
+        alone = {
+            "stationarity": check_stationarity(oracle, 20, 5, sampler),
+            "t_monotonicity": check_t_monotonicity(oracle, 20, 6, sampler),
+            "dominance": check_dominance(
+                oracle, DSEUModel(model.discount, model.utility, Beliefs.uniform(STATES)),
+                20, 7, sampler,
+            ),
+            "t_separability": check_t_separability(oracle, 20, 8, sampler),
+        }
+        if kind == "seu":
+            alone["dominance"] = check_dominance(oracle, model, 20, 7, sampler)
+        rankings = []
+        ranking = audit._outcome_ranking
+        monkeypatch.setattr(
+            audit, "_outcome_ranking", lambda o: rankings.append(o) or ranking(o)
+        )
+        counted = CountingOracle(oracle)
+        report = run_audit(counted, samples=20, seed=5, sampler=sampler)
+        assert rankings == [counted]
+        for name, check in alone.items():
+            assert repr(report.checks[name]) == repr(check)
+        # Handed the ranking, a check asks one query less per outcome pair.
+        asked, handed = CountingOracle(oracle), CountingOracle(oracle)
+        check_t_separability(asked, 20, 8, sampler)
+        check_t_separability(handed, 20, 8, sampler, ranking=ranking(oracle))
+        assert asked.count - handed.count == 3
+
     @pytest.mark.parametrize("ceiling", [0.0, 5e-324])
     def test_t_separability_ends_when_no_disjoint_sets_exist(self, ceiling):
         model = seu_model()

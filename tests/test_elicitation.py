@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dseu import elicitation
 from dseu.elicitation import (
+    _event_plan,
     elicit_event,
     elicit_lambda,
     elicit_measure,
@@ -26,6 +28,8 @@ from dseu.oracles import (
     SEUOracle,
     subsets,
 )
+
+import event_plan_reference
 
 
 def seu_for(rate: float, probs: dict[str, float], band=0.0):
@@ -202,6 +206,55 @@ class TestWarmStartedSession:
         assert report.query_count == half_life.count + sum(warm_queries.values())
         for e, cold in cold_queries.items():
             assert warm_queries[e] <= cold + 4
+
+
+def named(states, mask):
+    return frozenset(s for i, s in enumerate(states) if mask >> i & 1)
+
+
+def hex_report(report):
+    """Everything a report holds, floats as hex, dicts as ordered item lists."""
+    return (
+        report.lambda_hat.hex(),
+        [(e, p.hex()) for e, p in report.mu_hat.items()],
+        [(pair, r.hex()) for pair, r in report.additivity_residuals.items()],
+        report.query_count,
+    )
+
+
+class TestEventPlan:
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_the_subset_families_reference(self, n):
+        # Labels whose sorted order is not the state order.
+        states = tuple(f"s{n - i}" for i in range(n))
+        events, pairs = _event_plan(n)
+        want_events, want_pairs = event_plan_reference.subset_families(states)
+        assert [named(states, e) for e in events] == want_events
+        assert [(named(states, e), named(states, f)) for e, f in pairs] == want_pairs
+        # Only the power-set plans are kept.
+        assert (_event_plan(n) is _event_plan(n)) == (n <= 10)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("kind", ["seu", "contaminated", "squared"])
+    def test_session_equals_the_set_keyed_session(self, n, kind, monkeypatch):
+        rng = random.Random(f"{kind}:{n}")
+        raw = [rng.uniform(0.5, 1.5) for _ in range(n)]
+        model = DSEUModel(
+            ExpMeasure(rng.uniform(0.3, 3.0)),
+            UtilityModel({"x": 1.0, "y": 0.0}),
+            Beliefs({f"s{n - i}": w / sum(raw) for i, w in enumerate(raw)}),
+        )
+        if kind == "seu":
+            oracle = SEUOracle(model)
+        else:
+            capacity = Capacity.epsilon_contamination(model.beliefs, 0.2)
+            if kind == "squared":
+                additive = Capacity.additive(model.beliefs)
+                capacity = Capacity(additive.states, {c: p * p for c, p in additive.weights.items()})
+            oracle = ChoquetOracle(model.discount, model.utility, capacity)
+        got = hex_report(run_session(oracle, "x", "y"))
+        monkeypatch.setattr(elicitation, "elicit_measure", event_plan_reference.elicit_measure)
+        assert got == hex_report(run_session(oracle, "x", "y"))
 
 
 class TestSection2Demo:

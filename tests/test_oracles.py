@@ -1,7 +1,9 @@
 """Comparison oracles: expected-utility, Choquet-capacity, and wrappers."""
 
 import copy
+import dataclasses
 import itertools
+import math
 import pickle
 import random
 
@@ -316,6 +318,18 @@ class TestOracleInterface:
     def test_functional_oracle_rejects_negative_band(self):
         with pytest.raises(ValueError, match="indifference band"):
             FunctionalOracle(functional_value, band=-1.0)
+
+    @pytest.mark.parametrize("kind", ["seu", "choquet", "functional"])
+    def test_nan_band_rejected(self, kind):
+        # A NaN band is never within reach of abs(diff) <= band: no ties at all.
+        oracle = base_oracles()[kind]
+        with pytest.raises(ValueError, match="indifference band must be >= 0, got nan"):
+            dataclasses.replace(oracle, band=math.nan)
+
+    @pytest.mark.parametrize("extra", [-1e-9, math.nan])
+    def test_widened_oracle_rejects_negative_and_nan_inflation(self, extra):
+        with pytest.raises(ValueError, match=f"band inflation must be >= 0, got {extra}"):
+            WidenedOracle(SEUOracle(base_model()), extra)
 
     def test_functional_oracle_checks_act_states_when_it_has_states(self):
         oracle = FunctionalOracle(lambda f: 0.5, states=("a", "b"))

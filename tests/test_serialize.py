@@ -316,6 +316,21 @@ class TestOracleSpecs:
         with pytest.raises(ValueError):
             serialize.oracle_from_json({"kind": "maxmin"})
 
+    @pytest.mark.parametrize("inflation", [-0.5, "nan"])
+    def test_negative_or_nan_inflation_rejected(self, inflation):
+        doc = serialize.oracle_to_json(SEUOracle(sample_model()))
+        doc["band_inflation"] = inflation
+        with pytest.raises(ValueError, match="band inflation must be >= 0"):
+            serialize.oracle_from_json(doc)
+
+    @pytest.mark.parametrize("inflation", [0.0, -0.0, 0])
+    def test_zero_inflation_gives_the_bare_oracle(self, inflation):
+        oracle = SEUOracle(sample_model())
+        doc = serialize.oracle_to_json(oracle)
+        doc["band_inflation"] = inflation
+        back = serialize.oracle_from_json(doc)
+        assert type(back) is SEUOracle and back == oracle
+
 
 class TestReportDocuments:
     def test_elicitation_report_round_trip(self):

@@ -100,11 +100,14 @@ LABELS = ("s0", "s1", "s2", "s10", "b", "a", "Z")
 
 @st.composite
 def deterministic_cases(draw):
-    """A model, a capacity on its states and an act paying one stream in every state.
+    """A model, a capacity, an act paying one stream in every state and how it was built.
 
     The beliefs list the states in one order and the act in another; labels
-    sort unlike either.  Rows are one shared object, equal but distinct
-    copies, or a mix of the two; a null state is drawn half the time.
+    sort unlike either.  The act is built by ``GridAct.deterministic`` (which
+    records its one row) or from a mapping whose rows are one shared object
+    (by ``dict.fromkeys`` or by a loop), equal but distinct copies, or a mix
+    of the two; a null state is drawn half the time, and the capacity is
+    additive, contaminated or a power of the beliefs.
     """
     labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=6, unique=True))
     raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(labels), max_size=len(labels)))
@@ -125,20 +128,27 @@ def deterministic_cases(draw):
         weights[frozenset(labels)] = 1.0
         capacity = Capacity(tuple(labels), weights)
     row = draw(profiles())
-    copies = draw(st.sampled_from(("shared", "copies", "mixed")))
+    order = draw(st.permutations(labels))
+    built = draw(st.sampled_from(("deterministic", "fromkeys", "shared", "copies", "mixed")))
+    if built == "deterministic":
+        return model, capacity, GridAct.deterministic(order, row), built
+    if built == "fromkeys":
+        return model, capacity, GridAct(dict.fromkeys(order, row)), built
     rows = {}
-    for s in draw(st.permutations(labels)):
-        copy = copies == "copies" or (copies == "mixed" and draw(st.booleans()))
+    for s in order:
+        copy = built == "copies" or (built == "mixed" and draw(st.booleans()))
         rows[s] = StepProfile(row.cuts, row.outs) if copy else row
-    return model, capacity, GridAct(rows)
+    return model, capacity, GridAct(rows), built
 
 
 @settings(max_examples=IDENTITY_EXAMPLES, deadline=None)
 @given(deterministic_cases())
 def test_deterministic_act_values_equal_the_per_row_reference(case):
-    model, capacity, f = case
-    shared = all(p is f.row(f.states[0]) for p in f.profiles.values())
-    assert (f.shared_row() is not None) == shared
+    model, capacity, f, built = case
+    # Only GridAct.deterministic records a row; an act built from a mapping never does.
+    recorded = f.common_row
+    assert (recorded is not None) == (built == "deterministic")
+    assert recorded is None or all(p is recorded for p in f.profiles.values())
     assert model.act_value(f) == ref_seu(model, f)
     assert SEUOracle(model).value(f) == ref_seu(model, f)
     choquet = ChoquetOracle(model.discount, model.utility, capacity)
