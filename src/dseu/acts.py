@@ -179,6 +179,12 @@ class GridAct:
     as ``common_row``, so a valuation can read it once instead of walking
     the states; an act built from a mapping has ``common_row`` ``None``,
     whatever its rows.  ``common_row`` takes no part in ``==`` or ``repr``.
+
+    :meth:`deterministic`, :meth:`constant`, :meth:`bet` and the module's
+    ``_switch_act`` (the probe "``early`` before ``t``, ``late`` after")
+    skip the constructor and check only that there is a state: their rows
+    are canonical by construction.  :meth:`constant` and ``_switch_act``
+    also build their one row without :meth:`StepProfile.normalized`.
     """
 
     profiles: Mapping[State, StepProfile]
@@ -228,7 +234,9 @@ class GridAct:
 
     @classmethod
     def constant(cls, states: Iterable[State], outcome: Outcome) -> GridAct:
-        return cls.deterministic(states, StepProfile.constant(outcome))
+        # A one-piece row is already normalized.
+        row = StepProfile._unchecked((), (outcome,))
+        return cls._unchecked(dict.fromkeys(states, row), row)
 
     @classmethod
     def stochastic(cls, assignment: Mapping[State, Outcome]) -> GridAct:
@@ -248,10 +256,23 @@ class GridAct:
 
         As with :meth:`stochastic`, states paying the same outcome share one row.
         """
-        event = set(on)
+        event = on if isinstance(on, (set, frozenset)) else set(on)
         rows = {lose: StepProfile.constant(lose), win: StepProfile.constant(win)}
         won, lost = rows[win], rows[lose]
         return cls._unchecked({s: won if s in event else lost for s in states})
+
+
+def _switch_act(states: Iterable[State], early: Outcome, t: float, late: Outcome) -> GridAct:
+    """``GridAct.deterministic(states, StepProfile.before_after(early, t, late))``.
+
+    A switch at ``0 < t < inf`` between two different outcomes is one
+    canonical two-piece row, so the act is built from it directly; any other
+    input takes the checked path, with its errors.
+    """
+    if early != late and 0.0 < t < INF:
+        row = StepProfile._unchecked((t,), (early, late))
+        return GridAct._unchecked(dict.fromkeys(states, row), row)
+    return GridAct.deterministic(states, StepProfile.before_after(early, t, late))
 
 
 @dataclass(frozen=True)

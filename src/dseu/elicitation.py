@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .acts import GridAct, Outcome, State, StepProfile
+from .acts import GridAct, Outcome, State, StepProfile, _switch_act
 from .equivalents import (
     DEFAULT_TOL,
     FALLBACK_HORIZON,
@@ -62,9 +62,7 @@ def _swap_acts(
     states: tuple[State, ...], x: Outcome, y: Outcome, t: float
 ) -> tuple[GridAct, GridAct]:
     """The half-life probe: x-then-y against y-then-x, both switching at ``t``."""
-    a = GridAct.deterministic(states, StepProfile.before_after(x, t, y))
-    b = GridAct.deterministic(states, StepProfile.before_after(y, t, x))
-    return a, b
+    return _switch_act(states, x, t, y), _switch_act(states, y, t, x)
 
 
 def elicit_lambda(
@@ -76,7 +74,7 @@ def elicit_lambda(
     into halves of equal mass, so the rate is ``ln 2 / t*`` regardless of
     the utilities involved.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     states = oracle.states
     ranked = oracle.compare(GridAct.constant(states, x), GridAct.constant(states, y))
@@ -135,17 +133,29 @@ def _power_set_plan(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...
     Bit ``i`` stands for the ``i``-th state.  Subsets come in the order of
     :func:`~dseu.oracles.subsets` (by size, each size in combination order)
     and pairs in the order of ``itertools.combinations`` over the nonempty
-    subsets.
+    subsets.  Each event's partners are the submasks of its complement that
+    come later in the plan, so the pairs cost ``3^n`` steps, not ``4^n``.
     """
     events = tuple(
         sum(1 << i for i in c)
         for r in range(n + 1)
         for c in itertools.combinations(range(n), r)
     )
-    pairs = tuple(
-        (e, f) for e, f in itertools.combinations(events[1:], 2) if not e & f
-    )
-    return events, pairs
+    position = {e: k for k, e in enumerate(events)}
+    full = (1 << n) - 1
+    pairs: list[tuple[int, int]] = []
+    for k, e in enumerate(events[1:], 1):
+        rest = full ^ e
+        later = []
+        f = rest
+        while f:
+            j = position[f]
+            if j > k:
+                later.append(j)
+            f = (f - 1) & rest
+        later.sort()
+        pairs += [(e, events[j]) for j in later]
+    return events, tuple(pairs)
 
 
 def _event_plan(n: int) -> tuple[Sequence[int], Sequence[tuple[int, int]]]:
@@ -183,7 +193,10 @@ def elicit_measure(
     weakly monotone in the prefix length every estimate equals the cold
     search's bit for bit, each event costing at most four queries more;
     near-additive oracles cost far fewer.  Estimates are kept by mask; the
-    report's set-keyed ``mu_hat`` and residuals are built once, at the end.
+    report's set-keyed ``mu_hat`` and residuals are built once, at the end,
+    the residuals in one pass over the plan's pairs of masks, each
+    ``est[e | f] - est[e] - est[f]``, keyed by the pair's two sets in plan
+    order.  Every event is elicited through the module's ``elicit_event``.
     """
     counting = CountingOracle(oracle)
     states = oracle.states

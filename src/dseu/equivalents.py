@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .acts import GridAct, Outcome, StepProfile
+from .acts import GridAct, Outcome, StepProfile, _switch_act
 from .evaluate import DSEUModel
 from .measure import ExpMeasure
 from .oracles import Preference, ProtocolError
@@ -215,7 +215,7 @@ def time_equivalent_bisect(
     oracle whose answers are weakly monotone in the prefix length, the result
     is the unhinted one bit for bit, at a cost of at most four queries more.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     states = f.states
     top = oracle.compare(GridAct.constant(states, x), f)
@@ -232,8 +232,7 @@ def time_equivalent_bisect(
     ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
 
     def probe(t: float) -> Preference:
-        prefix = GridAct.deterministic(states, StepProfile.before_after(x, t, y))
-        return oracle.compare(prefix, f)
+        return oracle.compare(_switch_act(states, x, t, y), f)
 
     found = bisect_indifference(probe, ceiling, tol, hint)
     return TimeEquivalent(None) if found is None else TimeEquivalent(*found)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -179,6 +180,12 @@ class Capacity:
     Label order is the order :func:`choquet_value` takes when every state
     has the same value, so that value times each step, summed in turn, is
     its integral.
+
+    The constructor maps each weighted subset to its mask once and checks
+    the weights on that list, in this order: every subset weighted, the
+    empty set 0, the full set 1 (within 1e-12), every key a set of the
+    states, monotone (within 1e-12), and no weight NaN.  The first
+    violation, in the order of the weights and then of ``states``, raises.
     """
 
     states: tuple[State, ...]
@@ -188,33 +195,58 @@ class Capacity:
     _steps: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        full = frozenset(self.states)
+        states = self.states
+        full = frozenset(states)
         object.__setattr__(self, "_full", full)
         spec = dict(self.weights)
         spec.setdefault(frozenset(), 0.0)
         spec.setdefault(full, 1.0)
-        missing = set(subsets(self.states)) - set(spec)
-        if missing:
-            raise ValueError(f"capacity misses {len(missing)} subsets, e.g. {sorted(next(iter(missing)))}")
+        # A state listed twice holds the bits of both its places.
+        bits: dict[State, int] = {}
+        for i, s in enumerate(states):
+            bits[s] = bits.get(s, 0) | 1 << i
+        try:
+            masks = (
+                [sum(map(bits.__getitem__, c)) for c in spec]
+                if all(map(isinstance, spec, itertools.repeat(frozenset)))
+                else None
+            )
+        except KeyError:
+            masks = None
+        # Distinct sets of the states have distinct masks, so with every key
+        # one of them, 2^k keys are all the subsets of the k states.
+        if masks is None or len(masks) != 1 << len(bits):
+            missing = set(subsets(states)) - set(spec)
+            if missing:
+                raise ValueError(f"capacity misses {len(missing)} subsets, e.g. {sorted(next(iter(missing)))}")
         if spec[frozenset()] != 0.0:
             raise ValueError("capacity of the empty set must be 0")
         if abs(spec[full] - 1.0) > 1e-12:
             raise ValueError("capacity of the full state space must be 1")
-        for subset, v in spec.items():
-            for s in self.states:
-                if s not in subset and spec[subset | {s}] < v - 1e-12:
+        if masks is None:
+            raise _bad_key(spec, states)
+        values = list(spec.values())
+        by_mask = [0.0] * (1 << len(states))
+        for m, v in zip(masks, values):
+            by_mask[m] = v
+        order = [bits[s] for s in states]
+        for subset, m, v in zip(spec, masks, values):
+            floor = v - 1e-12
+            for b in order:
+                if not m & b and by_mask[m | b] < floor:
+                    s = states[order.index(b)]
                     raise ValueError(
                         f"capacity not monotone: adding {s!r} to {sorted(subset)} lowers it"
                     )
+        if any(map(operator.ne, values, values)):
+            subset = next(c for c, v in spec.items() if v != v)
+            raise ValueError(f"capacity of {[s for s in states if s in subset]} is NaN")
         object.__setattr__(self, "weights", spec)
-        by_mask = [0.0] * (1 << len(self.states))
-        for subset, v in spec.items():
-            by_mask[sum(1 << i for i, s in enumerate(self.states) if s in subset)] = v
         object.__setattr__(self, "_by_mask", by_mask)
         steps = []
         prev = 0.0
         top = 0
-        for i in sorted(range(len(self.states)), key=self.states.__getitem__):
+        for i in sorted(range(len(states)), key=states.__getitem__):
             top |= 1 << i
             steps.append(by_mask[top] - prev)
             prev = by_mask[top]
@@ -242,12 +274,26 @@ class Capacity:
             raise ValueError(f"contamination must lie in [0, 1], got {epsilon}")
         states = beliefs.states
         # Sum in state order: a sum over the frozenset follows its hash order.
+        probs = [beliefs(s) for s in states]
         spec = {
-            c: (1.0 - epsilon) * sum(beliefs(s) for s in states if s in c)
-            for c in subsets(states)
+            frozenset(map(states.__getitem__, c)): (1.0 - epsilon) * sum(map(probs.__getitem__, c))
+            for r in range(len(states) + 1)
+            for c in itertools.combinations(range(len(states)), r)
         }
         spec[frozenset(states)] = 1.0
         return cls(states, spec)
+
+
+def _bad_key(spec: Mapping[object, float], states: tuple[State, ...]) -> Exception:
+    """The error for the first key of ``spec`` that is not a set of ``states``."""
+    for c in spec:
+        if not isinstance(c, frozenset):
+            return TypeError(f"capacity subsets must be frozensets, got {c!r}")
+        outside = c.difference(states)
+        if outside:
+            named = [*(s for s in states if s in c), *sorted(outside)]
+            return ValueError(f"capacity weighs {named}, with states outside {list(states)}")
+    raise AssertionError("every key is a set of the states")
 
 
 def choquet_value(

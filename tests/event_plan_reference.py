@@ -2,13 +2,17 @@
 
 ``subset_families`` and ``elicit_measure`` are the frozenset versions, kept
 as the reference the plan and the mask-keyed session must match in order
-and bit for bit.
+and bit for bit.  ``BUILDERS`` are the act builders the session called
+before its probe, constant and bet acts were built directly: every probe
+through ``before_after`` and ``deterministic``, constants through
+``deterministic``, and each bet's event copied into a new set.
 """
 
 import itertools
 import math
 
-from dseu import elicitation
+from dseu import elicitation, equivalents
+from dseu.acts import GridAct, StepProfile
 from dseu.elicitation import ElicitationReport
 from dseu.equivalents import DEFAULT_TOL
 from dseu.oracles import CountingOracle, subsets
@@ -58,3 +62,27 @@ def elicit_measure(oracle, rate, x, y, tol=DEFAULT_TOL):
         additivity_residuals=residuals,
         query_count=counting.count,
     )
+
+
+def switch_act(states, early, t, late):
+    return GridAct.deterministic(states, StepProfile.before_after(early, t, late))
+
+
+def constant(cls, states, outcome):
+    return cls.deterministic(states, StepProfile.constant(outcome))
+
+
+def bet(cls, states, on, win, lose):
+    event = set(on)
+    rows = {lose: StepProfile.constant(lose), win: StepProfile.constant(win)}
+    won, lost = rows[win], rows[lose]
+    return cls._unchecked({s: won if s in event else lost for s in states})
+
+
+#: ``(owner, name, reference)`` for ``monkeypatch.setattr``.
+BUILDERS = (
+    (equivalents, "_switch_act", switch_act),
+    (elicitation, "_switch_act", switch_act),
+    (GridAct, "constant", classmethod(constant)),
+    (GridAct, "bet", classmethod(bet)),
+)

@@ -13,6 +13,7 @@ from dseu.acts import (
     Event,
     GridAct,
     StepProfile,
+    _switch_act,
     restrict,
     splice_event,
     splice_time,
@@ -221,16 +222,39 @@ class TestUncheckedBuilders:
         assert constant == StepProfile((), (early,))
         assert profile_fields_are_tuples(constant)
 
+    @given(ACT_STATES, st.sampled_from(OUTCOMES), POINTS, st.sampled_from(OUTCOMES))
+    @example(["s0"], "a", 0.0, "b")
+    @example(["s0"], "a", -0.0, "b")
+    @example(["s0"], "a", INF, "b")
+    @example(["s0"], "a", math.nan, "b")
+    @example(["s0"], "a", -1.0, "b")
+    @example(["s0", "s1"], "a", 2.0, "a")
+    @example([], "a", 2.0, "b")
+    @example([], "a", math.nan, "b")
+    @settings(deadline=None)
+    def test_switch_act_equals_deterministic_before_after(self, states, early, t, late):
+        def ref(states, early, t, late):
+            return GridAct.deterministic(states, StepProfile.before_after(early, t, late))
+
+        got = act_outcome(_switch_act, states, early, t, late)
+        assert got == act_outcome(ref, states, early, t, late)
+        if got[0] == "ok":
+            act = got[1]
+            assert act.common_row == ref(states, early, t, late).common_row
+            assert all(p is act.common_row for p in act.profiles.values())
+
     @given(
         ACT_STATES,
         st.lists(POINTS.filter(lambda t: 0.0 < t < INF), max_size=4),
         st.lists(st.sampled_from(OUTCOMES), min_size=5, max_size=5),
         st.lists(st.sampled_from(("s0", "s1", "b", "x")), max_size=3),
+        st.sampled_from((list, set, frozenset, iter)),
     )
-    @example([], [], ["a"] * 5, [])
-    @example(["s0", "s1", "s0"], [1.0, 2.0], ["a", "a", "b", "c", "d"], ["s0"])
+    @example([], [], ["a"] * 5, [], list)
+    @example(["s0", "s1", "s0"], [1.0, 2.0], ["a", "a", "b", "c", "d"], ["s0"], list)
+    @example(["s0", "s1"], [], ["a", "a", "b", "c", "d"], ["s1", "x"], iter)
     @settings(deadline=None)
-    def test_acts_equal_the_checked_constructors(self, states, cuts, outs, on):
+    def test_acts_equal_the_checked_constructors(self, states, cuts, outs, on, container):
         cuts = sorted(set(cuts))
         profile = StepProfile.from_breakpoints(cuts, outs[: len(cuts) + 1])
         win, lose = outs[-2:]
@@ -248,17 +272,21 @@ class TestUncheckedBuilders:
         cases = [
             (GridAct.deterministic, ref_deterministic, (states, profile)),
             (GridAct.constant, ref_constant, (states, win)),
-            (GridAct.bet, ref_bet, (states, on, win, lose)),
         ]
         for build, ref, args in cases:
             got = act_outcome(build, *args)
             assert got == act_outcome(ref, *args)
+        # A generator is consumed by the call, so each call gets its own.
+        got = act_outcome(GridAct.bet, states, container(on), win, lose)
+        assert got == act_outcome(ref_bet, states, container(on), win, lose)
         if not states:
             return
         # deterministic and constant record their one row; a bet does not.
         for act in (GridAct.deterministic(states, profile), GridAct.constant(states, win)):
             assert all(p is act.common_row for p in act.profiles.values())
-        bet = GridAct.bet(states, on, win, lose)
+        assert GridAct.deterministic(states, profile).common_row == profile.normalized()
+        assert GridAct.constant(states, win).common_row == StepProfile((), (win,))
+        bet = GridAct.bet(states, container(on), win, lose)
         assert bet.common_row is None
         # As in GridAct.stochastic, states paying the same outcome share one row.
         assert len({id(p) for p in bet.profiles.values()}) == len(

@@ -116,6 +116,15 @@ class TestEquiv:
     def test_missing_source_is_usage_error(self, act_path):
         assert main(["equiv", act_path, "--upper", "x", "--lower", "y"]) == 1
 
+    def test_nan_tolerance_is_an_error(self, capsys, act_path, oracle_path):
+        # It used to print t = 0.5 and exit 0.
+        code = main(
+            ["equiv", act_path, "--oracle", oracle_path, "--upper", "x", "--lower", "y",
+             "--tol", "nan"]
+        )
+        assert code == 1
+        assert "tolerance must be > 0, got nan" in capsys.readouterr().err
+
 
 class TestElicit:
     def test_report_written(self, tmp_path, capsys, oracle_path):
@@ -125,6 +134,23 @@ class TestElicit:
         assert doc["lambda_hat"] == pytest.approx(1.0, rel=1e-5)
         assert doc["mu_hat"]["a"] == pytest.approx(0.3, abs=1e-4)
         assert doc["verdict"] == "PASS"
+
+    def test_nan_tolerance_is_an_error(self, capsys, oracle_path):
+        # It used to report a rate of 1.386 and a FAIL verdict, and exit 0.
+        assert main(["elicit", oracle_path, "--tol", "nan"]) == 1
+        assert "tolerance must be > 0, got nan" in capsys.readouterr().err
+
+    def test_nan_capacity_weight_is_an_error(self, tmp_path, capsys):
+        doc = {
+            "kind": "choquet",
+            "lambda": 1.0,
+            "utility": {"x": 1.0, "y": 0.0},
+            "capacity": {"a": 0.4, "b": float("nan")},
+        }
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["elicit", str(path)]) == 1
+        assert "capacity of ['b'] is NaN" in capsys.readouterr().err
 
     def test_protocol_error_exit_code(self, tmp_path):
         doc = {

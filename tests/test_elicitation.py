@@ -30,6 +30,7 @@ from dseu.oracles import (
 )
 
 import event_plan_reference
+from capacity_reference import ReferenceCapacity
 
 
 def seu_for(rate: float, probs: dict[str, float], band=0.0):
@@ -76,6 +77,14 @@ class TestElicitLambda:
         oracle = CountingOracle(seu_for(0.7, {"a": 0.6, "b": 0.4}))
         elicit_lambda(oracle, "x", "y")
         assert oracle.count <= 64
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tolerance_that_is_not_above_zero_is_rejected(self, tol):
+        oracle = CountingOracle(seu_for(0.7, {"a": 0.6, "b": 0.4}))
+        for session in (elicit_lambda, run_session):
+            with pytest.raises(ValueError, match=f"^tolerance must be > 0, got {tol}$"):
+                session(oracle, "x", "y", tol=tol)
+        assert oracle.count == 0
 
 
 class TestElicitEvent:
@@ -244,17 +253,23 @@ class TestEventPlan:
             UtilityModel({"x": 1.0, "y": 0.0}),
             Beliefs({f"s{n - i}": w / sum(raw) for i, w in enumerate(raw)}),
         )
-        if kind == "seu":
-            oracle = SEUOracle(model)
-        else:
-            capacity = Capacity.epsilon_contamination(model.beliefs, 0.2)
+
+        def oracle_with(cls):
+            if kind == "seu":
+                return SEUOracle(model)
+            capacity = cls.epsilon_contamination(model.beliefs, 0.2)
             if kind == "squared":
-                additive = Capacity.additive(model.beliefs)
-                capacity = Capacity(additive.states, {c: p * p for c, p in additive.weights.items()})
-            oracle = ChoquetOracle(model.discount, model.utility, capacity)
-        got = hex_report(run_session(oracle, "x", "y"))
+                additive = cls.epsilon_contamination(model.beliefs, 0.0)
+                capacity = cls(additive.states, {c: p * p for c, p in additive.weights.items()})
+            return ChoquetOracle(model.discount, model.utility, capacity)
+
+        got = hex_report(run_session(oracle_with(Capacity), "x", "y"))
+        # The reference session: set-keyed, with the act builders and the
+        # capacity validation that came before.
         monkeypatch.setattr(elicitation, "elicit_measure", event_plan_reference.elicit_measure)
-        assert got == hex_report(run_session(oracle, "x", "y"))
+        for owner, name, reference in event_plan_reference.BUILDERS:
+            monkeypatch.setattr(owner, name, reference)
+        assert got == hex_report(run_session(oracle_with(ReferenceCapacity), "x", "y"))
 
 
 class TestSection2Demo:

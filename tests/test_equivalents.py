@@ -163,6 +163,18 @@ class TestBisection:
             else:
                 assert bisected.t == pytest.approx(closed.t, abs=1e-9)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+    @pytest.mark.parametrize("hint", [None, 0.3])
+    def test_tolerance_that_is_not_above_zero_is_rejected(self, tol, hint):
+        # A NaN tolerance used to return t = 0.5 unhinted, and to raise a
+        # float-to-integer ValueError from the gallop with a hint.
+        m = model_for()
+        oracle = CountingOracle(SEUOracle(m))
+        bet = GridAct.bet(STATES, {"s0"}, "x", "y")
+        with pytest.raises(ValueError, match=f"^tolerance must be > 0, got {tol}$"):
+            time_equivalent_bisect(oracle, bet, "x", "y", tol=tol, rate=m.discount, hint=hint)
+        assert oracle.count == 0
+
     def test_whole_horizon_for_top_act(self):
         m = model_for()
         oracle = SEUOracle(m)

@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,10 @@ from dseu.oracles import (
     WidenedOracle,
     _recall,
     choquet_value,
+    subsets,
 )
+
+from capacity_reference import ReferenceCapacity
 
 STATES = ("s0", "s1", "s2")
 UTIL = {"w": 1.0, "m": 0.4, "l": 0.0}
@@ -127,6 +131,163 @@ class TestCapacity:
             "Capacity(states=('b', 'a'), "
             "weights={(): 0.0, ('b',): 0.25, ('a',): 0.75, ('b', 'a'): 1.0})"
         )
+
+
+def _hex(v):
+    return v.hex() if isinstance(v, float) else repr(v)
+
+
+def capacity_outcome(cls, states, weights):
+    """Everything a capacity keeps, floats as hex, or its exception's type and message."""
+    try:
+        cap = cls(states, weights)
+    except (ValueError, TypeError, KeyError) as err:
+        return type(err).__name__, str(err)
+    return (
+        [(c, _hex(v)) for c, v in cap.weights.items()],
+        cap._full,
+        list(map(_hex, cap._by_mask)),
+        list(map(_hex, cap._steps)),
+        repr(cap),
+    )
+
+
+@st.composite
+def capacity_specs(draw):
+    """States (labels out of sorted order, sometimes one repeated) and weights.
+
+    The weights are a monotone function of additive beliefs, or uniform
+    draws; some keys go missing, the empty and full weights sometimes move,
+    and one weight is sometimes raised, lowered or nudged by about 1e-12.
+    Their order is shuffled.
+    """
+    n = draw(st.integers(1, 8))
+    states = [f"s{n - i}" for i in range(n)]
+    if draw(st.integers(0, 9)) == 0:
+        states.insert(draw(st.integers(0, n)), draw(st.sampled_from(states)))
+    states = tuple(states)
+    distinct = list(dict.fromkeys(states))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=len(distinct), max_size=len(distinct)))
+    probs = dict(zip(distinct, (w / sum(raw) for w in raw)))
+    keys = list(dict.fromkeys(subsets(states)))
+    if draw(st.booleans()):
+        power = draw(st.sampled_from((1.0, 0.5, 2.0, 3.0)))
+        shrink = draw(st.floats(0.0, 1.0))
+        weights = {c: shrink * sum(probs[s] for s in distinct if s in c) ** power for c in keys}
+    else:
+        weights = {c: draw(st.floats(-0.5, 1.5)) for c in keys}
+        weights[frozenset()] = 0.0
+    weights[frozenset(states)] = 1.0
+    for _ in range(draw(st.integers(0, 2))):
+        c = draw(st.sampled_from(keys))
+        weights[c] = draw(
+            st.sampled_from((0.0, 1.0, 1.0 + 1e-12, 1.0 + 3e-12, -1e-300, 0.5))
+            | st.floats(-1e-12, 1e-12).map(lambda d, v=weights[c]: v + d)
+        )
+    for c in draw(st.lists(st.sampled_from(keys), max_size=3)):
+        weights.pop(c, None)
+    order = draw(st.permutations(list(weights)))
+    return states, {c: weights[c] for c in order}
+
+
+class TestCapacityMasks:
+    """The mask validation against the frozenset one it replaced."""
+
+    @given(capacity_specs())
+    @settings(deadline=None)
+    def test_builds_and_rejects_as_the_frozenset_reference(self, spec):
+        states, weights = spec
+        assert capacity_outcome(Capacity, states, weights) == capacity_outcome(
+            ReferenceCapacity, states, weights
+        )
+
+    @given(
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
+        st.floats(0.0, 1.0) | st.sampled_from((0.0, 1.0)),
+        st.randoms(use_true_random=False),
+    )
+    @settings(deadline=None)
+    def test_epsilon_contamination_equals_the_reference(self, raw, epsilon, rng):
+        labels = [f"s{i}" for i in range(len(raw))]
+        rng.shuffle(labels)
+        beliefs = Beliefs({s: w / sum(raw) for s, w in zip(labels, raw)})
+        got = Capacity.epsilon_contamination(beliefs, epsilon)
+        want = ReferenceCapacity.epsilon_contamination(beliefs, epsilon)
+        assert type(got) is Capacity
+        assert capacity_outcome(Capacity, got.states, got.weights) == capacity_outcome(
+            ReferenceCapacity, want.states, want.weights
+        )
+        assert [(c, v.hex()) for c, v in got.weights.items()] == [
+            (c, v.hex()) for c, v in want.weights.items()
+        ]
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_each_single_monotonicity_break_raises_as_the_reference(self, n):
+        states = tuple(f"s{n - i}" for i in range(n))
+        additive = Capacity.additive(Beliefs(dict.fromkeys(states, 1 / n))).weights
+        for c in additive:
+            for s in states:
+                if s in c:
+                    continue
+                weights = dict(additive)
+                if len(c) + 1 < n:
+                    weights[c | {s}] = weights[c] - 0.01
+                else:
+                    weights[c] = 1.01
+                got = capacity_outcome(Capacity, states, weights)
+                assert got[0] == "ValueError"
+                assert got == capacity_outcome(ReferenceCapacity, states, weights)
+
+    @pytest.mark.parametrize("where", ["singleton", "pair", "full"])
+    def test_nan_weight_is_rejected_naming_the_subset(self, where):
+        states = ("s2", "s0", "s1")
+        weights = dict(Capacity.additive(Beliefs(dict.fromkeys(states, 1 / 3))).weights)
+        subset = {"singleton": ("s0",), "pair": ("s2", "s1"), "full": states}[where]
+        weights[frozenset(subset)] = math.nan
+        with pytest.raises(ValueError, match=re.escape(f"capacity of {list(subset)} is NaN")):
+            Capacity(states, weights)
+
+    def test_nan_full_weight_no_longer_makes_both_sides_second(self):
+        # Accepted before: the Choquet oracle then preferred the second act
+        # of compare(high, low) and of compare(low, high).
+        weights = {frozenset(): 0.0, frozenset({"a"}): 0.4, frozenset({"b"}): 0.6}
+        weights[frozenset({"a", "b"})] = math.nan
+        assert capacity_outcome(ReferenceCapacity, ("a", "b"), weights)[0] != "ValueError"
+        with pytest.raises(ValueError, match=re.escape("capacity of ['a', 'b'] is NaN")):
+            Capacity(("a", "b"), weights)
+
+    def test_empty_nan_weight_keeps_its_old_error(self):
+        weights = {frozenset(): math.nan, frozenset({"a"}): 1.0}
+        with pytest.raises(ValueError, match="^capacity of the empty set must be 0$"):
+            Capacity(("a",), weights)
+
+    def test_weight_on_a_state_outside_is_rejected_in_state_order(self):
+        states = ("s1", "s0")
+        weights = dict(Capacity.additive(Beliefs({"s1": 0.5, "s0": 0.5})).weights)
+        weights[frozenset({"x", "s0"})] = 1.0
+        # The frozenset validation raised a bare KeyError, in hash order.
+        with pytest.raises(KeyError):
+            ReferenceCapacity(states, weights)
+        with pytest.raises(
+            ValueError,
+            match=re.escape("capacity weighs ['s0', 'x'], with states outside ['s1', 's0']"),
+        ):
+            Capacity(states, weights)
+
+    def test_weight_on_a_state_outside_no_longer_overwrites_the_empty_set(self):
+        weights = {frozenset(): 0.0, frozenset({"a"}): 1.0, frozenset({"z"}): 0.5}
+        weights[frozenset({"a", "z"})] = 1.0
+        # Every union was weighted, so the frozenset validation accepted it
+        # and wrote the weight of {"z"} into the empty set's slot.
+        assert ReferenceCapacity(("a",), weights)._by_mask == [0.5, 1.0]
+        with pytest.raises(ValueError, match=re.escape("capacity weighs ['z'], with states outside ['a']")):
+            Capacity(("a",), weights)
+
+    def test_a_key_that_is_not_a_frozenset_is_a_type_error(self):
+        weights = dict(Capacity.additive(Beliefs({"a": 0.5, "b": 0.5})).weights)
+        weights[("a",)] = 0.5
+        with pytest.raises(TypeError, match="frozensets"):
+            Capacity(("a", "b"), weights)
 
 
 class TestChoquetOracle:

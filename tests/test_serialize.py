@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -305,6 +306,19 @@ class TestOracleSpecs:
         back = serialize.oracle_from_json(json.loads(json.dumps(doc)))
         assert isinstance(back, ChoquetOracle)
         assert back.capacity.weights == oracle.capacity.weights
+
+    @pytest.mark.parametrize("key", ["a", "a,b", "a,b,c"])
+    def test_nan_capacity_weight_rejected(self, key):
+        doc = {
+            "kind": "choquet",
+            "lambda": 1.0,
+            "utility": {"x": 1.0, "y": 0.0},
+            "capacity": {"a": 0.2, "b": 0.3, "c": 0.1, "a,b": 0.6, "a,c": 0.4, "b,c": 0.5},
+        }
+        doc["capacity"][key] = float("nan")
+        text = json.dumps(doc)  # NaN is written as a bare NaN token
+        with pytest.raises(ValueError, match=re.escape(f"capacity of {key.split(',')} is NaN")):
+            serialize.oracle_from_json(json.loads(text))
 
     def test_widened_round_trip(self):
         oracle = WidenedOracle(SEUOracle(sample_model()), extra_band=0.01)
