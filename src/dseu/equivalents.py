@@ -9,6 +9,7 @@ without ever seeing its model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -157,6 +158,23 @@ def bisect_indifference(
     of them.  Every step the gallop's answers do not cover is asked, also
     at ``t = inf``.
     """
+    found = _search(probe, ceiling, tol, hint)
+    return None if found is None else found[:2]
+
+
+def _search(
+    probe: Callable[[float], Preference],
+    ceiling: float,
+    tol: float,
+    hint: float | None,
+) -> tuple[float, float, bool, bool] | None:
+    """:func:`bisect_indifference`, returning ``None`` or ``(t, width, second, first)``.
+
+    ``second`` and ``first`` say whether some probe, in the gallop or after
+    it, answered "second" or "first".  The bracket's low end moves only on
+    a "second" answer, asked or taken from the gallop's, and the bisection
+    starts only after a "first" one; every gallop probe lies above 0.
+    """
     # A bound no answer gave is NaN, and every comparison with NaN is false.
     second_below = first_above = math.nan
     if hint is not None:
@@ -170,7 +188,7 @@ def bisect_indifference(
                 break
             answer = probe(hi)
             if answer is Preference.INDIFFERENT:
-                return hi, 0.0
+                return hi, 0.0, lo > 0.0 or second_below > 0.0, first_above > 0.0
             if answer is Preference.STRICTLY_PREFERS_FIRST:
                 break
         if hi >= ceiling:
@@ -187,12 +205,18 @@ def bisect_indifference(
         else:
             answer = probe(mid)
             if answer is Preference.INDIFFERENT:
-                return mid, 0.0
+                return mid, 0.0, lo > 0.0 or second_below > 0.0, True
             if answer is Preference.STRICTLY_PREFERS_FIRST:
                 hi = mid
             else:
                 lo = mid
-    return 0.5 * (lo + hi), hi - lo
+    return 0.5 * (lo + hi), hi - lo, lo > 0.0 or second_below > 0.0, True
+
+
+@functools.lru_cache(maxsize=1)
+def _ceiling(rate: ExpMeasure) -> float:
+    """The time of prefix mass :data:`CEILING_MASS`; a session's searches share one rate."""
+    return rate.quantile(CEILING_MASS)
 
 
 def time_equivalent_bisect(
@@ -206,33 +230,47 @@ def time_equivalent_bisect(
 ) -> TimeEquivalent:
     """Bisect an oracle for the prefix length indifferent to ``f``.
 
-    Requires the oracle to weakly rank ``x`` above ``f`` above ``y`` (checked
-    first; violations raise :class:`ProtocolError`).  The search is
+    Requires the oracle to weakly rank ``x`` above ``f`` above ``y``
+    (violations raise :class:`ProtocolError`).  The search is
     :func:`bisect_indifference` on the x-then-y prefix stream against ``f``;
     past the mass ceiling (computed from ``rate`` when given, a fixed large
     horizon otherwise) the answer is the whole horizon.  A ``hint``, a
     predicted prefix length, is passed on to warm-start the search: for an
     oracle whose answers are weakly monotone in the prefix length, the result
     is the unhinted one bit for bit, at a cost of at most four queries more.
+
+    The end queries, constant ``x`` against ``f`` and ``f`` against constant
+    ``y``, are the probes at prefix lengths infinity and 0.  Each is asked
+    after the search, only when no probe's answer implies it under weakly
+    monotone answers: the top one when none answered "first", the bottom
+    one when none answered "second", top first.  A "second" answer raises;
+    an indifferent bottom gives 0, else an indifferent top the whole
+    horizon.  For weakly monotone answers every result and error is the one
+    of asking both before the search: up to two queries fewer, or a whole
+    search more for an act worth ``x`` or ``y`` or outside them, which an
+    end query settled before any probe.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     states = f.states
-    top = oracle.compare(GridAct.constant(states, x), f)
-    if top is Preference.STRICTLY_PREFERS_SECOND:
-        raise ProtocolError(f"oracle strictly prefers the act to constant {x!r}")
-    bottom = oracle.compare(f, GridAct.constant(states, y))
-    if bottom is Preference.STRICTLY_PREFERS_SECOND:
-        raise ProtocolError(f"oracle strictly prefers constant {y!r} to the act")
-    if bottom is Preference.INDIFFERENT:
-        return TimeEquivalent(0.0)
-    if top is Preference.INDIFFERENT:
-        return TimeEquivalent(None)
-
-    ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
+    ceiling = FALLBACK_HORIZON if rate is None else _ceiling(rate)
 
     def probe(t: float) -> Preference:
         return oracle.compare(_switch_act(states, x, t, y), f)
 
-    found = bisect_indifference(probe, ceiling, tol, hint)
-    return TimeEquivalent(None) if found is None else TimeEquivalent(*found)
+    found = _search(probe, ceiling, tol, hint)
+    t, width, second, first = (None, 0.0, True, False) if found is None else found
+    top = bottom = Preference.STRICTLY_PREFERS_FIRST
+    if not first:
+        top = oracle.compare(GridAct.constant(states, x), f)
+        if top is Preference.STRICTLY_PREFERS_SECOND:
+            raise ProtocolError(f"oracle strictly prefers the act to constant {x!r}")
+    if not second:
+        bottom = oracle.compare(f, GridAct.constant(states, y))
+        if bottom is Preference.STRICTLY_PREFERS_SECOND:
+            raise ProtocolError(f"oracle strictly prefers constant {y!r} to the act")
+    if bottom is Preference.INDIFFERENT:
+        return TimeEquivalent(0.0)
+    if top is Preference.INDIFFERENT:
+        return TimeEquivalent(None)
+    return TimeEquivalent(t, width)

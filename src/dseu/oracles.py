@@ -12,11 +12,11 @@ attribute they do not define from the oracle they wrap.  All oracles here
 are deterministic, so elicitation sessions and audit witnesses replay
 exactly.
 
-The SEU and Choquet oracles memoise the values of the last two acts they
-valued, keyed by identity, in two slots that :func:`_recall` tests in
-order.  A search compares many probes against one fixed act, so that act
-is valued once per search.  This relies on acts being immutable: the
-library never mutates a :class:`~dseu.acts.GridAct` after construction.
+The SEU and Choquet oracles memoise the values of the two acts they used
+most recently, keyed by identity (:func:`_recall`).  Every query of a
+search uses its fixed act, so that act is valued once per search.  This
+relies on acts being immutable: the library never mutates a
+:class:`~dseu.acts.GridAct` after construction.
 Every row is valued through the module-level ``profile_value`` (so a
 wrapper bound to that name sees every row).  Every probe of a search is a
 deterministic act, which records its one row
@@ -101,33 +101,29 @@ def _memo_field():
 
 
 def _recall(
-    memo: list[tuple[GridAct, float, bool]],
+    memo: list[tuple[GridAct, float]],
     f: GridAct,
     compute: Callable[[GridAct], float],
 ) -> float:
-    """``compute(f)``, remembered for at most two acts by identity.
+    """``compute(f)``, remembered for the two acts most recently used.
 
-    The first slot holds the act most recently found here again, which in
-    a search is the fixed side; each newly valued act takes the second
-    slot.  Until some act has been found again, a new act evicts the older
-    one.  Holding the acts keeps their identities unique.  Each slot is
-    ``(act, value, found again)``; a hit tests the slots in order.
+    ``memo`` holds ``(act, value)`` pairs, most recently used first, and
+    matches acts by identity; holding the acts keeps their identities
+    unique.  A hit moves the act to the front; a miss puts the newly valued
+    act at the front and drops the back one.
     """
     if memo:
         first = memo[0]
         if first[0] is f:
-            if not first[2]:
-                memo[0] = (f, first[1], True)
             return first[1]
         if len(memo) == 2:
             second = memo[1]
             if second[0] is f:
-                memo[0], memo[1] = (f, second[1], True), first
+                memo[0], memo[1] = second, first
                 return second[1]
     v = compute(f)
-    if len(memo) == 2 and not memo[0][2]:
-        del memo[0]
-    memo[1:] = [(f, v, False)]
+    memo.insert(0, (f, v))
+    del memo[2:]
     return v
 
 
@@ -137,7 +133,7 @@ class SEUOracle(Oracle):
 
     model: DSEUModel
     band: float = 0.0
-    _memo: list[tuple[GridAct, float, bool]] = _memo_field()
+    _memo: list[tuple[GridAct, float]] = _memo_field()
 
     @property
     def states(self) -> tuple[State, ...]:
@@ -181,7 +177,8 @@ class Capacity:
     has the same value, so that value times each step, summed in turn, is
     its integral.
 
-    The constructor maps each weighted subset to its mask once and checks
+    The states must be distinct; the first one listed again raises.  The
+    constructor then maps each weighted subset to its mask once and checks
     the weights on that list, in this order: every subset weighted, the
     empty set 0, the full set 1 (within 1e-12), every key a set of the
     states, monotone (within 1e-12), and no weight NaN.  The first
@@ -197,14 +194,14 @@ class Capacity:
     def __post_init__(self) -> None:
         states = self.states
         full = frozenset(states)
+        if len(full) != len(states):
+            twice = next(s for i, s in enumerate(states) if s in states[:i])
+            raise ValueError(f"capacity lists state {twice!r} twice in {list(states)}")
         object.__setattr__(self, "_full", full)
         spec = dict(self.weights)
         spec.setdefault(frozenset(), 0.0)
         spec.setdefault(full, 1.0)
-        # A state listed twice holds the bits of both its places.
-        bits: dict[State, int] = {}
-        for i, s in enumerate(states):
-            bits[s] = bits.get(s, 0) | 1 << i
+        bits = {s: 1 << i for i, s in enumerate(states)}
         try:
             masks = (
                 [sum(map(bits.__getitem__, c)) for c in spec]
@@ -215,7 +212,7 @@ class Capacity:
             masks = None
         # Distinct sets of the states have distinct masks, so with every key
         # one of them, 2^k keys are all the subsets of the k states.
-        if masks is None or len(masks) != 1 << len(bits):
+        if masks is None or len(masks) != 1 << len(states):
             missing = set(subsets(states)) - set(spec)
             if missing:
                 raise ValueError(f"capacity misses {len(missing)} subsets, e.g. {sorted(next(iter(missing)))}")
@@ -326,7 +323,7 @@ class ChoquetOracle(Oracle):
     utility: UtilityModel
     capacity: Capacity
     band: float = 0.0
-    _memo: list[tuple[GridAct, float, bool]] = _memo_field()
+    _memo: list[tuple[GridAct, float]] = _memo_field()
 
     @property
     def states(self) -> tuple[State, ...]:

@@ -27,7 +27,10 @@ from dseu.oracles import (
     Preference,
     ProtocolError,
     SEUOracle,
+    WidenedOracle,
 )
+
+import eager_endpoints
 
 STATES = ("s0", "s1")
 UTIL = {"x": 1.0, "y": 0.0, "m": 0.35}
@@ -436,3 +439,103 @@ class TestBisectIndifference:
         probe = RecordingProbe(1.3, band=0.5)
         assert bisect_indifference(probe, 100.0, 1e-9, hint=1.5) == (1.5, 0.0)
         assert probe.asked == [1.5 + 2.0**-30, 1.0, 2.0, 1.5]
+
+
+# -- end queries after the probes, against the search that asked them first ----
+
+LADDER = {"top": 1.6, "x": 1.0, "m": 0.35, "y": 0.0, "bottom": -0.4}
+BRACKETS = [("x", "y"), ("m", "y"), ("x", "m"), ("top", "bottom"), ("x", "bottom"), ("top", "y")]
+STATES3 = ("s0", "s1", "s2")
+
+
+@st.composite
+def ladder_rows(draw):
+    cuts = sorted(set(draw(st.lists(st.floats(0.01, 5.0), max_size=3))))
+    outs = draw(st.lists(st.sampled_from(tuple(LADDER)), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    return StepProfile.from_breakpoints(cuts, outs)
+
+
+@st.composite
+def monotone_searches(draw):
+    """A factory of weakly monotone oracles, an act, a bracket, a tolerance, a rate and a hint.
+
+    The oracles are SEU or Choquet, unwrapped, banded, widened or counted;
+    the acts are bets on the bracket, constants of any outcome and random
+    rows, so some escape the bracket at either end.
+    """
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+    model = DSEUModel(
+        ExpMeasure(draw(st.floats(0.2, 3.0))),
+        UtilityModel(dict(LADDER)),
+        Beliefs({s: w / sum(raw) for s, w in zip(STATES3, raw)}),
+    )
+    base = draw(st.sampled_from(("seu", "choquet")))
+    wrap = draw(st.sampled_from(("none", "banded", "widened", "counting")))
+    band = draw(st.sampled_from((0.0, 1e-3)) | st.floats(0.0, 0.2))
+    capacity = Capacity.epsilon_contamination(model.beliefs, draw(st.floats(0.0, 1.0)))
+
+    def make():
+        own_band = band if wrap == "banded" else 0.0
+        if base == "seu":
+            oracle = SEUOracle(model, own_band)
+        else:
+            oracle = ChoquetOracle(model.discount, model.utility, capacity, own_band)
+        if wrap == "widened":
+            return WidenedOracle(oracle, band)
+        if wrap == "counting":
+            return CountingOracle(oracle)
+        return oracle
+
+    x, y = draw(st.sampled_from(BRACKETS))
+    kind = draw(st.sampled_from(("bet", "constant", "rows")))
+    if kind == "bet":
+        event = draw(st.sets(st.sampled_from(STATES3)))
+        f = GridAct.bet(STATES3, event, x, y)
+    elif kind == "constant":
+        f = GridAct.constant(STATES3, draw(st.sampled_from(tuple(LADDER))))
+    else:
+        f = GridAct({s: draw(ladder_rows()) for s in STATES3})
+    tol = draw(st.floats(1e-9, 1e-2))
+    rate = draw(st.none() | st.just(model.discount))
+    hint = draw(st.none() | st.floats(0.0, 20.0) | st.just(0.0) | st.just(math.inf))
+    return make, f, x, y, tol, rate, hint
+
+
+def search_outcome(search, oracle, f, x, y, tol, rate, hint):
+    """The result's bits, or the protocol error's message, and the queries asked."""
+    counting = CountingOracle(oracle)
+    try:
+        te = search(counting, f, x, y, tol, rate=rate, hint=hint)
+    except ProtocolError as err:
+        return ("ProtocolError", str(err)), counting.count
+    t = None if te.t is None else te.t.hex()
+    return (t, te.bracket_width.hex()), counting.count
+
+
+class TestLazyEndQueries:
+    @given(monotone_searches())
+    @settings(deadline=None)
+    def test_results_and_errors_match_the_eager_search(self, search):
+        make, *args = search
+        got, asked = search_outcome(time_equivalent_bisect, make(), *args)
+        want, eager_asked = search_outcome(eager_endpoints.time_equivalent_bisect, make(), *args)
+        assert got == want
+        # Past its two end queries the reference asked the same probes; an
+        # act it settled at an end query is searched first now.
+        if eager_asked > 2:
+            assert eager_asked - 2 <= asked <= eager_asked
+
+    @pytest.mark.parametrize(
+        "outcome, x, y",
+        [("x", "x", "y"), ("x", "m", "y"), ("y", "x", "y"), ("y", "x", "m")],
+        ids=["whole-horizon", "above-x", "zero", "below-y"],
+    )
+    @pytest.mark.parametrize("rate", [None, ExpMeasure(1.0)])
+    def test_constant_acts_end_as_the_eager_search(self, outcome, x, y, rate):
+        # The cases of test_whole_horizon_for_top_act and
+        # test_protocol_error_when_act_escapes_bracket, and their mirrors.
+        act = GridAct.constant(STATES, outcome)
+        args = act, x, y, 1e-9, rate, None
+        got, _ = search_outcome(time_equivalent_bisect, SEUOracle(model_for()), *args)
+        want, _ = search_outcome(eager_endpoints.time_equivalent_bisect, SEUOracle(model_for()), *args)
+        assert got == want

@@ -190,6 +190,20 @@ def capacity_specs(draw):
     return states, {c: weights[c] for c in order}
 
 
+class TestCapacityStates:
+    @pytest.mark.parametrize(
+        "weights", [{}, {frozenset(): 0.0, frozenset({"a"}): 1.0}], ids=["none", "complete"]
+    )
+    def test_a_repeated_state_is_rejected(self, weights):
+        with pytest.raises(ValueError, match=r"^capacity lists state 'a' twice in \['a', 'a'\]$"):
+            Capacity(("a", "a"), weights)
+
+    def test_the_first_state_listed_again_is_named(self):
+        states = ("b", "a", "c", "a", "b")
+        with pytest.raises(ValueError, match="^capacity lists state 'a' twice in "):
+            Capacity(states, {c: float(len(c) == 3) for c in subsets(states)})
+
+
 class TestCapacityMasks:
     """The mask validation against the frozenset one it replaced."""
 
@@ -197,9 +211,12 @@ class TestCapacityMasks:
     @settings(deadline=None)
     def test_builds_and_rejects_as_the_frozenset_reference(self, spec):
         states, weights = spec
-        assert capacity_outcome(Capacity, states, weights) == capacity_outcome(
-            ReferenceCapacity, states, weights
-        )
+        got = capacity_outcome(Capacity, states, weights)
+        if len(set(states)) < len(states):
+            # The reference builds on a repeated state, which now raises first.
+            assert got[0] == "ValueError" and " twice in " in got[1]
+        else:
+            assert got == capacity_outcome(ReferenceCapacity, states, weights)
 
     @given(
         st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
@@ -523,25 +540,23 @@ class TestOracleInterface:
             assert repr(twin) == repr(oracle)
 
 
-# -- the memo policy as it was before the slots were tested directly -----------
+# -- the memo policy: the two acts used most recently, the last one first -------
 
 
 def ref_recall(memo, f, compute):
-    for i, (act, v, _) in enumerate(memo):
+    for i, (act, v) in enumerate(memo):
         if act is f:
-            memo[i] = (act, v, True)
-            if i:
-                memo.reverse()
+            memo.insert(0, memo.pop(i))
             return v
     v = compute(f)
-    if len(memo) == 2 and not memo[0][2]:
-        del memo[0]
-    memo[1:] = [(f, v, False)]
+    memo.insert(0, (f, v))
+    if len(memo) > 2:
+        memo.pop()
     return v
 
 
 def memo_contents(memo):
-    return [(id(act), v, seen) for act, v, seen in memo]
+    return [(id(act), v) for act, v in memo]
 
 
 class TestRecall:

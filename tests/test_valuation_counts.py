@@ -58,11 +58,11 @@ def test_session_values_at_most_three_rows_per_query(rows, monkeypatch):
     monkeypatch.setattr(SEUOracle, "compare", counted)
     states = tuple(f"s{i}" for i in range(6))
     report = run_session(SEUOracle(model(states)), "hi", "lo")
-    assert report.query_count == len(per_query) == 501
+    assert report.query_count == len(per_query) == 377
     # A bet has two distinct rows and a prefix act one; the bet of each
     # search is valued once, at its first comparison.
     assert max(per_query) == 3
-    assert len(rows) == 657
+    assert len(rows) == 533
 
 
 def test_bisection_values_each_row_of_the_fixed_act_once(rows):
@@ -79,8 +79,8 @@ def test_bisection_values_each_row_of_the_fixed_act_once(rows):
     oracle = CountingOracle(SEUOracle(m))
     te = time_equivalent_bisect(oracle, f, "hi", "lo", rate=m.discount)
     assert [sum(p is f.row(s) for p in rows) for s in states] == [1, 1, 1]
-    # Besides those, one row per query: each anchor and each probe is
-    # deterministic, and meets the act in exactly one query.
-    assert oracle.count == 33
+    # Besides those, one row per query: each probe is deterministic and
+    # meets the act in exactly one query; the probes imply both end queries.
+    assert oracle.count == 31
     assert len(rows) == 3 + oracle.count
     assert te.t is not None

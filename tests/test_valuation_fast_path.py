@@ -7,6 +7,7 @@ object (valued from that row alone), equal but distinct objects, or all
 different.
 """
 
+import math
 from collections.abc import Mapping
 from functools import partial
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dseu.acts import GridAct, StepProfile
+from dseu.equivalents import time_equivalent_bisect
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel, profile_value
 from dseu.measure import ExpMeasure
 from dseu.oracles import (
@@ -205,15 +207,40 @@ def test_the_fixed_side_of_a_search_is_valued_once(anchors, monkeypatch):
     model = DSEUModel(ExpMeasure(1.0), UtilityModel(dict(UTIL)), Beliefs.uniform(STATES))
     oracle = SEUOracle(model)
     fixed = GridAct.bet(STATES, {"s0"}, "b", "a")
-    if anchors:
-        oracle.compare(GridAct.constant(STATES, "d"), fixed)
-        oracle.compare(fixed, GridAct.constant(STATES, "c"))
     for t in (1.0, 0.5, 0.75, 0.625):
         probe = GridAct.deterministic(STATES, StepProfile.before_after("b", t, "a"))
         oracle.compare(probe, fixed)
         assert len(oracle._memo) == 2
+    if anchors:
+        # A search's end queries come after its probes, the top one first.
+        oracle.compare(GridAct.constant(STATES, "d"), fixed)
+        oracle.compare(fixed, GridAct.constant(STATES, "c"))
     assert sum(f is fixed for f in valued) == 1
     assert len(valued) == 4 + 2 * anchors + 1
+
+
+@pytest.mark.parametrize("hinted", [False, True])
+def test_consecutive_searches_value_each_bet_once(hinted, monkeypatch):
+    # A memo that keeps the previous search's bet in a slot of its own
+    # leaves one slot for the next bet and each probe in turn, and values
+    # that bet again on every query.
+    valued = []
+    act_value = DSEUModel.act_value
+
+    def counted(self, f):
+        valued.append(f)
+        return act_value(self, f)
+
+    monkeypatch.setattr(DSEUModel, "act_value", counted)
+    model = DSEUModel(ExpMeasure(1.0), UtilityModel(dict(UTIL)), Beliefs.uniform(STATES))
+    oracle = SEUOracle(model)
+    events = ({"s0"}, {"s0", "s1"}, {"s2"})
+    bets = [GridAct.bet(STATES, event, "b", "a") for event in events]
+    for event, bet in zip(events, bets):
+        # Uniform beliefs at rate 1: the bet's time equivalent is -log(1 - |E| / n).
+        hint = -math.log1p(-len(event) / len(STATES)) if hinted else None
+        time_equivalent_bisect(oracle, bet, "b", "a", rate=model.discount, hint=hint)
+    assert [sum(f is bet for f in valued) for bet in bets] == [1, 1, 1]
 
 
 class FrozenMap(Mapping):
