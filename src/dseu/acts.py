@@ -80,8 +80,6 @@ class StepProfile:
     @classmethod
     def before_after(cls, early: Outcome, t: float, late: Outcome) -> StepProfile:
         """``early`` on ``[0, t)`` then ``late`` forever; ``t = 0`` drops ``early``."""
-        if 0.0 < t < INF:
-            return cls._unchecked((t,), (early, late))
         return cls.from_breakpoints((t,), (early, late))
 
     @classmethod
@@ -180,11 +178,11 @@ class GridAct:
     the states; an act built from a mapping has ``common_row`` ``None``,
     whatever its rows.  ``common_row`` takes no part in ``==`` or ``repr``.
 
-    :meth:`deterministic`, :meth:`constant`, :meth:`bet` and the module's
-    ``_switch_act`` (the probe "``early`` before ``t``, ``late`` after")
-    skip the constructor and check only that there is a state: their rows
-    are canonical by construction.  :meth:`constant` and ``_switch_act``
-    also build their one row without :meth:`StepProfile.normalized`.
+    :meth:`deterministic` (and with it :meth:`constant`), :meth:`bet` and
+    the module's ``_switch_act`` (the probe "``early`` before ``t``,
+    ``late`` after") skip the constructor and check only that there is a
+    state: their rows are canonical by construction.  ``_switch_act`` also
+    builds its one row without :meth:`StepProfile.normalized`.
     """
 
     profiles: Mapping[State, StepProfile]
@@ -234,9 +232,7 @@ class GridAct:
 
     @classmethod
     def constant(cls, states: Iterable[State], outcome: Outcome) -> GridAct:
-        # A one-piece row is already normalized.
-        row = StepProfile._unchecked((), (outcome,))
-        return cls._unchecked(dict.fromkeys(states, row), row)
+        return cls.deterministic(states, StepProfile.constant(outcome))
 
     @classmethod
     def stochastic(cls, assignment: Mapping[State, Outcome]) -> GridAct:

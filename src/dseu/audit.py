@@ -111,6 +111,30 @@ def _strict_pairs(ranking: Ranking, outcomes) -> list[tuple[Outcome, Outcome]]:
     ]
 
 
+def _ranked(
+    oracle, seed: int, sampler: ActSampler | None, ranking: Ranking | None
+) -> tuple[ActSampler, random.Random, Ranking, bool, str]:
+    """Sampler, rng, ranking (asked only when not handed in), strict flag and note of a check."""
+    sampler = sampler or ActSampler.for_oracle(oracle)
+    rng = random.Random(seed)
+    if ranking is None:
+        ranking = _outcome_ranking(oracle)
+    strict = oracle.band == 0.0
+    note = "" if strict else "strict clause skipped inside the indifference band"
+    return sampler, rng, ranking, strict, note
+
+
+def _better_rejected(
+    answer: Preference, strict: bool, rejected: str, not_strict: str
+) -> str | None:
+    """The kind of violation, if any, when the better of two acts gets ``answer``."""
+    if answer is Preference.STRICTLY_PREFERS_SECOND:
+        return rejected
+    if strict and answer is not Preference.STRICTLY_PREFERS_FIRST:
+        return not_strict
+    return None
+
+
 def _vacuous(axiom: str) -> CheckReport:
     """Report for a check with no witness: every outcome pair is a tie."""
     return CheckReport(
@@ -182,15 +206,10 @@ def check_t_monotonicity(
     sampler's outcomes strictly, no stream can be improved and the report is
     vacuous.
     """
-    sampler = sampler or ActSampler.for_oracle(oracle)
-    rng = random.Random(seed)
-    if ranking is None:
-        ranking = _outcome_ranking(oracle)
+    sampler, rng, ranking, strict, note = _ranked(oracle, seed, sampler, ranking)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("t_monotonicity")
     states = tuple(oracle.states)
-    strict_applies = oracle.band == 0.0
-    note = "" if strict_applies else "strict clause skipped inside the indifference band"
     violations: list[Violation] = []
     done = 0
     while done < samples:
@@ -201,17 +220,14 @@ def check_t_monotonicity(
         done += 1
         fx, fy = _lift(x, states), _lift(y, states)
         answer = oracle.compare(fx, fy)
-        if answer is Preference.STRICTLY_PREFERS_SECOND:
-            violations.append(
-                Violation("pointwise-better stream rejected", [(fx, fy, answer)])
-            )
-        elif strict_applies and answer is not Preference.STRICTLY_PREFERS_FIRST:
-            violations.append(
-                Violation(
-                    "strict improvement on positive mass not strictly preferred",
-                    [(fx, fy, answer)],
-                )
-            )
+        kind = _better_rejected(
+            answer,
+            strict,
+            "pointwise-better stream rejected",
+            "strict improvement on positive mass not strictly preferred",
+        )
+        if kind:
+            violations.append(Violation(kind, [(fx, fy, answer)]))
     return CheckReport(
         axiom="t_monotonicity", checked=samples, violations=violations, note=note
     )
@@ -233,15 +249,10 @@ def check_dominance(
     states count as non-null for the strict clause.  The report is vacuous
     when the oracle ranks no pair of the sampler's outcomes strictly.
     """
-    sampler = sampler or ActSampler.for_oracle(oracle)
-    rng = random.Random(seed)
-    if ranking is None:
-        ranking = _outcome_ranking(oracle)
+    sampler, rng, ranking, strict, note = _ranked(oracle, seed, sampler, ranking)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("dominance")
     states = tuple(oracle.states)
-    strict_applies = oracle.band == 0.0
-    note = "" if strict_applies else "strict clause skipped inside the indifference band"
     violations: list[Violation] = []
     done = 0
     while done < samples:
@@ -273,24 +284,14 @@ def check_dominance(
         if not premise_ok:
             continue
         answer = oracle.compare(f, g)
-        if answer is Preference.STRICTLY_PREFERS_SECOND:
-            violations.append(
-                Violation(
-                    "statewise-better act rejected",
-                    [*row_queries, (f, g, answer)],
-                )
-            )
-        elif (
-            strict_applies
-            and strict_row
-            and answer is not Preference.STRICTLY_PREFERS_FIRST
-        ):
-            violations.append(
-                Violation(
-                    "strictly better row on a believed state, no strict preference",
-                    [*row_queries, (f, g, answer)],
-                )
-            )
+        kind = _better_rejected(
+            answer,
+            strict and strict_row,
+            "statewise-better act rejected",
+            "strictly better row on a believed state, no strict preference",
+        )
+        if kind:
+            violations.append(Violation(kind, [*row_queries, (f, g, answer)]))
     return CheckReport(
         axiom="dominance", checked=samples, violations=violations, note=note
     )
@@ -360,15 +361,11 @@ def check_t_separability(
     into a tie, so in that case only strictly opposite directions count.
     When the sampler finds no disjoint pair, the check stops INCONCLUSIVE.
     """
-    sampler = sampler or ActSampler.for_oracle(oracle)
-    rng = random.Random(seed)
-    if ranking is None:
-        ranking = _outcome_ranking(oracle)
+    sampler, rng, ranking, exact, _ = _ranked(oracle, seed, sampler, ranking)
     states = tuple(oracle.states)
     strict_pairs = _strict_pairs(ranking, oracle.outcomes)
     if not strict_pairs:
         return _vacuous("t_separability")
-    exact = oracle.band == 0.0
     violations: list[Violation] = []
     for done in range(samples):
         pair = sampler.disjoint_time_sets(rng)

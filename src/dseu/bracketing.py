@@ -93,9 +93,8 @@ def independent_selection(
 
     Built interval by interval as leading sub-intervals, so the result ``B``
     satisfies ``mass(B & A) = p_target * mass(A)`` for every bin ``A`` and is
-    therefore independent of each bin in the product sense.  Each portion
-    ends where ``rate.prefix_fraction`` would end it, to the bit, at
-    :func:`_prefix_end`, with the survival at each bound computed once.
+    therefore independent of each bin in the product sense.  Each portion is
+    ``rate.prefix_fraction`` of its interval.
     """
     if math.isnan(p_target) or p_target < 0:
         raise ValueError(f"target fraction must be >= 0, got {p_target!r}")
@@ -103,15 +102,9 @@ def independent_selection(
         raise ValueError(f"target fraction must stay below 1, got {p_target}")
     if p_target == 0.0:
         return TimeSet.empty()
-    r = rate.rate
-    pairs = []
-    for ts in bins:
-        bounds = ts.bounds
-        # The floats of ``rate.sf``, also sf(inf) = 0.0.
-        sf = [math.exp(-r * t) for t in bounds]
-        for lo, hi, s_lo, s_hi in zip(bounds[::2], bounds[1::2], sf[::2], sf[1::2]):
-            pairs.append((lo, _prefix_end(rate, lo, hi, s_lo, s_hi, p_target)))
-    return TimeSet.from_pairs(pairs)
+    return TimeSet.from_pairs(
+        [(lo, rate.prefix_fraction(TimeInterval(lo, hi), p_target).hi) for ts in bins for lo, hi in ts]
+    )
 
 
 def _prefix_end(

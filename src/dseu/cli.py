@@ -90,7 +90,7 @@ def cmd_equiv(args: argparse.Namespace) -> int:
     act = serialize.act_from_json(_load_json(args.act))
     if args.oracle:
         oracle = serialize.oracle_from_json(_load_json(args.oracle))
-        rate = ExpMeasure(args.rate) if args.rate else None
+        rate = None if args.rate is None else ExpMeasure(args.rate)
         te = time_equivalent_bisect(
             oracle, act, args.upper, args.lower, tol=args.tol, rate=rate
         )
@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="value of an act under a model, both integration orders")
     p.add_argument("model")
     p.add_argument("act")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("equiv", help="time equivalent of an act")
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lower", required=True, help="worse reference outcome")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--rate", type=float, help="known rate, for the bisection ceiling")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_equiv)
 
     p = sub.add_parser("elicit", help="recover rate and event probabilities from an oracle")
@@ -291,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upper", help="better bet outcome (default: best by spec utility)")
     p.add_argument("--lower", help="worse bet outcome")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_elicit)
 
     p = sub.add_parser("audit", help="run the axiom checks against an oracle")
@@ -299,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon-max", type=int, default=64)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_audit)
 
     p = sub.add_parser("bracket", help="two-outcome sandwich around a target act")
@@ -307,28 +303,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("act")
     p.add_argument("--bins", "-n", type=int, required=True)
     p.add_argument("--mode", choices=("act", "profile"), default="act")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_bracket)
 
     p = sub.add_parser("aa", help="reduce an act to one lottery per state")
     p.add_argument("model")
     p.add_argument("act")
     p.add_argument("--witnesses", action="store_true", help="also check the value and mixture identities")
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_aa)
 
     p = sub.add_parser("demo-section2", help="worked additivity chain for two disjoint events")
     p.add_argument("--lambda", dest="rate", type=float, default=1.0)
     p.add_argument("--muE", dest="mu_e", type=float, default=0.3)
     p.add_argument("--muF", dest="mu_f", type=float, default=0.2)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_demo_section2)
 
     p = sub.add_parser("demo-ellsberg", help="two-urn comparison: capacity vs additive beliefs")
     p.add_argument("--lambda", dest="rate", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=0.45)
-    p.add_argument("--out")
     p.set_defaults(fn=cmd_demo_ellsberg)
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

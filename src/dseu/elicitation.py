@@ -27,7 +27,7 @@ from .equivalents import (
 )
 from .evaluate import Beliefs, DSEUModel, UtilityModel
 from .measure import ExpMeasure
-from .oracles import CountingOracle, Preference, ProtocolError
+from .oracles import CountingOracle, Preference, ProtocolError, subset_indices
 
 #: Residual size above which a recovered set function is flagged non-additive.
 DEFAULT_RESIDUAL_TOLERANCE = 1e-3
@@ -45,9 +45,7 @@ class ElicitationReport:
 
     @property
     def max_residual(self) -> float:
-        if not self.additivity_residuals:
-            return 0.0
-        return max(abs(r) for r in self.additivity_residuals.values())
+        return max(map(abs, self.additivity_residuals.values()), default=0.0)
 
     @property
     def additive(self) -> bool:
@@ -56,13 +54,6 @@ class ElicitationReport:
     @property
     def verdict(self) -> str:
         return "PASS" if self.additive else "FAIL"
-
-
-def _swap_acts(
-    states: tuple[State, ...], x: Outcome, y: Outcome, t: float
-) -> tuple[GridAct, GridAct]:
-    """The half-life probe: x-then-y against y-then-x, both switching at ``t``."""
-    return _switch_act(states, x, t, y), _switch_act(states, y, t, x)
 
 
 def elicit_lambda(
@@ -84,7 +75,8 @@ def elicit_lambda(
         )
 
     def probe(t: float) -> Preference:
-        return oracle.compare(*_swap_acts(states, x, y, t))
+        # x-then-y against y-then-x, both switching at t.
+        return oracle.compare(_switch_act(states, x, t, y), _switch_act(states, y, t, x))
 
     found = bisect_indifference(probe, FALLBACK_HORIZON, tol)
     if found is None:
@@ -131,16 +123,12 @@ def _power_set_plan(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...
     """Every subset of ``n`` states and every disjoint pair of nonempty ones, as masks.
 
     Bit ``i`` stands for the ``i``-th state.  Subsets come in the order of
-    :func:`~dseu.oracles.subsets` (by size, each size in combination order)
+    :func:`~dseu.oracles.subset_indices` (by size, each size in combination order)
     and pairs in the order of ``itertools.combinations`` over the nonempty
     subsets.  Each event's partners are the submasks of its complement that
     come later in the plan, so the pairs cost ``3^n`` steps, not ``4^n``.
     """
-    events = tuple(
-        sum(1 << i for i in c)
-        for r in range(n + 1)
-        for c in itertools.combinations(range(n), r)
-    )
+    events = tuple(sum(1 << i for i in c) for c in subset_indices(n))
     position = {e: k for k, e in enumerate(events)}
     full = (1 << n) - 1
     pairs: list[tuple[int, int]] = []

@@ -35,7 +35,7 @@ import enum
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .acts import GridAct, Outcome, State
 from .evaluate import Beliefs, DSEUModel, UtilityModel, check_states, profile_value
@@ -155,13 +155,14 @@ class SEUOracle(Oracle):
         return _recall(self._memo, f, self.model.act_value)
 
 
+def subset_indices(n: int) -> Iterator[tuple[int, ...]]:
+    """Every subset of ``range(n)``, by size, each size in combination order."""
+    return itertools.chain.from_iterable(itertools.combinations(range(n), r) for r in range(n + 1))
+
+
 def subsets(states: tuple[State, ...]) -> list[frozenset[State]]:
-    """Every subset of ``states``, by size, each size in combination order."""
-    return [
-        frozenset(c)
-        for r in range(len(states) + 1)
-        for c in itertools.combinations(states, r)
-    ]
+    """Every subset of ``states``, in the order of :func:`subset_indices`."""
+    return [frozenset(map(states.__getitem__, c)) for c in subset_indices(len(states))]
 
 
 @dataclass(frozen=True)
@@ -274,8 +275,7 @@ class Capacity:
         probs = [beliefs(s) for s in states]
         spec = {
             frozenset(map(states.__getitem__, c)): (1.0 - epsilon) * sum(map(probs.__getitem__, c))
-            for r in range(len(states) + 1)
-            for c in itertools.combinations(range(len(states)), r)
+            for c in subset_indices(len(states))
         }
         spec[frozenset(states)] = 1.0
         return cls(states, spec)

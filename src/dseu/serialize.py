@@ -99,6 +99,21 @@ def _number(x: Any, expected: str) -> float:
     raise ValueError(f"expected {expected}, got {x!r}")
 
 
+#: The JSON name of each type ``json.loads`` returns.
+_JSON_NAMES = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _typed(doc: Any, kind: type, what: str) -> Any:
+    """``doc`` if it is a ``kind`` (an object or array); else a ``ValueError`` naming ``what``."""
+    if isinstance(doc, kind):
+        return doc
+    got = _JSON_NAMES.get(type(doc), type(doc).__name__)
+    raise ValueError(f"{what} must be {_JSON_NAMES[kind]}, got {got}")
+
+
 def _bound_in(x: Any) -> float:
     if x == INF_SENTINEL:
         return INF
@@ -114,7 +129,8 @@ def time_set_to_json(ts: TimeSet) -> list[list[float | str]]:
 
 def time_set_from_json(doc: Any) -> TimeSet:
     """Time set from ``[lo, hi]`` pairs; ``lo`` is a number, ``hi`` one or ``"inf"``."""
-    return TimeSet.from_pairs((_number(lo, "a number"), _bound_in(hi)) for lo, hi in doc)
+    pairs = [_typed(pair, list, "a time set interval") for pair in _typed(doc, list, "a time set")]
+    return TimeSet.from_pairs((_number(lo, "a number"), _bound_in(hi)) for lo, hi in pairs)
 
 
 # -- profiles and acts -------------------------------------------------------
@@ -151,6 +167,8 @@ def profile_from_json(rows: Any) -> StepProfile:
 
 def _tiling_error(rows: Any) -> ValueError:
     """The error for rows that ``profile_from_json`` rejects, worded row by row."""
+    for row in _typed(rows, list, "a profile"):
+        _typed(row, list, "a profile row")
     bounds = [(_number(lo, "a number"), _bound_in(hi)) for lo, hi, _ in rows]
     end = 0.0
     for lo, hi in bounds:
@@ -168,8 +186,12 @@ def act_to_json(act: GridAct) -> dict[str, Any]:
 
 
 def act_from_json(doc: Any) -> GridAct:
-    states = [str(s) for s in doc["states"]]
-    profiles = doc["profiles"]
+    _typed(doc, dict, "an act document")
+    states = [str(s) for s in _typed(doc["states"], list, "the act's states")]
+    profiles = _typed(doc["profiles"], dict, "the act's profiles")
+    if len(set(states)) != len(states):
+        twice = next(s for i, s in enumerate(states) if s in states[:i])
+        raise ValueError(f"act document lists state {twice!r} twice in {states}")
     missing = [s for s in states if s not in profiles]
     if missing:
         raise ValueError(f"act document misses profiles for states {missing}")
@@ -190,11 +212,17 @@ def model_to_json(model: DSEUModel) -> dict[str, Any]:
     }
 
 
+def _utility_from_json(doc: dict) -> UtilityModel:
+    utility = _typed(doc["utility"], dict, "'utility'")
+    return UtilityModel({str(o): float(u) for o, u in utility.items()})
+
+
 def model_from_json(doc: Any) -> DSEUModel:
+    _typed(doc, dict, "a model document")
     return DSEUModel(
         ExpMeasure(float(doc["lambda"])),
-        UtilityModel({str(o): float(u) for o, u in doc["utility"].items()}),
-        Beliefs({str(s): float(p) for s, p in doc["mu"].items()}),
+        _utility_from_json(doc),
+        Beliefs({str(s): float(p) for s, p in _typed(doc["mu"], dict, "'mu'").items()}),
     )
 
 
@@ -209,10 +237,12 @@ def lottery_act_to_json(act: LotteryAct) -> dict[str, Any]:
 
 
 def lottery_act_from_json(doc: Any) -> LotteryAct:
+    _typed(doc, dict, "a lottery act document")
+    lotteries = _typed(doc["lotteries"], dict, "'lotteries'")
     return LotteryAct(
         {
-            str(s): Lottery({str(o): float(p) for o, p in lot.items()})
-            for s, lot in doc["lotteries"].items()
+            str(s): Lottery({str(o): float(p) for o, p in _typed(lot, dict, "a lottery").items()})
+            for s, lot in lotteries.items()
         }
     )
 
@@ -232,6 +262,7 @@ def subset_from_key(key: str) -> frozenset[State]:
 
 
 def capacity_from_json(doc: Any) -> Capacity:
+    _typed(doc, dict, "'capacity'")
     weights = {subset_from_key(str(k)): float(v) for k, v in doc.items()}
     states = sorted(set().union(*weights) if weights else set())
     if not states:
@@ -240,14 +271,14 @@ def capacity_from_json(doc: Any) -> Capacity:
 
 
 def oracle_from_json(doc: Any):
-    kind = doc.get("kind")
+    kind = _typed(doc, dict, "an oracle document").get("kind")
     band = float(doc.get("band", 0.0))
     if kind == "seu":
         oracle = SEUOracle(model_from_json(doc), band)
     elif kind == "choquet":
         oracle = ChoquetOracle(
             ExpMeasure(float(doc["lambda"])),
-            UtilityModel({str(o): float(u) for o, u in doc["utility"].items()}),
+            _utility_from_json(doc),
             capacity_from_json(doc["capacity"]),
             band,
         )
@@ -301,14 +332,17 @@ def elicitation_report_to_json(report: ElicitationReport) -> dict[str, Any]:
 
 
 def elicitation_report_from_json(doc: Any) -> ElicitationReport:
+    _typed(doc, dict, "an elicitation report")
+    mu_hat = _typed(doc["mu_hat"], dict, "'mu_hat'")
+    rows = _typed(doc["additivity_residuals"], list, "'additivity_residuals'")
+    for row in rows:
+        _typed(row, dict, "a residual")
     return ElicitationReport(
         lambda_hat=float(doc["lambda_hat"]),
-        mu_hat={subset_from_key(k): float(p) for k, p in doc["mu_hat"].items()},
+        mu_hat={subset_from_key(k): float(p) for k, p in mu_hat.items()},
         additivity_residuals={
-            (subset_from_key(row["e"]), subset_from_key(row["f"])): float(
-                row["residual"]
-            )
-            for row in doc["additivity_residuals"]
+            (subset_from_key(row["e"]), subset_from_key(row["f"])): float(row["residual"])
+            for row in rows
         },
         query_count=int(doc["query_count"]),
         residual_tolerance=float(doc["residual_tolerance"]),

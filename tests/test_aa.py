@@ -83,6 +83,7 @@ def rated_profiles(draw):
 
 
 class TestReduce:
+    @pytest.mark.identity
     @given(rated_profiles())
     @settings(deadline=None)
     def test_matches_the_per_cut_survival_reference(self, case):

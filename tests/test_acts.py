@@ -151,6 +151,7 @@ def breakpoint_inputs(draw):
 
 
 class TestCanonical:
+    @pytest.mark.identity
     @given(breakpoint_inputs())
     @example(([1.0, 0.5, 2.0], ["a", "a", "a", "b"]))  # bad cut between equal outcomes
     @example(([1.0, 1.0, 0.0], ["a", "b", "b", "b"]))
@@ -201,6 +202,7 @@ ACT_STATES = st.lists(st.sampled_from(("s0", "s1", "s2", "s10", "b", "a")), max_
 class TestUncheckedBuilders:
     """Builders that skip the constructor's check against the checked constructors."""
 
+    @pytest.mark.identity
     @given(st.sampled_from(OUTCOMES), POINTS, st.sampled_from(OUTCOMES))
     @example("a", 0.0, "b")
     @example("a", -0.0, "b")
@@ -222,6 +224,7 @@ class TestUncheckedBuilders:
         assert constant == StepProfile((), (early,))
         assert profile_fields_are_tuples(constant)
 
+    @pytest.mark.identity
     @given(ACT_STATES, st.sampled_from(OUTCOMES), POINTS, st.sampled_from(OUTCOMES))
     @example(["s0"], "a", 0.0, "b")
     @example(["s0"], "a", -0.0, "b")
@@ -243,6 +246,7 @@ class TestUncheckedBuilders:
             assert act.common_row == ref(states, early, t, late).common_row
             assert all(p is act.common_row for p in act.profiles.values())
 
+    @pytest.mark.identity
     @given(
         ACT_STATES,
         st.lists(POINTS.filter(lambda t: 0.0 < t < INF), max_size=4),

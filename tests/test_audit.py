@@ -423,6 +423,7 @@ def draws_profile(sampler, rng, pieces=None):
 
 
 class TestSamplerStream:
+    @pytest.mark.identity
     @given(
         st.sampled_from((random.Random, RandomOnly)),
         st.integers(0, 2**32),

@@ -226,6 +226,7 @@ class TestIndependentSelection:
         with pytest.raises(ValueError):
             independent_selection(ExpMeasure(1.0), [TimeSet.full()], 1.0)
 
+    @pytest.mark.identity
     @given(selection_cases())
     @settings(deadline=None)
     def test_matches_the_prefix_fraction_reference(self, case):
@@ -309,6 +310,7 @@ class TestBracketProfile:
             assert (got.lower, got.upper, got.bins) == (lower, upper, tuple(bins))
             assert got.gap == gap
 
+    @pytest.mark.identity
     @given(bracket_cases())
     @settings(deadline=None)
     def test_matches_the_selection_reference(self, case):

@@ -113,6 +113,15 @@ class TestEquiv:
         want = -math.log1p(-0.3 * (1 - math.exp(-1.0)))
         assert doc["t"] == pytest.approx(want, abs=1e-8)
 
+    def test_zero_rate_is_an_error(self, capsys, act_path, oracle_path):
+        # It used to be ignored, as if no rate were given.
+        code = main(
+            ["equiv", act_path, "--oracle", oracle_path, "--upper", "x", "--lower", "y",
+             "--rate", "0"]
+        )
+        assert code == 1
+        assert "rate must be > 0" in capsys.readouterr().err
+
     def test_missing_source_is_usage_error(self, act_path):
         assert main(["equiv", act_path, "--upper", "x", "--lower", "y"]) == 1
 
@@ -235,6 +244,44 @@ class TestErrors:
 
     def test_missing_file(self, capsys, act_path):
         assert main(["eval", "/does/not/exist.json", act_path]) == 1
+
+    def test_repeated_act_state_is_an_error(self, tmp_path, capsys, model_path):
+        path = tmp_path / "act.json"
+        path.write_text(
+            '{"states": ["a", "b", "a"], "profiles": {"a": [[0, "inf", "x"]], "b": [[0, "inf", "y"]]}}'
+        )
+        assert main(["eval", model_path, str(path)]) == 1
+        assert "error: act document lists state 'a' twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("eval", "[1, 2]", "an act document must be an object, got an array"),
+            (
+                "eval",
+                '{"states": ["a", "b"], "profiles": {"a": 5, "b": [[0, "inf", "y"]]}}',
+                "a profile must be an array, got a number",
+            ),
+            ("elicit", '"x"', "an oracle document must be an object, got a string"),
+            (
+                "elicit",
+                '{"kind": "seu", "lambda": 1.0, "utility": {"x": 1.0, "y": 0.0}, "mu": [0.5, 0.5]}',
+                "'mu' must be an object, got an array",
+            ),
+        ],
+        ids=["act-array", "profile-number", "oracle-string", "mu-array"],
+    )
+    def test_document_of_the_wrong_json_type_is_an_error(
+        self, tmp_path, capsys, model_path, command, doc, message
+    ):
+        # Each used to end in a TypeError or AttributeError traceback.
+        path = tmp_path / "doc.json"
+        path.write_text(doc)
+        argv = ["eval", model_path, str(path)] if command == "eval" else ["elicit", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestByteStability:

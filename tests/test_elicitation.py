@@ -190,6 +190,7 @@ def session_oracles(draw):
 
 
 class TestWarmStartedSession:
+    @pytest.mark.identity
     @given(session_oracles())
     @settings(deadline=None)
     def test_equals_a_session_of_cold_searches(self, oracle):

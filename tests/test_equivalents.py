@@ -346,6 +346,7 @@ def searches(draw):
 
 
 class TestBisectIndifference:
+    @pytest.mark.identity
     @given(searches())
     @settings(deadline=None)
     def test_asks_and_returns_what_the_wrapper_search_did(self, search):
@@ -394,6 +395,7 @@ class TestBisectIndifference:
         halvings = math.ceil(math.log2(width0 / tol))
         assert len(probe.asked) == doublings + halvings
 
+    @pytest.mark.identity
     @given(hinted_searches())
     @example((math.inf, 0.0, math.inf, 1e-9, 5.0))
     @example((math.inf, 0.0, math.inf, 1e-9, math.inf))
@@ -513,6 +515,7 @@ def search_outcome(search, oracle, f, x, y, tol, rate, hint):
 
 
 class TestLazyEndQueries:
+    @pytest.mark.identity
     @given(monotone_searches())
     @settings(deadline=None)
     def test_results_and_errors_match_the_eager_search(self, search):

@@ -128,6 +128,7 @@ class TestProfileValue:
         with pytest.raises(KeyError):
             m.profile_value(StepProfile.constant("nope"))
 
+    @pytest.mark.identity
     @given(valued_profiles())
     @settings(deadline=None)
     def test_matches_the_per_piece_reference(self, case):
@@ -258,6 +259,7 @@ def acts_with_shared_cuts(draw):
 
 
 class TestOnePassSweeps:
+    @pytest.mark.identity
     @given(acts_with_shared_cuts())
     @settings(deadline=None)
     def test_match_the_refinement_reference(self, case):
@@ -265,6 +267,7 @@ class TestOnePassSweeps:
         assert model.act_value_dual(act).hex() == ref_act_value_dual(model, act).hex()
         assert model.prefix_value(act, t).hex() == ref_prefix_value(model, act, t).hex()
 
+    @pytest.mark.identity
     @given(acts_with_shared_cuts(), st.data())
     @settings(deadline=None)
     def test_prefix_value_of_an_unknown_outcome_raises_as_the_reference(self, case, data):

@@ -42,6 +42,7 @@ def ref_bits(ref: RefTimeSet) -> list[str]:
     return [x.hex() for lo, hi in ref.pairs() for x in (lo, hi)]
 
 
+@pytest.mark.identity
 @given(st.lists(st.tuples(ANY_TIMES, ANY_TIMES), max_size=6))
 def test_from_pairs_builds_and_rejects_as_the_reference(pairs):
     try:
@@ -53,6 +54,7 @@ def test_from_pairs_builds_and_rejects_as_the_reference(pairs):
     assert bits(TimeSet.from_pairs(pairs)) == ref_bits(want)
 
 
+@pytest.mark.identity
 @given(st.lists(st.tuples(ANY_TIMES, ANY_TIMES), max_size=5), st.booleans())
 def test_constructor_accepts_what_the_reference_accepts(pairs, ordered):
     bounds = [x for pair in pairs for x in pair]
@@ -67,6 +69,7 @@ def test_constructor_accepts_what_the_reference_accepts(pairs, ordered):
     assert bits(TimeSet(tuple(bounds))) == ref_bits(want)
 
 
+@pytest.mark.identity
 @given(
     valid_pairs(),
     valid_pairs(),

@@ -207,6 +207,7 @@ class TestCapacityStates:
 class TestCapacityMasks:
     """The mask validation against the frozenset one it replaced."""
 
+    @pytest.mark.identity
     @given(capacity_specs())
     @settings(deadline=None)
     def test_builds_and_rejects_as_the_frozenset_reference(self, spec):
@@ -218,6 +219,7 @@ class TestCapacityMasks:
         else:
             assert got == capacity_outcome(ReferenceCapacity, states, weights)
 
+    @pytest.mark.identity
     @given(
         st.lists(st.floats(0.01, 1.0), min_size=1, max_size=8),
         st.floats(0.0, 1.0) | st.sampled_from((0.0, 1.0)),
@@ -560,6 +562,7 @@ def memo_contents(memo):
 
 
 class TestRecall:
+    @pytest.mark.identity
     @given(st.integers(1, 4), st.lists(st.integers(0, 3), max_size=40))
     @settings(deadline=None)
     def test_keeps_the_memo_the_enumerate_version_kept(self, n_acts, picks):

@@ -8,6 +8,7 @@ The profiles, stored as cut times and outcomes, must agree with it under
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -124,6 +125,7 @@ def models(draw):
     )
 
 
+@pytest.mark.identity
 @given(
     st.lists(breakpoint_lists(), min_size=2 * len(STATES), max_size=2 * len(STATES)),
     st.sampled_from((0.0, 0.5, 1.0, 2.0)) | st.floats(0.0, 10.0),

@@ -8,6 +8,7 @@ The two t-separability witnesses that ``audit._swapped_pastes`` builds from
 one walk must each equal the paste of their own patches (``pasted_profile``).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -150,6 +151,7 @@ def test_pasted_profile_on_touching_sets_matches_per_cell_formula(background, ti
     assert pasted_profile(background, patches) == naive_pasted(background, patches)
 
 
+@pytest.mark.identity
 @given(
     profiles(),
     disjoint_time_sets(min_sets=2, max_sets=2) | touching_time_sets(),

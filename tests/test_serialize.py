@@ -103,6 +103,7 @@ JSON_DOCS = st.recursive(SCALARS, _containers, max_leaves=40)
 SHARED_NAN = float("nan")
 
 
+@pytest.mark.identity
 @given(JSON_DOCS)
 @example([[0.0, 0.0, "x"], [-0.0, "inf", "y"]])
 @example([[0, 1, "x"], [1.0, 1.0, "y"], [True, "inf", "z"]])
@@ -187,6 +188,7 @@ def result_or_error(fn, rows):
         return f"{type(err).__name__}: {err}"
 
 
+@pytest.mark.identity
 @given(profile_rows())
 @example([])
 @example([[0.0, INF, "x"], [INF, "inf", "y"]])
@@ -229,6 +231,12 @@ class TestCoreRoundTrips:
         doc = serialize.act_to_json(sample_act())
         doc["states"].remove("c")
         with pytest.raises(ValueError, match=r"unlisted states \['c'\]"):
+            serialize.act_from_json(doc)
+
+    def test_act_with_a_repeated_state_is_rejected(self):
+        doc = serialize.act_to_json(sample_act())
+        doc["states"].append(doc["states"][0])
+        with pytest.raises(ValueError, match=f"lists state {doc['states'][0]!r} twice"):
             serialize.act_from_json(doc)
 
     @pytest.mark.parametrize(

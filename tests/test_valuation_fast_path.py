@@ -143,6 +143,7 @@ def deterministic_cases(draw):
     return model, capacity, GridAct(rows), built
 
 
+@pytest.mark.identity
 @settings(max_examples=IDENTITY_EXAMPLES, deadline=None)
 @given(deterministic_cases())
 def test_deterministic_act_values_equal_the_per_row_reference(case):
@@ -167,6 +168,7 @@ def test_act_value_equals_the_per_row_sum(model, f):
     assert model.act_value(f) == ref_seu(model, f)
 
 
+@pytest.mark.identity
 @settings(max_examples=IDENTITY_EXAMPLES, deadline=None)
 @given(oracles_with_reference(), acts())
 def test_oracle_value_equals_the_per_row_reference(made, f):
