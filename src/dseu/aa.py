@@ -20,10 +20,6 @@ from .equivalents import TimeEquivalent
 from .evaluate import DSEUModel, check_states
 from .measure import INF, ExpMeasure, TimeInterval
 
-#: Entrywise tolerance at which two lotteries count as equal.
-LOTTERY_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class Lottery:
     """Finitely supported probability over outcomes; zero entries are dropped."""

@@ -59,11 +59,8 @@ class StepProfile:
         cuts = self.cuts
         if not cuts or (0.0 < cuts[0] and cuts[-1] < INF and all(map(operator.lt, cuts, cuts[1:]))):
             return
-        prev = 0.0
-        for cut in cuts:
-            if not prev < cut < INF:
-                raise ValueError(_bad_cut(cut, prev))
-            prev = cut
+        prev, cut = next(pair for pair in zip((0.0, *cuts), cuts) if not pair[0] < pair[1] < INF)
+        raise ValueError(_bad_cut(cut, prev))
 
     @classmethod
     def _unchecked(cls, cuts: tuple[float, ...], outs: tuple[Outcome, ...]) -> StepProfile:
@@ -142,10 +139,7 @@ class StepProfile:
         outs = self.outs
         if all(map(operator.ne, outs, outs[1:])):
             return self
-        changes = [k for k in range(1, len(outs)) if outs[k] != outs[k - 1]]
-        return StepProfile(
-            tuple([self.cuts[k - 1] for k in changes]), (outs[0], *[outs[k] for k in changes])
-        )
+        return StepProfile.canonical(self.cuts, outs)
 
     def segments(self) -> Iterator[tuple[float, float, Outcome]]:
         """``(lo, hi, outcome)`` of each piece, in time order."""

@@ -78,10 +78,6 @@ class AuditReport:
 Ranking = dict[tuple[Outcome, Outcome], Preference]
 
 
-def _lift(profile: StepProfile, states: tuple[State, ...]) -> GridAct:
-    return GridAct.deterministic(states, profile)
-
-
 def _outcome_ranking(oracle) -> Ranking:
     """Oracle's ranking of constant acts, queried once per ordered pair.
 
@@ -111,10 +107,20 @@ def _strict_pairs(ranking: Ranking, outcomes) -> list[tuple[Outcome, Outcome]]:
     ]
 
 
+def _check_count(name: str, n: int) -> None:
+    """Reject a negative sample count or horizon before any query is asked."""
+    if n < 0:
+        raise ValueError(f"{name} must be >= 0, got {n}")
+
+
 def _ranked(
-    oracle, seed: int, sampler: ActSampler | None, ranking: Ranking | None
+    oracle, samples: int, seed: int, sampler: ActSampler | None, ranking: Ranking | None
 ) -> tuple[ActSampler, random.Random, Ranking, bool, str]:
-    """Sampler, rng, ranking (asked only when not handed in), strict flag and note of a check."""
+    """Sampler, rng, ranking (asked only when not handed in), strict flag and note of a check.
+
+    A negative ``samples`` raises first.
+    """
+    _check_count("samples", samples)
     sampler = sampler or ActSampler.for_oracle(oracle)
     rng = random.Random(seed)
     if ranking is None:
@@ -148,6 +154,7 @@ def check_stationarity(
     oracle, samples: int, seed: int, sampler: ActSampler | None = None
 ) -> CheckReport:
     """Delaying both acts behind a shared head must preserve the response."""
+    _check_count("samples", samples)
     sampler = sampler or ActSampler.for_oracle(oracle)
     rng = random.Random(seed)
     violations: list[Violation] = []
@@ -206,7 +213,7 @@ def check_t_monotonicity(
     sampler's outcomes strictly, no stream can be improved and the report is
     vacuous.
     """
-    sampler, rng, ranking, strict, note = _ranked(oracle, seed, sampler, ranking)
+    sampler, rng, ranking, strict, note = _ranked(oracle, samples, seed, sampler, ranking)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("t_monotonicity")
     states = tuple(oracle.states)
@@ -218,7 +225,7 @@ def check_t_monotonicity(
         if x is None:
             continue
         done += 1
-        fx, fy = _lift(x, states), _lift(y, states)
+        fx, fy = GridAct.deterministic(states, x), GridAct.deterministic(states, y)
         answer = oracle.compare(fx, fy)
         kind = _better_rejected(
             answer,
@@ -249,7 +256,7 @@ def check_dominance(
     states count as non-null for the strict clause.  The report is vacuous
     when the oracle ranks no pair of the sampler's outcomes strictly.
     """
-    sampler, rng, ranking, strict, note = _ranked(oracle, seed, sampler, ranking)
+    sampler, rng, ranking, strict, note = _ranked(oracle, samples, seed, sampler, ranking)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("dominance")
     states = tuple(oracle.states)
@@ -269,12 +276,13 @@ def check_dominance(
         if not improved:
             continue
         done += 1
-        f = GridAct({s: rows[s] for s in states})
+        f = GridAct(rows)
         row_queries = []
         premise_ok = True
         strict_row = False
         for s in improved:
-            fa, fb = _lift(f.row(s), states), _lift(g.row(s), states)
+            fa = GridAct.deterministic(states, f.row(s))
+            fb = GridAct.deterministic(states, g.row(s))
             answer = oracle.compare(fa, fb)
             row_queries.append((fa, fb, answer))
             if answer is Preference.STRICTLY_PREFERS_SECOND:
@@ -361,7 +369,7 @@ def check_t_separability(
     into a tie, so in that case only strictly opposite directions count.
     When the sampler finds no disjoint pair, the check stops INCONCLUSIVE.
     """
-    sampler, rng, ranking, exact, _ = _ranked(oracle, seed, sampler, ranking)
+    sampler, rng, ranking, exact, _ = _ranked(oracle, samples, seed, sampler, ranking)
     states = tuple(oracle.states)
     strict_pairs = _strict_pairs(ranking, oracle.outcomes)
     if not strict_pairs:
@@ -379,7 +387,7 @@ def check_t_separability(
         for better, worse in rng.sample(strict_pairs, n_pairs):
             for background in (sampler.profile(rng), sampler.profile(rng)):
                 left, right = paste(background, better, worse)
-                fa, fb = _lift(left, states), _lift(right, states)
+                fa, fb = GridAct.deterministic(states, left), GridAct.deterministic(states, right)
                 combos.append((fa, fb, oracle.compare(fa, fb)))
         answers = {answer for _, _, answer in combos}
         opposed = (
@@ -405,6 +413,7 @@ def check_monotone_continuity(
     INCONCLUSIVE, never FAIL, since some other vanishing family might still
     violate the axiom and this proxy checks just one.
     """
+    _check_count("horizon_max", horizon_max)
     base = oracle.compare(f, g)
     if base is not Preference.STRICTLY_PREFERS_FIRST:
         raise ValueError(
@@ -449,6 +458,7 @@ def check_decomposition(
     own tail value.  Any functional of the discounted-expected-utility form
     satisfies the identity exactly.
     """
+    _check_count("samples", samples)
     sampler = sampler or ActSampler(
         model.discount, model.states, model.outcomes
     )
@@ -504,6 +514,8 @@ def run_audit(
     wraps, so it is audited like that oracle.  The oracle's ranking of the
     constant acts is asked once and handed to every check that reads it.
     """
+    _check_count("samples", samples)
+    _check_count("horizon_max", horizon_max)
     sampler = sampler or ActSampler.for_oracle(oracle)
     base = oracle
     while isinstance(base, CountingOracle):

@@ -207,33 +207,24 @@ def bracket_act(model: DSEUModel, act: GridAct, n_bins: int) -> BracketResult:
         raise ValueError(f"need at least one bin, got {n_bins}")
     worst, best, u_lo, span = _normalizer(model)
     rate = model.discount
-    state_bins: list[set[State]] = [set() for _ in range(n_bins)]
-    for s in act.states:
-        scaled = (model.profile_value(act.row(s)) - u_lo) / span
-        state_bins[_bin_index(scaled, n_bins) - 1].add(s)
-
-    def indicator(fraction: float) -> StepProfile:
-        if fraction <= 0.0:
-            return StepProfile.constant(worst)
-        if fraction >= 1.0:
-            return StepProfile.constant(best)
-        return StepProfile.before_after(best, rate.quantile(fraction), worst)
-
-    lower_rows: dict[State, StepProfile] = {}
-    upper_rows: dict[State, StepProfile] = {}
-    for n, members in enumerate(state_bins, start=1):
-        low_row = indicator((n - 1) / n_bins)
-        high_row = indicator(n / n_bins)
-        for s in members:
-            lower_rows[s] = low_row
-            upper_rows[s] = high_row
-    lower_act = GridAct({s: lower_rows[s] for s in act.states})
-    upper_act = GridAct({s: upper_rows[s] for s in act.states})
+    # Row k pays ``best`` on the prefix of mass k/N: constant ``worst`` at
+    # k = 0, constant ``best`` at k = N.
+    rows = [
+        StepProfile.before_after(best, INF if k == n_bins else rate.quantile(k / n_bins), worst)
+        for k in range(n_bins + 1)
+    ]
+    bin_of = {
+        s: _bin_index((model.profile_value(act.row(s)) - u_lo) / span, n_bins) for s in act.states
+    }
+    lower_act = GridAct({s: rows[n - 1] for s, n in bin_of.items()})
+    upper_act = GridAct({s: rows[n] for s, n in bin_of.items()})
     scale = DSEUModel(rate, UtilityModel({worst: 0.0, best: 1.0}), model.beliefs)
     gap = scale.act_value(upper_act) - scale.act_value(lower_act)
     return BracketResult(
         lower=lower_act,
         upper=upper_act,
         gap=gap,
-        bins=tuple(frozenset(m) for m in state_bins),
+        bins=tuple(
+            frozenset(s for s, m in bin_of.items() if m == n) for n in range(1, n_bins + 1)
+        ),
     )

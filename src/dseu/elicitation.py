@@ -125,25 +125,11 @@ def _power_set_plan(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...
     Bit ``i`` stands for the ``i``-th state.  Subsets come in the order of
     :func:`~dseu.oracles.subset_indices` (by size, each size in combination order)
     and pairs in the order of ``itertools.combinations`` over the nonempty
-    subsets.  Each event's partners are the submasks of its complement that
-    come later in the plan, so the pairs cost ``3^n`` steps, not ``4^n``.
+    subsets.
     """
     events = tuple(sum(1 << i for i in c) for c in subset_indices(n))
-    position = {e: k for k, e in enumerate(events)}
-    full = (1 << n) - 1
-    pairs: list[tuple[int, int]] = []
-    for k, e in enumerate(events[1:], 1):
-        rest = full ^ e
-        later = []
-        f = rest
-        while f:
-            j = position[f]
-            if j > k:
-                later.append(j)
-            f = (f - 1) & rest
-        later.sort()
-        pairs += [(e, events[j]) for j in later]
-    return events, tuple(pairs)
+    pairs = tuple((e, f) for k, e in enumerate(events[1:], 2) for f in events[k:] if not e & f)
+    return events, pairs
 
 
 def _event_plan(n: int) -> tuple[Sequence[int], Sequence[tuple[int, int]]]:
@@ -199,7 +185,7 @@ def elicit_measure(
             named[e] = named[e ^ last] | named[last]
             p = est[e ^ last] + est[last]
             if p < 1.0:
-                hint = -math.log1p(-p) / rate.rate
+                hint = rate.quantile(p)
         est[e] = elicit_event(counting, rate, named[e], x, y, tol, hint)
     return ElicitationReport(
         lambda_hat=rate.rate,

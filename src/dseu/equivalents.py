@@ -9,7 +9,6 @@ without ever seeing its model.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -49,9 +48,7 @@ class TimeEquivalent:
 
     def profile(self, x: Outcome, y: Outcome) -> StepProfile:
         """The witness stream: ``x`` before ``t``, ``y`` after."""
-        if self.t is None:
-            return StepProfile.constant(x)
-        return StepProfile.before_after(x, self.t, y)
+        return StepProfile.before_after(x, math.inf if self.t is None else self.t, y)
 
 
 def time_equivalent_value(
@@ -213,12 +210,6 @@ def _search(
     return 0.5 * (lo + hi), hi - lo, lo > 0.0 or second_below > 0.0, True
 
 
-@functools.lru_cache(maxsize=1)
-def _ceiling(rate: ExpMeasure) -> float:
-    """The time of prefix mass :data:`CEILING_MASS`; a session's searches share one rate."""
-    return rate.quantile(CEILING_MASS)
-
-
 def time_equivalent_bisect(
     oracle,
     f: GridAct,
@@ -253,7 +244,7 @@ def time_equivalent_bisect(
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     states = f.states
-    ceiling = FALLBACK_HORIZON if rate is None else _ceiling(rate)
+    ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
 
     def probe(t: float) -> Preference:
         return oracle.compare(_switch_act(states, x, t, y), f)

@@ -60,16 +60,6 @@ class Preference(enum.Enum):
         return self
 
 
-def _banded(diff: float, band: float) -> Preference:
-    if abs(diff) <= band:
-        return Preference.INDIFFERENT
-    return (
-        Preference.STRICTLY_PREFERS_FIRST
-        if diff > 0
-        else Preference.STRICTLY_PREFERS_SECOND
-    )
-
-
 class Oracle:
     """A preference on acts: values compared within an indifference band.
 
@@ -82,7 +72,14 @@ class Oracle:
             raise ValueError(f"indifference band must be >= 0, got {self.band}")
 
     def compare(self, f: GridAct, g: GridAct) -> Preference:
-        return _banded(self.value(f) - self.value(g), self.band)
+        diff = self.value(f) - self.value(g)
+        if abs(diff) <= self.band:
+            return Preference.INDIFFERENT
+        return (
+            Preference.STRICTLY_PREFERS_FIRST
+            if diff > 0
+            else Preference.STRICTLY_PREFERS_SECOND
+        )
 
 
 def _forward(wrapper, name: str):
@@ -203,17 +200,14 @@ class Capacity:
         spec.setdefault(frozenset(), 0.0)
         spec.setdefault(full, 1.0)
         bits = {s: 1 << i for i, s in enumerate(states)}
-        try:
-            masks = (
-                [sum(map(bits.__getitem__, c)) for c in spec]
-                if all(map(isinstance, spec, itertools.repeat(frozenset)))
-                else None
-            )
-        except KeyError:
-            masks = None
+        # ``None`` stands for a key that is not a set of the states.
+        masks = [
+            sum(map(bits.__getitem__, c)) if isinstance(c, frozenset) and c <= full else None
+            for c in spec
+        ]
         # Distinct sets of the states have distinct masks, so with every key
         # one of them, 2^k keys are all the subsets of the k states.
-        if masks is None or len(masks) != 1 << len(states):
+        if None in masks or len(masks) != 1 << len(states):
             missing = set(subsets(states)) - set(spec)
             if missing:
                 raise ValueError(f"capacity misses {len(missing)} subsets, e.g. {sorted(next(iter(missing)))}")
@@ -221,8 +215,12 @@ class Capacity:
             raise ValueError("capacity of the empty set must be 0")
         if abs(spec[full] - 1.0) > 1e-12:
             raise ValueError("capacity of the full state space must be 1")
-        if masks is None:
-            raise _bad_key(spec, states)
+        if None in masks:
+            bad = list(spec)[masks.index(None)]
+            if not isinstance(bad, frozenset):
+                raise TypeError(f"capacity subsets must be frozensets, got {bad!r}")
+            named = [*(s for s in states if s in bad), *sorted(bad - full)]
+            raise ValueError(f"capacity weighs {named}, with states outside {list(states)}")
         values = list(spec.values())
         by_mask = [0.0] * (1 << len(states))
         for m, v in zip(masks, values):
@@ -279,18 +277,6 @@ class Capacity:
         }
         spec[frozenset(states)] = 1.0
         return cls(states, spec)
-
-
-def _bad_key(spec: Mapping[object, float], states: tuple[State, ...]) -> Exception:
-    """The error for the first key of ``spec`` that is not a set of ``states``."""
-    for c in spec:
-        if not isinstance(c, frozenset):
-            return TypeError(f"capacity subsets must be frozensets, got {c!r}")
-        outside = c.difference(states)
-        if outside:
-            named = [*(s for s in states if s in c), *sorted(outside)]
-            return ValueError(f"capacity weighs {named}, with states outside {list(states)}")
-    raise AssertionError("every key is a set of the states")
 
 
 def choquet_value(

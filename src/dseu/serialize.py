@@ -89,13 +89,21 @@ def _bound_out(x: float) -> float | str:
     return INF_SENTINEL if math.isinf(x) else x
 
 
-# The types a time bound may have in a document (a bool is not a time).
+# The types a number may have in a document (a bool is not a number).
 _NUMBERS = {int, float}
 
 
 def _number(x: Any, expected: str) -> float:
+    """``x`` as a float if it is a JSON number; else a ``ValueError`` naming ``expected``."""
     if type(x) in _NUMBERS:
         return float(x)
+    raise ValueError(f"expected {expected}, got {x!r}")
+
+
+def _integer(x: Any, expected: str) -> int:
+    """``x`` if it is a JSON integer (not a bool); else a ``ValueError`` naming ``expected``."""
+    if type(x) is int:
+        return x
     raise ValueError(f"expected {expected}, got {x!r}")
 
 
@@ -212,17 +220,28 @@ def model_to_json(model: DSEUModel) -> dict[str, Any]:
     }
 
 
+def _rate_from_json(doc: dict) -> ExpMeasure:
+    return ExpMeasure(_number(doc["lambda"], "a number for 'lambda'"))
+
+
 def _utility_from_json(doc: dict) -> UtilityModel:
     utility = _typed(doc["utility"], dict, "'utility'")
-    return UtilityModel({str(o): float(u) for o, u in utility.items()})
+    return UtilityModel(
+        {str(o): _number(u, f"a number for the utility of {o!r}") for o, u in utility.items()}
+    )
 
 
 def model_from_json(doc: Any) -> DSEUModel:
     _typed(doc, dict, "a model document")
     return DSEUModel(
-        ExpMeasure(float(doc["lambda"])),
+        _rate_from_json(doc),
         _utility_from_json(doc),
-        Beliefs({str(s): float(p) for s, p in _typed(doc["mu"], dict, "'mu'").items()}),
+        Beliefs(
+            {
+                str(s): _number(p, f"a number for the belief in {s!r}")
+                for s, p in _typed(doc["mu"], dict, "'mu'").items()
+            }
+        ),
     )
 
 
@@ -241,7 +260,12 @@ def lottery_act_from_json(doc: Any) -> LotteryAct:
     lotteries = _typed(doc["lotteries"], dict, "'lotteries'")
     return LotteryAct(
         {
-            str(s): Lottery({str(o): float(p) for o, p in _typed(lot, dict, "a lottery").items()})
+            str(s): Lottery(
+                {
+                    str(o): _number(p, f"a number for the probability of {o!r}")
+                    for o, p in _typed(lot, dict, "a lottery").items()
+                }
+            )
             for s, lot in lotteries.items()
         }
     )
@@ -263,7 +287,10 @@ def subset_from_key(key: str) -> frozenset[State]:
 
 def capacity_from_json(doc: Any) -> Capacity:
     _typed(doc, dict, "'capacity'")
-    weights = {subset_from_key(str(k)): float(v) for k, v in doc.items()}
+    weights = {
+        subset_from_key(str(k)): _number(v, f"a number for the capacity of {k!r}")
+        for k, v in doc.items()
+    }
     states = sorted(set().union(*weights) if weights else set())
     if not states:
         raise ValueError("capacity document names no states")
@@ -272,19 +299,19 @@ def capacity_from_json(doc: Any) -> Capacity:
 
 def oracle_from_json(doc: Any):
     kind = _typed(doc, dict, "an oracle document").get("kind")
-    band = float(doc.get("band", 0.0))
+    band = _number(doc.get("band", 0.0), "a number for 'band'")
     if kind == "seu":
         oracle = SEUOracle(model_from_json(doc), band)
     elif kind == "choquet":
         oracle = ChoquetOracle(
-            ExpMeasure(float(doc["lambda"])),
+            _rate_from_json(doc),
             _utility_from_json(doc),
             capacity_from_json(doc["capacity"]),
             band,
         )
     else:
         raise ValueError(f"unknown oracle kind {kind!r}; expected 'seu' or 'choquet'")
-    inflation = float(doc.get("band_inflation", 0.0))
+    inflation = _number(doc.get("band_inflation", 0.0), "a number for 'band_inflation'")
     if inflation == 0.0:
         return oracle
     # A negative or NaN inflation raises the ValueError of WidenedOracle.
@@ -338,14 +365,19 @@ def elicitation_report_from_json(doc: Any) -> ElicitationReport:
     for row in rows:
         _typed(row, dict, "a residual")
     return ElicitationReport(
-        lambda_hat=float(doc["lambda_hat"]),
-        mu_hat={subset_from_key(k): float(p) for k, p in mu_hat.items()},
+        lambda_hat=_number(doc["lambda_hat"], "a number for 'lambda_hat'"),
+        mu_hat={
+            subset_from_key(k): _number(p, f"a number for 'mu_hat' of {k!r}")
+            for k, p in mu_hat.items()
+        },
         additivity_residuals={
-            (subset_from_key(row["e"]), subset_from_key(row["f"])): float(row["residual"])
+            (subset_from_key(row["e"]), subset_from_key(row["f"])): _number(
+                row["residual"], "a number for a residual"
+            )
             for row in rows
         },
-        query_count=int(doc["query_count"]),
-        residual_tolerance=float(doc["residual_tolerance"]),
+        query_count=_integer(doc["query_count"], "an integer for 'query_count'"),
+        residual_tolerance=_number(doc["residual_tolerance"], "a number for 'residual_tolerance'"),
     )
 
 

@@ -262,6 +262,47 @@ class TestReportMechanics:
         assert report.verdict == PASS
         assert "finite" in report.note
 
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda o, m, n: check_stationarity(o, n, 0),
+            lambda o, m, n: check_t_monotonicity(o, n, 0),
+            lambda o, m, n: check_dominance(o, m, n, 0),
+            lambda o, m, n: check_t_separability(o, n, 0),
+            lambda o, m, n: check_decomposition(o.value, m, n, 0),
+            lambda o, m, n: run_audit(o, samples=n),
+        ],
+        ids=[
+            "stationarity",
+            "t_monotonicity",
+            "dominance",
+            "t_separability",
+            "decomposition",
+            "audit",
+        ],
+    )
+    def test_negative_samples_raise_before_any_query(self, check):
+        model = seu_model()
+        counted = CountingOracle(SEUOracle(model))
+        with pytest.raises(ValueError, match="samples must be >= 0, got -5"):
+            check(counted, model, -5)
+        assert counted.count == 0
+
+    def test_negative_horizon_raises_before_any_query(self):
+        model = seu_model()
+        counted = CountingOracle(SEUOracle(model))
+        best, worst = GridAct.constant(STATES, "b"), GridAct.constant(STATES, "a")
+        with pytest.raises(ValueError, match="horizon_max must be >= 0, got -3"):
+            check_monotone_continuity(counted, best, worst, "a", -3)
+        with pytest.raises(ValueError, match="horizon_max must be >= 0, got -3"):
+            run_audit(counted, samples=5, horizon_max=-3)
+        assert counted.count == 0
+
+    def test_zero_samples_stay_legal(self):
+        report = run_audit(SEUOracle(seu_model()), samples=0, horizon_max=0)
+        assert report.checks["stationarity"].checked == 0
+        assert report.checks["monotone_continuity"].verdict == INCONCLUSIVE
+
 
 @contextlib.contextmanager
 def deadline(seconds: float):

@@ -376,7 +376,53 @@ class TestBracketProfile:
             bracket_profile(m, p, 2)
 
 
+@st.composite
+def bracket_act_cases(draw):
+    """A model on 2-4 states, an act of 1-6 pieces per row, and a bin count of 1-16."""
+    states = STATES[: draw(st.integers(2, 4))]
+    weights = draw(st.lists(st.floats(0.1, 1.0), min_size=len(states), max_size=len(states)))
+    model = DSEUModel(
+        ExpMeasure(draw(st.floats(0.2, 3.0))),
+        UtilityModel(dict(UTIL)),
+        Beliefs({s: w / sum(weights) for s, w in zip(states, weights)}),
+    )
+    rows = {}
+    for s in states:
+        n = draw(st.integers(1, 6))
+        cuts = draw(st.lists(st.floats(1e-3, 8.0), min_size=n - 1, max_size=n - 1, unique=True))
+        outs = draw(st.lists(st.sampled_from(tuple(UTIL)), min_size=n, max_size=n))
+        rows[s] = StepProfile(tuple(sorted(cuts)), tuple(outs))
+    return model, GridAct(rows), draw(st.integers(1, 16))
+
+
 class TestBracketAct:
+    @given(bracket_act_cases())
+    @settings(deadline=None)
+    def test_rows_are_the_prefix_indicators_of_each_state_bin(self, case):
+        model, act, n_bins = case
+        res = bracket_act(model, act, n_bins)
+        # The bins partition the states.
+        assert len(res.bins) == n_bins
+        assert sorted(s for b in res.bins for s in b) == sorted(act.states)
+
+        def indicator(fraction):
+            # Constant "lo" at mass 0, constant "hi" at mass 1.
+            if fraction == 0.0:
+                return StepProfile.constant("lo")
+            if fraction == 1.0:
+                return StepProfile.constant("hi")
+            return StepProfile.before_after("hi", model.discount.quantile(fraction), "lo")
+
+        for n, members in enumerate(res.bins, start=1):
+            for s in members:
+                # UTIL runs from 0 to 1, so a row's value is already rescaled.
+                scaled = model.profile_value(act.row(s))
+                assert min(n_bins, int(scaled * n_bins) + 1) == n
+                assert res.lower.row(s) == indicator((n - 1) / n_bins)
+                assert res.upper.row(s) == indicator(n / n_bins)
+        assert indicator(0.0) == StepProfile.before_after("hi", 0.0, "lo")
+        assert indicator(1.0) == StepProfile.before_after("hi", INF, "lo")
+
     def test_deterministic_act_matches_profile_semantics(self):
         rng = random.Random(77)
         m = model_for()

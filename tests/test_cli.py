@@ -284,6 +284,74 @@ class TestErrors:
         assert captured.err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lambda", [1], "expected a number for 'lambda', got [1]"),
+            ("band", None, "expected a number for 'band', got None"),
+            ("lambda", True, "expected a number for 'lambda', got True"),
+            ("lambda", "2", "expected a number for 'lambda', got '2'"),
+            ("utility", {"x": True, "y": 0.0}, "expected a number for the utility of 'x', got True"),
+            ("mu", {"a": "0.3", "b": 0.7}, "expected a number for the belief in 'a', got '0.3'"),
+            ("band_inflation", "0.1", "expected a number for 'band_inflation', got '0.1'"),
+        ],
+        ids=[
+            "lambda-array",
+            "band-null",
+            "lambda-bool",
+            "lambda-string",
+            "utility-bool",
+            "mu-string",
+            "inflation-string",
+        ],
+    )
+    def test_non_number_field_is_an_error(self, tmp_path, capsys, field, value, message):
+        # "lambda": [1] and "band": null used to end in a TypeError traceback;
+        # true and "2" were read as 1.0 and 2.0.
+        doc = {
+            "kind": "seu",
+            "lambda": 1.0,
+            "utility": {"x": 1.0, "y": 0.0},
+            "mu": {"a": 0.3, "b": 0.7},
+            field: value,
+        }
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["elicit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_non_number_capacity_weight_is_an_error(self, tmp_path, capsys):
+        doc = {
+            "kind": "choquet",
+            "lambda": 1.0,
+            "utility": {"x": 1.0, "y": 0.0},
+            "capacity": {"a": 0.4, "b": False},
+        }
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["elicit", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: expected a number for the capacity of 'b', got False\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--samples", "-5"], "samples must be >= 0, got -5"),
+            (["--horizon-max", "-3"], "horizon_max must be >= 0, got -3"),
+            (["--samples", "-5", "--horizon-max", "-3"], "samples must be >= 0, got -5"),
+        ],
+        ids=["samples", "horizon", "both"],
+    )
+    def test_negative_audit_count_is_an_error(self, capsys, oracle_path, flags, message):
+        # Each used to exit 0, printing PASS checked=-5 and INCONCLUSIVE checked=-3.
+        assert main(["audit", oracle_path, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestByteStability:
     def test_same_inputs_same_bytes(self, tmp_path, model_path, act_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

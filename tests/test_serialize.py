@@ -292,6 +292,13 @@ class TestCoreRoundTrips:
         back = serialize.lottery_act_from_json(serialize.lottery_act_to_json(la))
         assert back.distance(la) == 0.0
 
+    @pytest.mark.parametrize("prob", [True, "0.5", None, [0.5]])
+    def test_lottery_probability_must_be_a_number(self, prob):
+        doc = {"states": ["a"], "lotteries": {"a": {"x": prob, "y": 0.5}}}
+        message = f"expected a number for the probability of 'x', got {prob!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize.lottery_act_from_json(doc)
+
     def test_subset_keys(self):
         assert serialize.subset_key(frozenset({"b", "a"})) == "a,b"
         assert serialize.subset_from_key("a,b") == frozenset({"a", "b"})
@@ -338,7 +345,8 @@ class TestOracleSpecs:
         with pytest.raises(ValueError):
             serialize.oracle_from_json({"kind": "maxmin"})
 
-    @pytest.mark.parametrize("inflation", [-0.5, "nan"])
+    # A JSON NaN token reads as a float NaN; the string "nan" is not a number.
+    @pytest.mark.parametrize("inflation", [-0.5, float("nan")])
     def test_negative_or_nan_inflation_rejected(self, inflation):
         doc = serialize.oracle_to_json(SEUOracle(sample_model()))
         doc["band_inflation"] = inflation
@@ -364,6 +372,37 @@ class TestReportDocuments:
         assert back.mu_hat == report.mu_hat
         assert back.additivity_residuals == report.additivity_residuals
         assert back.verdict == report.verdict
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("lambda_hat",), "1.0", "expected a number for 'lambda_hat', got '1.0'"),
+            (("mu_hat", "a"), None, "expected a number for 'mu_hat' of 'a', got None"),
+            (
+                ("additivity_residuals", 0, "residual"),
+                True,
+                "expected a number for a residual, got True",
+            ),
+            (
+                ("residual_tolerance",),
+                [0.001],
+                "expected a number for 'residual_tolerance', got [0.001]",
+            ),
+            (("query_count",), True, "expected an integer for 'query_count', got True"),
+            (("query_count",), 12.0, "expected an integer for 'query_count', got 12.0"),
+        ],
+        ids=["lambda_hat", "mu_hat", "residual", "tolerance", "count-bool", "count-float"],
+    )
+    def test_elicitation_report_fields_must_be_numbers(self, path, value, message):
+        report = run_session(SEUOracle(sample_model()), "x", "y", tol=1e-6)
+        doc = json.loads(json.dumps(serialize.elicitation_report_to_json(report)))
+        *head, last = path
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        parent[last] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize.elicitation_report_from_json(doc)
 
     def test_section2_trace_serializes_infinities(self):
         trace = section2_demo(ExpMeasure(1.0), 0.5, 0.5)
