@@ -160,17 +160,20 @@ def elicit_measure(
     depends only on the state count (see :func:`_event_plan`; the power-set
     plans of up to 10 states are built once and cached).  Events are
     elicited by size, so each event ``E`` of two or more states comes after
-    ``E - {s}`` and ``{s}``, with ``s`` the last state of ``E`` in ``states``
-    order (the highest bit of its mask).  Its search starts from the
-    additive prediction, the time equivalent of ``mu(E - {s}) + mu({s})``
-    (no hint when that sum is at least 1).  For an oracle whose answers are
-    weakly monotone in the prefix length every estimate equals the cold
-    search's bit for bit, each event costing at most four queries more;
-    near-additive oracles cost far fewer.  Estimates are kept by mask; the
-    report's set-keyed ``mu_hat`` and residuals are built once, at the end,
-    the residuals in one pass over the plan's pairs of masks, each
-    ``est[e | f] - est[e] - est[f]``, keyed by the pair's two sets in plan
-    order.  Every event is elicited through the module's ``elicit_event``.
+    every ``E - {s}`` and ``{s}`` with ``s`` in ``E``.  Its search starts
+    from the additive prediction, the time equivalent of the mean of
+    ``mu(E - {s}) + mu({s})`` over every ``s`` in ``E``, summed in
+    ``states`` order (no hint when that mean is at least 1).  The last
+    state's singleton, elicited after the others, starts from the time
+    equivalent of one minus their sum, when that lies strictly between 0
+    and 1.  For an oracle whose answers are weakly monotone in the prefix
+    length every estimate equals the cold search's bit for bit, each event
+    costing at most three queries more; near-additive oracles cost far
+    fewer.  Estimates are kept by mask; the report's set-keyed ``mu_hat``
+    and residuals are built once, at the end, the residuals in one pass
+    over the plan's pairs of masks, each ``est[e | f] - est[e] - est[f]``,
+    keyed by the pair's two sets in plan order.  Every event is elicited
+    through the module's ``elicit_event``.
     """
     counting = CountingOracle(oracle)
     states = oracle.states
@@ -178,13 +181,23 @@ def elicit_measure(
     named: dict[int, frozenset[State]] = {0: frozenset()}
     named.update((1 << i, frozenset((s,))) for i, s in enumerate(states))
     est: dict[int, float] = {}
+    top = 1 << len(states) >> 1  # the last state's bit; 0 without states
     for e in events:
         hint = None
         if e & (e - 1):
             last = 1 << (e.bit_length() - 1)
             named[e] = named[e ^ last] | named[last]
-            p = est[e ^ last] + est[last]
+            total, rest = 0.0, e
+            while rest:
+                bit = rest & -rest
+                total += est[e ^ bit] + est[bit]
+                rest ^= bit
+            p = total / e.bit_count()
             if p < 1.0:
+                hint = rate.quantile(p)
+        elif e == top:
+            p = 1.0 - sum(est[1 << i] for i in range(len(states) - 1))
+            if 0.0 < p < 1.0:
                 hint = rate.quantile(p)
         est[e] = elicit_event(counting, rate, named[e], x, y, tol, hint)
     return ElicitationReport(

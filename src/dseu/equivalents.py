@@ -93,38 +93,44 @@ def _gallop(
     ``lo`` is the highest time the probe answered "second" and ``hi`` the
     lowest it answered "first", each NaN if none did (both are, unasked, for
     a hint with no finite cell).  The probes sit on the grid of the search's
-    final bracket width: the top of the hint's cell and then up to one more
-    point above, widening 4x, until the probe answers "first"; then the
-    bottom of the cell and up to one more point below, until it answers
-    "second".  An indifferent answer ends the gallop and is dropped.
+    final bracket width.  The first is the grid point nearest the hint, at
+    least one step above 0 and capped at the ceiling.  The next ones lie 1
+    and then 2 grid steps from it, on the side its answer points to (above
+    after "second", capped at the ceiling; below after "first", above 0),
+    until the probe gives the opposite answer: at most three probes.  An
+    indifferent answer ends the gallop and is dropped.
     """
     lo = hi = math.nan
     grid = 2.0 ** math.floor(math.log2(tol))
     cell = min(max(hint, 0.0), ceiling) / grid
     if not math.isfinite(cell):
         return lo, hi
-    cell = math.floor(cell) * grid
-    for t in (cell + grid, cell + 4 * grid):
-        t = min(t, ceiling)
-        answer = probe(t)
-        if answer is Preference.STRICTLY_PREFERS_FIRST:
-            hi = t
-        if answer is not Preference.STRICTLY_PREFERS_SECOND:
-            break
+    start = t = min(max(round(cell), 1) * grid, ceiling)
+    answer = probe(t)
+    if answer is Preference.STRICTLY_PREFERS_SECOND:
         lo = t
-        if t == ceiling:
-            break
-    if not math.isnan(lo) or math.isnan(hi):
-        return lo, hi
-    for t in (cell, cell - 4 * grid):
-        if t <= 0.0:
-            break
-        answer = probe(t)
-        if answer is Preference.STRICTLY_PREFERS_SECOND:
+        for steps in (1, 2):
+            if t >= ceiling:
+                break
+            t = min(start + steps * grid, ceiling)
+            answer = probe(t)
+            if answer is Preference.STRICTLY_PREFERS_FIRST:
+                hi = t
+            if answer is not Preference.STRICTLY_PREFERS_SECOND:
+                break
             lo = t
-        if answer is not Preference.STRICTLY_PREFERS_FIRST:
-            break
+    elif answer is Preference.STRICTLY_PREFERS_FIRST:
         hi = t
+        for steps in (1, 2):
+            t = start - steps * grid
+            if t <= 0.0:
+                break
+            answer = probe(t)
+            if answer is Preference.STRICTLY_PREFERS_SECOND:
+                lo = t
+            if answer is not Preference.STRICTLY_PREFERS_FIRST:
+                break
+            hi = t
     return lo, hi
 
 
@@ -145,15 +151,18 @@ def bisect_indifference(
     the final midpoint and bracket width, or ``None`` when the probe still
     prefers the second side at ``ceiling``.
 
-    A ``hint``, a predicted switch time, warm-starts the search: at most four
-    probes near it (:func:`_gallop`) bracket the switch, and the same loops
-    then run, taking every step at or below the bracket as "second" and at
-    or above it as "first" without asking.  When the probe's answers are
-    weakly monotone in ``t`` (second, then indifferent, then first), those
-    are the answers it would have given, so the result equals the unhinted
-    one bit for bit, with at most four probes more; a good hint saves most
-    of them.  Every step the gallop's answers do not cover is asked, also
-    at ``t = inf``.
+    A ``hint``, a predicted switch time, warm-starts the search: at most
+    three probes near it (:func:`_gallop`), the first at the grid point
+    nearest the hint, bracket the switch, and the same loops then run,
+    taking every step at or below the bracket as "second" and at or above
+    it as "first" without asking.  When the probe's answers are weakly
+    monotone in ``t`` (second, then indifferent, then first), those are the
+    answers it would have given, so the result equals the unhinted one bit
+    for bit, with at most three probes more.  A hint less than half a grid
+    step from a strict switch (no indifferent band, at least two steps above
+    0, the ceiling at least twice above it and 1) leaves two probes in all.
+    Every step the gallop's answers do not cover is asked, also at
+    ``t = inf``.
     """
     found = _search(probe, ceiling, tol, hint)
     return None if found is None else found[:2]
@@ -228,7 +237,7 @@ def time_equivalent_bisect(
     horizon otherwise) the answer is the whole horizon.  A ``hint``, a
     predicted prefix length, is passed on to warm-start the search: for an
     oracle whose answers are weakly monotone in the prefix length, the result
-    is the unhinted one bit for bit, at a cost of at most four queries more.
+    is the unhinted one bit for bit, at a cost of at most three queries more.
 
     The end queries, constant ``x`` against ``f`` and ``f`` against constant
     ``y``, are the probes at prefix lengths infinity and 0.  Each is asked

@@ -42,7 +42,13 @@ def subset_families(states):
 
 
 def elicit_measure(oracle, rate, x, y, tol=DEFAULT_TOL):
-    """The session's event phase on frozenset keys, each hint from ``max(e, key=states.index)``."""
+    """The session's event phase on frozenset keys.
+
+    An event of two or more states is hinted from the mean, over its states
+    in ``states`` order, of ``mu_hat[e - {s}] + mu_hat[{s}]``; the last
+    state's singleton from one minus the other singletons, when that lies
+    strictly between 0 and 1.
+    """
     counting = CountingOracle(oracle)
     states = oracle.states
     events, pairs = subset_families(states)
@@ -50,9 +56,16 @@ def elicit_measure(oracle, rate, x, y, tol=DEFAULT_TOL):
     for e in events:
         hint = None
         if len(e) >= 2:
-            last = max(e, key=states.index)
-            p = mu_hat[e - {last}] + mu_hat[frozenset({last})]
+            total = 0.0
+            for s in states:
+                if s in e:
+                    total += mu_hat[e - {s}] + mu_hat[frozenset({s})]
+            p = total / len(e)
             if p < 1.0:
+                hint = -math.log1p(-p) / rate.rate
+        elif e == frozenset(states[-1:]):
+            p = 1.0 - sum(mu_hat[frozenset({s})] for s in states[:-1])
+            if 0.0 < p < 1.0:
                 hint = -math.log1p(-p) / rate.rate
         mu_hat[e] = elicitation.elicit_event(counting, rate, e, x, y, tol, hint)
     residuals = {(e, f): mu_hat[e | f] - mu_hat[e] - mu_hat[f] for e, f in pairs}

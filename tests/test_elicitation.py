@@ -189,33 +189,81 @@ def session_oracles(draw):
     return ChoquetOracle(model.discount, model.utility, cap)
 
 
+def event_queries(log, states, start):
+    """The queries ``log`` kept from ``start`` on, counted by their bet's event.
+
+    Every event query compares against the event's bet: "x" on the event and
+    "y" off it.  The half-life queries compare two deterministic acts.
+    """
+    counted = collections.Counter()
+    for f, g, _ in log.log[start:]:
+        bet = f if g.is_deterministic else g
+        counted[frozenset(s for s in states if bet.at(s, 0.0) == "x")] += 1
+    return counted
+
+
+def warm_session(oracle):
+    """A logged session on ``oracle``, its half-life search replayed apart and its event queries."""
+    log = CountingOracle(oracle, keep_log=True)
+    report = run_session(log, "x", "y")
+    half_life = CountingOracle(oracle)
+    rate = elicit_lambda(half_life, "x", "y")
+    assert report.lambda_hat == rate.rate
+    warm = event_queries(log, oracle.states, half_life.count)
+    assert report.query_count == half_life.count + sum(warm.values())
+    return report, rate, warm
+
+
+@st.composite
+def contaminated_oracles(draw):
+    """An epsilon-contaminated Choquet oracle on 2-7 states."""
+    n = draw(st.integers(2, 7))
+    raw = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    beliefs = Beliefs({f"s{i}": w / sum(raw) for i, w in enumerate(raw)})
+    cap = Capacity.epsilon_contamination(beliefs, draw(st.floats(0.05, 0.3)))
+    return ChoquetOracle(
+        ExpMeasure(draw(st.floats(0.3, 3.0))), UtilityModel({"x": 1.0, "y": 0.0}), cap
+    )
+
+
 class TestWarmStartedSession:
     @pytest.mark.identity
     @given(session_oracles())
     @settings(deadline=None)
     def test_equals_a_session_of_cold_searches(self, oracle):
-        log = CountingOracle(oracle, keep_log=True)
-        report = run_session(log, "x", "y")
+        report, rate, warm_queries = warm_session(oracle)
         # The same session with every event searched from scratch.
-        half_life = CountingOracle(oracle)
-        rate = elicit_lambda(half_life, "x", "y")
         cold_mu, cold_queries = {}, {}
         for e in subsets(oracle.states):
             counting = CountingOracle(oracle)
             cold_mu[e] = elicit_event(counting, rate, e, "x", "y")
             cold_queries[e] = counting.count
-        assert report.lambda_hat == rate.rate
         assert report.mu_hat == cold_mu
-        # Every event query compares against the event's bet: "x" on the
-        # event and "y" off it.  The half-life queries compare two
-        # deterministic acts.
-        warm_queries = collections.Counter()
-        for f, g, _ in log.log[half_life.count:]:
-            bet = f if g.is_deterministic else g
-            warm_queries[frozenset(s for s in oracle.states if bet.at(s, 0.0) == "x")] += 1
-        assert report.query_count == half_life.count + sum(warm_queries.values())
         for e, cold in cold_queries.items():
-            assert warm_queries[e] <= cold + 4
+            assert warm_queries[e] <= cold + 3
+
+    @pytest.mark.identity
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_last_singleton_of_an_seu_session_costs_at_most_three_queries(self, n):
+        # One minus the other singletons predicts it, as it does every
+        # composite event from its parts.
+        rng = random.Random(n)
+        raw = [rng.uniform(0.5, 1.5) for _ in range(n)]
+        oracle = seu_for(1.3, {f"s{i}": w / sum(raw) for i, w in enumerate(raw)})
+        _, _, warm = warm_session(oracle)
+        assert 0 < warm[frozenset({f"s{n - 1}"})] <= 3
+
+    @pytest.mark.identity
+    @given(contaminated_oracles())
+    @settings(deadline=None)
+    def test_last_singleton_of_a_contaminated_session_costs_at_most_three_more(self, oracle):
+        # One minus the other singletons lies epsilon above the last one's
+        # mass, so its gallop only adds probes to the cold search.
+        _, rate, warm = warm_session(oracle)
+        last = frozenset(oracle.states[-1:])
+        cold = CountingOracle(oracle)
+        elicit_event(cold, rate, last, "x", "y")
+        assert warm[last] <= cold.count + 3
 
 
 def named(states, mask):

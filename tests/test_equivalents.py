@@ -6,7 +6,7 @@ import re
 from functools import partial
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dseu.acts import GridAct, StepProfile
@@ -278,6 +278,27 @@ def hinted_searches(draw):
     return switch, band, ceiling, tol, hint
 
 
+@st.composite
+def close_hints(draw):
+    """A monotone probe's switch, a ceiling, a tolerance and a hint less than half a grid cell off.
+
+    The switch lies at least two grid cells above 0, and the ceiling (also
+    infinite) at least twice above the switch and 1, so the doubling steps
+    below the switch are all on the grid.
+    """
+    tol = draw(st.floats(1e-12, 1e-3))
+    grid = 2.0 ** math.floor(math.log2(tol))
+    switch = draw(
+        st.floats(2.0 * grid, 1e3)
+        | st.integers(2, 2**12).map(lambda k: k * grid)
+        | st.integers(2, 2**12).map(lambda k: k / 2**6)
+    )
+    ceiling = draw(st.just(math.inf) | st.floats(2.0 * max(switch, 1.0), 1e12))
+    hint = switch + draw(st.floats(-0.5, 0.5, exclude_min=True, exclude_max=True)) * grid
+    assume(abs(hint - switch) < grid / 2)
+    return switch, ceiling, tol, hint
+
+
 def ref_bisect_indifference(probe, ceiling, tol, hint=None):
     """The search with its known steps answered by a wrapper around ``probe``."""
     if hint is not None:
@@ -402,13 +423,26 @@ class TestBisectIndifference:
     @example((5.0, 0.0, math.inf, 1e-9, math.inf))
     @example((5.0, 0.0, math.inf, 1e-9, 1e300))
     @settings(deadline=None)
-    def test_hint_keeps_the_result_and_costs_at_most_four_probes(self, search):
+    def test_hint_keeps_the_result_and_costs_at_most_three_probes(self, search):
         switch, band, ceiling, tol, hint = search
         cold, warm = RecordingProbe(switch, band), RecordingProbe(switch, band)
         assert bisect_indifference(warm, ceiling, tol, hint) == bisect_indifference(
             cold, ceiling, tol
         )
-        assert len(warm.asked) <= len(cold.asked) + 4
+        assert len(warm.asked) <= len(cold.asked) + 3
+
+    @pytest.mark.identity
+    @given(close_hints())
+    @example((1.0, math.inf, 2.0**-20, 1.0))
+    @example((3.0 * 2.0**-20, math.inf, 2.0**-20, 3.5 * 2.0**-20 - 2.0**-60))
+    @settings(deadline=None)
+    def test_hint_within_half_a_cell_costs_two_probes(self, search):
+        switch, ceiling, tol, hint = search
+        cold, warm = RecordingProbe(switch), RecordingProbe(switch)
+        assert bisect_indifference(warm, ceiling, tol, hint) == bisect_indifference(
+            cold, ceiling, tol
+        )
+        assert len(warm.asked) == 2
 
     @pytest.mark.parametrize("switch", [0.3, 1.0 + 1e-7, 1.7, 5.0 + 1e-7, 1000.3])
     def test_exact_hint_asks_only_the_two_ends_of_its_cell(self, switch):
@@ -416,8 +450,10 @@ class TestBisectIndifference:
         probe = RecordingProbe(switch)
         t, width = bisect_indifference(probe, 1e12, tol, hint=switch)
         assert (t, width) == bisect_indifference(RecordingProbe(switch), 1e12, tol)
+        # The end nearer the switch first.
         cell = math.floor(switch / tol) * tol
-        assert probe.asked == [cell + tol, cell]
+        ends = [cell, cell + tol] if switch - cell < tol / 2 else [cell + tol, cell]
+        assert probe.asked == ends
 
     def test_tolerance_below_the_float_spacing_still_ends(self):
         # Near 1e6 adjacent floats are about 1.2e-10 apart, so no bracket
@@ -436,11 +472,11 @@ class TestBisectIndifference:
         assert len(probe.asked) < 100
 
     def test_indifference_met_while_galloping_is_not_used(self):
-        # The band covers the hint's cell, so the gallop stops at its first
-        # probe; the search then meets the band where the cold search does.
+        # The band covers the hint, a grid point, so the gallop stops at its
+        # first probe; the search then meets the band where the cold search does.
         probe = RecordingProbe(1.3, band=0.5)
         assert bisect_indifference(probe, 100.0, 1e-9, hint=1.5) == (1.5, 0.0)
-        assert probe.asked == [1.5 + 2.0**-30, 1.0, 2.0, 1.5]
+        assert probe.asked == [1.5, 1.0, 2.0, 1.5]
 
 
 # -- end queries after the probes, against the search that asked them first ----
