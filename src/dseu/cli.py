@@ -50,7 +50,10 @@ def _load_json(path: str) -> Any:
 def _emit(doc: Any, out: str | None) -> None:
     text = serialize.dumps(doc)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out}: {exc}") from exc
         print(f"wrote {out}")
     else:
         print(text, end="")
@@ -119,15 +122,13 @@ def cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def cmd_elicit(args: argparse.Namespace) -> int:
-    doc = _load_json(args.oracle)
-    oracle = serialize.oracle_from_json(doc)
+    oracle = serialize.oracle_from_json(_load_json(args.oracle))
     if args.upper and args.lower:
         x, y = args.upper, args.lower
     elif args.upper or args.lower:
         raise UsageError("give both --upper and --lower, or neither")
     else:
-        utility = doc["utility"]
-        y, x = min(utility, key=utility.get), max(utility, key=utility.get)
+        y, x = oracle.utility.anchors()
     report = run_session(oracle, x, y, tol=args.tol)
     print(f"recovered rate:     {report.lambda_hat!r}")
     print(f"events elicited:    {len(report.mu_hat)}")

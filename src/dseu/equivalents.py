@@ -76,9 +76,7 @@ def time_equivalent_act(
     """Time equivalent of an act, through its model value."""
     v = model.act_value(f)
     ux, uy = model.utility(x), model.utility(y)
-    if ux <= uy:
-        raise ValueError(f"need u({x!r}) > u({y!r}), got {ux} <= {uy}")
-    if not uy <= v <= ux:
+    if ux > uy and not uy <= v <= ux:
         raise ValueError(
             f"act value {v!r} escapes the bracket [u({y!r})={uy}, u({x!r})={ux}]"
         )
@@ -164,23 +162,6 @@ def bisect_indifference(
     Every step the gallop's answers do not cover is asked, also at
     ``t = inf``.
     """
-    found = _search(probe, ceiling, tol, hint)
-    return None if found is None else found[:2]
-
-
-def _search(
-    probe: Callable[[float], Preference],
-    ceiling: float,
-    tol: float,
-    hint: float | None,
-) -> tuple[float, float, bool, bool] | None:
-    """:func:`bisect_indifference`, returning ``None`` or ``(t, width, second, first)``.
-
-    ``second`` and ``first`` say whether some probe, in the gallop or after
-    it, answered "second" or "first".  The bracket's low end moves only on
-    a "second" answer, asked or taken from the gallop's, and the bisection
-    starts only after a "first" one; every gallop probe lies above 0.
-    """
     # A bound no answer gave is NaN, and every comparison with NaN is false.
     second_below = first_above = math.nan
     if hint is not None:
@@ -194,7 +175,7 @@ def _search(
                 break
             answer = probe(hi)
             if answer is Preference.INDIFFERENT:
-                return hi, 0.0, lo > 0.0 or second_below > 0.0, first_above > 0.0
+                return hi, 0.0
             if answer is Preference.STRICTLY_PREFERS_FIRST:
                 break
         if hi >= ceiling:
@@ -211,12 +192,12 @@ def _search(
         else:
             answer = probe(mid)
             if answer is Preference.INDIFFERENT:
-                return mid, 0.0, lo > 0.0 or second_below > 0.0, True
+                return mid, 0.0
             if answer is Preference.STRICTLY_PREFERS_FIRST:
                 hi = mid
             else:
                 lo = mid
-    return 0.5 * (lo + hi), hi - lo, lo > 0.0 or second_below > 0.0, True
+    return 0.5 * (lo + hi), hi - lo
 
 
 def time_equivalent_bisect(
@@ -255,22 +236,25 @@ def time_equivalent_bisect(
     states = f.states
     ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
 
-    def probe(t: float) -> Preference:
-        return oracle.compare(_switch_act(states, x, t, y), f)
+    seen: list[Preference] = []
 
-    found = _search(probe, ceiling, tol, hint)
-    t, width, second, first = (None, 0.0, True, False) if found is None else found
+    def probe(t: float) -> Preference:
+        answer = oracle.compare(_switch_act(states, x, t, y), f)
+        seen.append(answer)
+        return answer
+
+    found = bisect_indifference(probe, ceiling, tol, hint)
     top = bottom = Preference.STRICTLY_PREFERS_FIRST
-    if not first:
+    if Preference.STRICTLY_PREFERS_FIRST not in seen:
         top = oracle.compare(GridAct.constant(states, x), f)
         if top is Preference.STRICTLY_PREFERS_SECOND:
             raise ProtocolError(f"oracle strictly prefers the act to constant {x!r}")
-    if not second:
+    if Preference.STRICTLY_PREFERS_SECOND not in seen:
         bottom = oracle.compare(f, GridAct.constant(states, y))
         if bottom is Preference.STRICTLY_PREFERS_SECOND:
             raise ProtocolError(f"oracle strictly prefers constant {y!r} to the act")
     if bottom is Preference.INDIFFERENT:
         return TimeEquivalent(0.0)
-    if top is Preference.INDIFFERENT:
+    if top is Preference.INDIFFERENT or found is None:
         return TimeEquivalent(None)
-    return TimeEquivalent(t, width)
+    return TimeEquivalent(*found)

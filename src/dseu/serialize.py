@@ -282,14 +282,25 @@ def subset_from_key(key: str) -> frozenset[State]:
     return frozenset(part for part in key.split(",") if part)
 
 
+def _by_subset(doc: dict, what: str) -> dict[frozenset[State], tuple[Any, Any]]:
+    """Each entry of ``doc`` as ``subset: (key, value)``; two keys naming one subset raise."""
+    entries: dict[frozenset[State], tuple[Any, Any]] = {}
+    for key, value in doc.items():
+        subset = subset_from_key(str(key))
+        if subset in entries:
+            raise ValueError(f"{what} names one subset twice, as {entries[subset][0]!r} and {key!r}")
+        entries[subset] = key, value
+    return entries
+
+
 # -- oracles -----------------------------------------------------------------
 
 
 def capacity_from_json(doc: Any) -> Capacity:
     _typed(doc, dict, "'capacity'")
     weights = {
-        subset_from_key(str(k)): _number(v, f"a number for the capacity of {k!r}")
-        for k, v in doc.items()
+        subset: _number(v, f"a number for the capacity of {k!r}")
+        for subset, (k, v) in _by_subset(doc, "the capacity document").items()
     }
     states = sorted(set().union(*weights) if weights else set())
     if not states:
@@ -367,8 +378,8 @@ def elicitation_report_from_json(doc: Any) -> ElicitationReport:
     return ElicitationReport(
         lambda_hat=_number(doc["lambda_hat"], "a number for 'lambda_hat'"),
         mu_hat={
-            subset_from_key(k): _number(p, f"a number for 'mu_hat' of {k!r}")
-            for k, p in mu_hat.items()
+            subset: _number(p, f"a number for 'mu_hat' of {k!r}")
+            for subset, (k, p) in _by_subset(mu_hat, "'mu_hat'").items()
         },
         additivity_residuals={
             (subset_from_key(row["e"]), subset_from_key(row["f"])): _number(

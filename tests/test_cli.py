@@ -335,6 +335,27 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == "error: expected a number for the capacity of 'b', got False\n"
 
+    def test_subset_named_twice_in_a_capacity_is_an_error(self, tmp_path, capsys):
+        # It used to keep the last weight, 0.6, for {a, b}.
+        capacity = {"a": 0.2, "b": 0.3, "a,b": 0.5, "b,a": 0.6}
+        doc = {"kind": "choquet", "lambda": 1.0, "utility": {"x": 1.0, "y": 0.0}, "capacity": capacity}
+        path = tmp_path / "oracle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["elicit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the capacity document names one subset twice, as 'a,b' and 'b,a'\n"
+
+    @pytest.mark.parametrize("where", ["missing-dir", "dir"])
+    def test_unwritable_out_is_an_error(self, tmp_path, capsys, model_path, act_path, where):
+        # Both used to end in a traceback after the summary.
+        out = tmp_path / "no" / "x.json" if where == "missing-dir" else tmp_path
+        assert main(["eval", model_path, act_path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "value (state-first integration)" in captured.out
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "flags, message",
         [

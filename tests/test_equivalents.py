@@ -31,6 +31,7 @@ from dseu.oracles import (
 )
 
 import eager_endpoints
+import flagged_search
 
 STATES = ("s0", "s1")
 UTIL = {"x": 1.0, "y": 0.0, "m": 0.35}
@@ -578,3 +579,54 @@ class TestLazyEndQueries:
         got, _ = search_outcome(time_equivalent_bisect, SEUOracle(model_for()), *args)
         want, _ = search_outcome(eager_endpoints.time_equivalent_bisect, SEUOracle(model_for()), *args)
         assert got == want
+
+
+# -- end queries read from the probe's answers, against the flagged search ------
+
+
+class ScrambledOracle:
+    """An oracle whose answers are each, with probability ``p``, drawn from the acts and a seed."""
+
+    def __init__(self, inner, seed: int, p: float) -> None:
+        self.inner, self.seed, self.p = inner, seed, p
+
+    def compare(self, f: GridAct, g: GridAct) -> Preference:
+        draw = random.Random(f"{self.seed}:{f!r}:{g!r}")
+        if draw.random() < self.p:
+            return draw.choice(list(Preference))
+        return self.inner.compare(f, g)
+
+
+@st.composite
+def scrambled_searches(draw):
+    """:func:`monotone_searches` with answers scrambled, at any rate, and NaN hints too."""
+    make, f, x, y, tol, rate, _ = draw(monotone_searches())
+    seed = draw(st.integers(0, 2**16))
+    p = draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0))
+    hint = draw(
+        st.none() | st.sampled_from((0.0, math.inf, math.nan)) | st.floats(0.0, 20.0)
+    )
+    return (lambda: ScrambledOracle(make(), seed, p)), f, x, y, tol, rate, hint
+
+
+def logged_outcome(search, oracle, f, x, y, tol, rate, hint):
+    """The result's bits, or the protocol error's message, and every query with its answer."""
+    logged = CountingOracle(oracle, keep_log=True)
+    try:
+        te = search(logged, f, x, y, tol, rate=rate, hint=hint)
+    except ProtocolError as err:
+        return ("ProtocolError", str(err)), logged.log
+    t = None if te.t is None else te.t.hex()
+    return (t, te.bracket_width.hex()), logged.log
+
+
+class TestEndQueriesFromAnswers:
+    @pytest.mark.identity
+    @given(scrambled_searches())
+    @settings(deadline=None)
+    def test_asks_and_returns_what_the_flagged_search_did(self, search):
+        make, *args = search
+        got, log = logged_outcome(time_equivalent_bisect, make(), *args)
+        want, flagged_log = logged_outcome(flagged_search.time_equivalent_bisect, make(), *args)
+        assert got == want
+        assert log == flagged_log

@@ -335,6 +335,25 @@ class TestOracleSpecs:
         with pytest.raises(ValueError, match=re.escape(f"capacity of {key.split(',')} is NaN")):
             serialize.oracle_from_json(json.loads(text))
 
+    @pytest.mark.parametrize(
+        "capacity, first, second",
+        [
+            (
+                {"a": 0.2, "b": 0.3, "c": 0.1, "a,b": 0.5, "b,a": 0.6, "a,c": 0.4, "b,c": 0.5, "a,b,c": 1.0},
+                "a,b",
+                "b,a",
+            ),
+            ({"a": 0.2, "b": 0.3, "a,a": 0.25, "a,b": 1.0}, "a", "a,a"),
+            ({"": 0.0, "a": 0.2, ",": 0.0, "a,b": 1.0}, "", ","),
+        ],
+        ids=["reordered", "repeated-state", "empty"],
+    )
+    def test_subset_named_twice_rejected(self, capacity, first, second):
+        # Each used to keep the later weight.
+        message = f"the capacity document names one subset twice, as {first!r} and {second!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize.capacity_from_json(capacity)
+
     def test_widened_round_trip(self):
         oracle = WidenedOracle(SEUOracle(sample_model()), extra_band=0.01)
         back = serialize.oracle_from_json(serialize.oracle_to_json(oracle))
@@ -401,6 +420,15 @@ class TestReportDocuments:
         for key in head:
             parent = parent[key]
         parent[last] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize.elicitation_report_from_json(doc)
+
+    @pytest.mark.parametrize("twice", ["b,a", "a,a,b"])
+    def test_elicitation_report_subset_named_twice_rejected(self, twice):
+        report = run_session(SEUOracle(sample_model()), "x", "y", tol=1e-6)
+        doc = json.loads(json.dumps(serialize.elicitation_report_to_json(report)))
+        doc["mu_hat"][twice] = doc["mu_hat"]["a,b"]
+        message = f"'mu_hat' names one subset twice, as 'a,b' and {twice!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             serialize.elicitation_report_from_json(doc)
 
