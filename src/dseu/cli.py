@@ -36,15 +36,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict, rejecting a key repeated verbatim."""
+    seen: set[str] = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"repeated key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _load_json(path: str) -> Any:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path} at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from exc
 
 
 def _emit(doc: Any, out: str | None) -> None:

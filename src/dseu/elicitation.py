@@ -64,21 +64,34 @@ def elicit_lambda(
     At the indifference time ``t*`` the two swap streams split the horizon
     into halves of equal mass, so the rate is ``ln 2 / t*`` regardless of
     the utilities involved.
+
+    The ranking query, constant ``x`` against constant ``y``, must answer
+    "first".  It is the probe at ``t = inf``, and the probe at ``t = 0`` is
+    its mirror, so under answers weakly monotone in ``t`` a "second" at any
+    ``t`` implies it.  It is asked after the search, only when no probe
+    answered "second" or the search met no switch up to the ceiling, and a
+    wrong ranking raises before the ceiling error.  On such oracles every
+    result and error is the one of asking it before the search, with one
+    query fewer once a probe answered "second".
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
     states = oracle.states
-    ranked = oracle.compare(GridAct.constant(states, x), GridAct.constant(states, y))
-    if ranked is not Preference.STRICTLY_PREFERS_FIRST:
-        raise ProtocolError(
-            f"half-life query needs a strict preference for {x!r} over {y!r}, got {ranked.name}"
-        )
+    seen: list[Preference] = []
 
     def probe(t: float) -> Preference:
         # x-then-y against y-then-x, both switching at t.
-        return oracle.compare(_switch_act(states, x, t, y), _switch_act(states, y, t, x))
+        answer = oracle.compare(_switch_act(states, x, t, y), _switch_act(states, y, t, x))
+        seen.append(answer)
+        return answer
 
     found = bisect_indifference(probe, FALLBACK_HORIZON, tol)
+    if found is None or Preference.STRICTLY_PREFERS_SECOND not in seen:
+        ranked = oracle.compare(GridAct.constant(states, x), GridAct.constant(states, y))
+        if ranked is not Preference.STRICTLY_PREFERS_FIRST:
+            raise ProtocolError(
+                f"half-life query needs a strict preference for {x!r} over {y!r}, got {ranked.name}"
+            )
     if found is None:
         raise ProtocolError(
             f"no half-life indifference up to the search ceiling {FALLBACK_HORIZON:g}"

@@ -151,21 +151,40 @@ def bisect_indifference(
 
     A ``hint``, a predicted switch time, warm-starts the search: at most
     three probes near it (:func:`_gallop`), the first at the grid point
-    nearest the hint, bracket the switch, and the same loops then run,
-    taking every step at or below the bracket as "second" and at or above
-    it as "first" without asking.  When the probe's answers are weakly
-    monotone in ``t`` (second, then indifferent, then first), those are the
-    answers it would have given, so the result equals the unhinted one bit
-    for bit, with at most three probes more.  A hint less than half a grid
-    step from a strict switch (no indifferent band, at least two steps above
-    0, the ceiling at least twice above it and 1) leaves two probes in all.
-    Every step the gallop's answers do not cover is asked, also at
-    ``t = inf``.
+    nearest the hint, bracket the switch.  The result is the cold search's
+    with every step at or below that bracket taken as "second" and every
+    step at or above it as "first", without asking.  When the probe's
+    answers are weakly monotone in ``t`` (second, then indifferent, then
+    first), those are the answers it would have given, so the result equals
+    the unhinted one bit for bit, with at most three probes more.  A hint
+    less than half a grid step from a strict switch (no indifferent band, at
+    least two steps above 0, the ceiling at least twice above it and 1)
+    leaves two probes in all.
+
+    The search closes at once, asking nothing more, when the gallop's
+    bracket is one grid cell (the grid step is the power of two at or below
+    ``tol``) starting on a grid point, and the ceiling is at least 1 with
+    its largest power of two at or below it (any, for an infinite ceiling)
+    not below the cell.  Every doubling bound is then a power of two, and
+    every midpoint down to the cell a grid point, outside the cell's open
+    interior, so the loops would take every step unasked and end on the
+    cell.  The cell's top at most ``2**53`` grid steps keeps every such
+    midpoint exact.  Any other bracket replays the loops, asking every step
+    the gallop's answers do not cover, also at ``t = inf``.
     """
     # A bound no answer gave is NaN, and every comparison with NaN is false.
     second_below = first_above = math.nan
     if hint is not None:
         second_below, first_above = _gallop(probe, hint, ceiling, tol)
+        grid = 2.0 ** math.floor(math.log2(tol))
+        if (
+            first_above - second_below == grid
+            and ceiling >= 1.0
+            and (second_below / grid).is_integer()
+            and first_above <= 2.0**53 * grid
+            and (ceiling == math.inf or first_above <= math.ldexp(0.5, math.frexp(ceiling)[1]))
+        ):
+            return 0.5 * (second_below + first_above), grid
 
     lo = 0.0
     hi = min(1.0, ceiling)

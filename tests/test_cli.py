@@ -346,6 +346,18 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == "error: the capacity document names one subset twice, as 'a,b' and 'b,a'\n"
 
+    def test_key_repeated_verbatim_is_an_error(self, tmp_path, capsys):
+        # json.loads kept the last weight, 1.0, for {a, b}.
+        path = tmp_path / "oracle.json"
+        path.write_text(
+            '{"kind": "choquet", "lambda": 1.0, "utility": {"x": 1.0, "y": 0.0},'
+            ' "capacity": {"a": 0.2, "b": 0.3, "a,b": 0.5, "a,b": 1.0}}'
+        )
+        assert main(["elicit", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: repeated key 'a,b' in {path}\n"
+
     @pytest.mark.parametrize("where", ["missing-dir", "dir"])
     def test_unwritable_out_is_an_error(self, tmp_path, capsys, model_path, act_path, where):
         # Both used to end in a traceback after the summary.

@@ -24,12 +24,15 @@ from dseu.oracles import (
     Capacity,
     ChoquetOracle,
     CountingOracle,
+    Preference,
     ProtocolError,
     SEUOracle,
+    WidenedOracle,
     subsets,
 )
 
 import event_plan_reference
+import ranking_first
 from capacity_reference import ReferenceCapacity
 
 
@@ -70,8 +73,26 @@ class TestElicitLambda:
         oracle = CountingOracle(seu_for(1e-15, {"a": 1.0}), keep_log=True)
         with pytest.raises(ProtocolError, match="search ceiling"):
             elicit_lambda(oracle, "x", "y")
-        last, _, _ = oracle.log[-1]
-        assert last.row("a").cuts == (FALLBACK_HORIZON,)
+        # The ceiling's probe, then the ranking, which no probe settled.
+        (probe, _, _), (top, bottom, ranked) = oracle.log[-2:]
+        assert probe.row("a").cuts == (FALLBACK_HORIZON,)
+        assert (top.at("a", 0.0), bottom.at("a", 0.0)) == ("x", "y")
+        assert top.is_deterministic and not top.row("a").cuts
+        assert ranked is Preference.STRICTLY_PREFERS_FIRST
+
+    def test_wrong_way_pair_raises_the_ranking_error_after_its_probes(self):
+        # "y" above "x": every probe answers "first" below the half-life and
+        # "second" above it, up to the ceiling, whose "second" leaves no switch.
+        oracle = CountingOracle(seu_for(math.log(2.0), {"a": 1.0}))
+        with pytest.raises(ProtocolError, match="^half-life query needs a strict preference"):
+            elicit_lambda(oracle, "y", "x")
+        assert oracle.count > 1
+
+    def test_ranking_is_left_out_once_a_probe_answered_second(self):
+        oracle = seu_for(0.7, {"a": 0.6, "b": 0.4})
+        got, eager = CountingOracle(oracle), CountingOracle(oracle)
+        assert elicit_lambda(got, "x", "y") == ranking_first.elicit_lambda(eager, "x", "y")
+        assert got.count == eager.count - 1
 
     def test_query_budget(self):
         oracle = CountingOracle(seu_for(0.7, {"a": 0.6, "b": 0.4}))
@@ -85,6 +106,66 @@ class TestElicitLambda:
             with pytest.raises(ValueError, match=f"^tolerance must be > 0, got {tol}$"):
                 session(oracle, "x", "y", tol=tol)
         assert oracle.count == 0
+
+
+LADDER = {"top": 1.6, "x": 1.0, "m": 0.35, "y": 0.0, "twin": 0.0}
+
+
+@st.composite
+def half_life_oracles(draw):
+    """A weakly monotone oracle, an ordered pair of its outcomes and a tolerance.
+
+    The oracles are SEU or Choquet on 1-3 states, unwrapped, banded or
+    widened; the pairs rank either way or tie; the rates put the half-life
+    anywhere up to past the search ceiling.
+    """
+    n = draw(st.integers(1, 3))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    model = DSEUModel(
+        ExpMeasure(draw(st.floats(1e-15, 1e3) | st.sampled_from((1e-15, 1e-11, math.log(2.0))))),
+        UtilityModel(dict(LADDER)),
+        Beliefs({f"s{i}": w / sum(raw) for i, w in enumerate(raw)}),
+    )
+    band = draw(st.sampled_from((0.0, 1e-3)) | st.floats(0.0, 2.0))
+    wrap = draw(st.sampled_from(("none", "banded", "widened")))
+    own_band = band if wrap == "banded" else 0.0
+    if draw(st.booleans()):
+        oracle = SEUOracle(model, own_band)
+    else:
+        capacity = Capacity.epsilon_contamination(model.beliefs, draw(st.floats(0.0, 1.0)))
+        oracle = ChoquetOracle(model.discount, model.utility, capacity, own_band)
+    if wrap == "widened":
+        oracle = WidenedOracle(oracle, band)
+    x, y = draw(st.lists(st.sampled_from(tuple(LADDER)), min_size=2, max_size=2, unique=True))
+    return oracle, x, y, draw(st.floats(1e-9, 1e-2))
+
+
+def half_life_outcome(search, oracle, x, y, tol):
+    """The rate's bits, or the protocol error's message, and the queries asked."""
+    log = CountingOracle(oracle, keep_log=True)
+    try:
+        got = search(log, x, y, tol).rate.hex()
+    except ProtocolError as err:
+        got = str(err)
+    return got, log.log
+
+
+class TestLazyRanking:
+    @pytest.mark.identity
+    @given(half_life_oracles())
+    @settings(deadline=None)
+    def test_results_errors_and_probes_match_the_ranking_first_search(self, case):
+        got, asked = half_life_outcome(elicit_lambda, *case)
+        want, eager = half_life_outcome(ranking_first.elicit_lambda, *case)
+        assert got == want
+        ranking, probes = eager[0], eager[1:]
+        if ranking[2] is not Preference.STRICTLY_PREFERS_FIRST:
+            # The eager search raised at once; the lazy one after its probes.
+            assert asked[-1] == ranking
+            return
+        second = any(a is Preference.STRICTLY_PREFERS_SECOND for _, _, a in probes)
+        ceiling = got.startswith("no half-life")
+        assert asked == probes + ([] if second and not ceiling else [ranking])
 
 
 class TestElicitEvent:

@@ -367,6 +367,57 @@ def searches(draw):
     return make, ceiling, tol, hint
 
 
+@st.composite
+def gallop_cells(draw):
+    """A probe factory, a ceiling, a tolerance and a hint, the hint within a few cells of the switch.
+
+    Tolerances reach past 1 and off the powers of two.  Ceilings lie below 1,
+    on or between powers of two, or at infinity.  The switch sits a few
+    cells from the ceiling, from the last power of two at or below it, or
+    anywhere below it, and the hint near the switch or at and above the
+    ceiling, so the gallop's bracket is one cell, on the grid or off it,
+    or wider.  Probes are strict, banded or scrambled.
+    """
+    tol = draw(
+        st.floats(1e-12, 3.0)
+        | st.integers(-40, 1).map(lambda k: 2.0**k)
+        | st.sampled_from((0.3, 1.0, 1.5, 2.0))
+    )
+    grid = 2.0 ** math.floor(math.log2(tol))
+    ceiling = draw(
+        st.floats(0.01, 0.99)
+        | st.just(math.inf)
+        | st.integers(0, 40).map(lambda k: 2.0**k)
+        | st.integers(0, 40).map(lambda k: 2.0**k * 1.5)
+        | st.floats(1.0, 1e12)
+    )
+    span = min(ceiling, 2.0**30)
+    power = 2.0 ** math.floor(math.log2(span))
+    anchor = draw(st.sampled_from((span, power)) | st.floats(0.0, span))
+    cells = draw(st.integers(-3, 3)) + draw(st.sampled_from((0.0, 0.5)) | st.floats(-1.0, 1.0))
+    switch = max(0.0, anchor + cells * grid)
+    hint = draw(
+        st.just(switch)
+        | st.integers(-2, 2).map(lambda k: switch + k * grid)
+        | st.floats(-1.0, 1.0).map(lambda k: switch + k * grid)
+        | st.just(ceiling)
+        | st.floats(1.0, 4.0).map(lambda k: span * k)
+    )
+    kind = draw(st.sampled_from(("strict", "banded", "scrambled")))
+    if kind == "scrambled":
+        make = partial(ScrambledProbe, draw(st.integers(0, 2**16)))
+    else:
+        band = 0.0 if kind == "strict" else draw(st.floats(0.0, 3.0 * grid))
+        make = partial(RecordingProbe, switch, band)
+    return make, ceiling, tol, hint
+
+
+def replayed(probe, ceiling, tol, hint):
+    """The search of ``flagged_search``, which replays the loops after every gallop."""
+    found = flagged_search._search(probe, ceiling, tol, hint)
+    return None if found is None else found[:2]
+
+
 class TestBisectIndifference:
     @pytest.mark.identity
     @given(searches())
@@ -377,6 +428,45 @@ class TestBisectIndifference:
         got = bisect_indifference(probe, ceiling, tol, hint)
         assert got == ref_bisect_indifference(ref, ceiling, tol, hint)
         assert probe.asked == ref.asked
+
+    @pytest.mark.identity
+    @given(gallop_cells())
+    @settings(deadline=None)
+    def test_close_at_the_gallops_cell_asks_and_returns_what_the_replay_did(self, search):
+        make, ceiling, tol, hint = search
+        probe, ref = make(), make()
+        assert bisect_indifference(probe, ceiling, tol, hint) == replayed(ref, ceiling, tol, hint)
+        assert probe.asked == ref.asked
+
+    @pytest.mark.parametrize(
+        "switch, ceiling, tol, hint",
+        [
+            (0.3 + 2.0**-22, 1e12, 2.0**-20, 0.3),
+            (5.0 + 1e-7, math.inf, 1e-9, 5.0 + 1e-7),
+            (1.5, 2.0, 0.3, 1.4),
+            # Its top cell bound is 2**53 cells, the largest that keeps every
+            # midpoint of the replay exact.
+            (2.0**33, math.inf, 2.0**-20, 2.0**33 - 2.0**-20),
+        ],
+    )
+    def test_one_aligned_cell_closes_the_search_unasked(self, switch, ceiling, tol, hint):
+        probe, ref = RecordingProbe(switch), RecordingProbe(switch)
+        t, width = bisect_indifference(probe, ceiling, tol, hint)
+        assert (t, width) == replayed(ref, ceiling, tol, hint)
+        assert probe.asked == ref.asked
+        assert len(probe.asked) == 2
+        lo, hi = sorted(probe.asked)
+        assert width == hi - lo == 2.0 ** math.floor(math.log2(tol))
+        assert t == 0.5 * (lo + hi)
+
+    def test_cell_off_the_grid_is_replayed(self):
+        # The start is capped at the ceiling, 1.18, and the gallop brackets
+        # the switch by (0.68, 0.93): one cell wide, but off the grid of
+        # 0.25.  The replay asks the grid point 0.75 inside it; closing at
+        # the gallop's cell would give about (0.805, 0.25).
+        probe = RecordingProbe(0.8)
+        assert bisect_indifference(probe, 1.18, 0.3, 5.0) == (0.875, 0.25)
+        assert probe.asked == [1.18, 1.18 - 0.25, 1.18 - 0.5, 0.75]
 
     def test_unhinted_search_asks_every_step_up_to_an_infinite_ceiling(self):
         asked = []

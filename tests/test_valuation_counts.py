@@ -58,11 +58,11 @@ def test_session_values_at_most_three_rows_per_query(rows, monkeypatch):
     monkeypatch.setattr(SEUOracle, "compare", counted)
     states = tuple(f"s{i}" for i in range(6))
     report = run_session(SEUOracle(model(states)), "hi", "lo")
-    assert report.query_count == len(per_query) == 301
+    assert report.query_count == len(per_query) == 300
     # A bet has two distinct rows and a prefix act one; the bet of each
     # search is valued once, at its first comparison.
     assert max(per_query) == 3
-    assert len(rows) == 457
+    assert len(rows) == 455
 
 
 def test_bisection_values_each_row_of_the_fixed_act_once(rows):
