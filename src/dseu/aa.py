@@ -18,7 +18,7 @@ from typing import Mapping
 from .acts import GridAct, Outcome, State, StepProfile, splice_time
 from .equivalents import TimeEquivalent
 from .evaluate import DSEUModel, check_states
-from .measure import INF, ExpMeasure, TimeInterval
+from .measure import INF, ExpMeasure, TimeInterval, plain_sum
 
 @dataclass(frozen=True)
 class Lottery:
@@ -33,7 +33,7 @@ class Lottery:
                 raise ValueError(f"probability of {out!r} must be >= 0, got {p!r}")
             if p > 0:
                 cleaned[out] = p
-        total = sum(cleaned.values())
+        total = plain_sum(cleaned.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"lottery probabilities must sum to 1 within 1e-12, got {total!r}")
         object.__setattr__(self, "probs", cleaned)
@@ -183,7 +183,7 @@ def aa_value(model: DSEUModel, f: GridAct) -> float:
     total = 0.0
     for s in f.states:
         lot = reduce_profile(model.discount, f.row(s))
-        total += model.beliefs(s) * sum(
+        total += model.beliefs(s) * plain_sum(
             p * model.utility(o) for o, p in lot.probs.items()
         )
     return total

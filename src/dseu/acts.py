@@ -9,9 +9,12 @@ trusted everywhere else, as is the flat bounds tuple of an event's time set.
 Every profile an operation here returns is canonical (no zero-width piece,
 no two equal neighbours): a spliced row is built once, from runs of pieces
 copied by bisection, by :meth:`StepProfile.canonical`, and a row passed
-through whole goes through :meth:`StepProfile.normalized`.  Deterministic
-acts have the same profile in every state; stochastic acts are constant
-over time.  Outcomes and states are opaque string labels.
+through whole goes through :meth:`StepProfile.normalized`.  Builders whose
+cuts come out sorted (sampled quantiles, the audit's pasted witnesses, a
+checked row with some outcomes changed) skip the per-cut check through
+``StepProfile._sorted``.  Deterministic acts have the same profile in every
+state; stochastic acts are constant over time.  Outcomes and states are
+opaque string labels.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ def _bad_count(bounds: list[float], outs: list[Outcome]) -> str:
     return f"need {len(bounds) - 1} outcomes for {len(bounds)} bounds, got {len(outs)}"
 
 
+#: Stands for "no piece kept yet" where a loop compares each outcome with the
+#: last one kept; it equals no outcome.
+_NO_OUTCOME = object()
+
+
 @dataclass(frozen=True)
 class StepProfile:
     """Outcome stream over time: ``outs[k]`` is paid from ``cuts[k - 1]`` to ``cuts[k]``.
@@ -45,7 +53,9 @@ class StepProfile:
     outcome more than cuts: ``outs[0]`` starts at time 0 and ``outs[-1]``
     runs to ``inf``.  Equal adjacent outcomes are allowed; :meth:`normalized`
     drops the cuts between them, and on normalized profiles equality is
-    structural.
+    structural.  :meth:`canonical` builds a normalized profile from any
+    breakpoints, checking each cut it keeps; the private ``_sorted`` builds
+    it from breakpoints known to be sorted, without that check.
     """
 
     cuts: tuple[float, ...]
@@ -134,12 +144,39 @@ class StepProfile:
             runs.append(out)
         return cls._unchecked(tuple(cuts), tuple(runs))
 
+    @classmethod
+    def _sorted(cls, cuts: Sequence[float], outs: Sequence[Outcome]) -> StepProfile:
+        """``canonical(cuts, outs)`` for cuts a builder here knows to be sorted.
+
+        The cuts are ``>= 0`` and non-decreasing (``inf`` allowed), and there
+        is one outcome more than cuts.  The loop is :meth:`canonical`'s
+        without its per-cut check, which cannot fail on such cuts: a piece is
+        kept only when ``lo != hi``, so ``lo < hi <= inf``, and its start is
+        below ``inf`` and above the start of the piece kept before it.
+        """
+        starts: list[float] = []
+        runs: list[Outcome] = []
+        lo, last = 0.0, _NO_OUTCOME
+        for hi, out in zip(cuts, outs):
+            if lo != hi:
+                if out != last:
+                    starts.append(lo)
+                    runs.append(out)
+                    last = out
+                lo = hi
+        if lo != INF and outs[-1] != last:
+            starts.append(lo)
+            runs.append(outs[-1])
+        # The first kept piece starts at 0.
+        del starts[0]
+        return cls._unchecked(tuple(starts), tuple(runs))
+
     def normalized(self) -> StepProfile:
         """Drop each cut between equal outcomes (same pointwise value); ``self`` if none."""
         outs = self.outs
         if all(map(operator.ne, outs, outs[1:])):
             return self
-        return StepProfile.canonical(self.cuts, outs)
+        return StepProfile._sorted(self.cuts, outs)
 
     def segments(self) -> Iterator[tuple[float, float, Outcome]]:
         """``(lo, hi, outcome)`` of each piece, in time order."""
@@ -177,6 +214,8 @@ class GridAct:
     ``late`` after") skip the constructor and check only that there is a
     state: their rows are canonical by construction.  ``_switch_act`` also
     builds its one row without :meth:`StepProfile.normalized`.
+    ``ActSampler.act`` and the audit's t-separability witnesses skip the
+    constructor too, on rows that are canonical as built.
     """
 
     profiles: Mapping[State, StepProfile]

@@ -194,7 +194,7 @@ def _improved_profile(
     i, cand = rng.choice(upgrades)
     outs = list(profile.outs)
     outs[i] = cand
-    return StepProfile.canonical(profile.cuts, outs)
+    return StepProfile._sorted(profile.cuts, outs)
 
 
 def check_t_monotonicity(
@@ -316,7 +316,11 @@ def _swapped_pastes(
     the stream paying them the other way round; both pay the background
     elsewhere.  Each is ``acts._paste`` of the background with those
     constant patches, and both come from one walk over the background's
-    cuts, whose runs between the patches they share.
+    cuts, whose runs between the patches they share.  The walk's starts
+    never decrease (the spans are sorted by start, and each run is copied
+    strictly inside ``(at, lo)``), so both are built by
+    ``StepProfile._sorted``; two spans that start at one time give a
+    zero-width piece, dropped as :meth:`StepProfile.canonical` drops it.
     """
     spans = sorted(
         [
@@ -347,7 +351,7 @@ def _swapped_pastes(
             _copy_run(starts, left, cuts, src, at, INF)
             right += left[n:]
         del starts[0]
-        return StepProfile.canonical(starts, left), StepProfile.canonical(starts, right)
+        return StepProfile._sorted(starts, left), StepProfile._sorted(starts, right)
 
     return build
 
@@ -387,7 +391,9 @@ def check_t_separability(
         for better, worse in rng.sample(strict_pairs, n_pairs):
             for background in (sampler.profile(rng), sampler.profile(rng)):
                 left, right = paste(background, better, worse)
-                fa, fb = GridAct.deterministic(states, left), GridAct.deterministic(states, right)
+                # Canonical rows, lifted as acts._switch_act lifts its row.
+                fa = GridAct._unchecked(dict.fromkeys(states, left), left)
+                fb = GridAct._unchecked(dict.fromkeys(states, right), right)
                 combos.append((fa, fb, oracle.compare(fa, fb)))
         answers = {answer for _, _, answer in combos}
         opposed = (

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .acts import GridAct, Outcome, State, StepProfile
 from .evaluate import DSEUModel, UtilityModel
-from .measure import INF, ExpMeasure, TimeInterval, TimeSet
+from .measure import INF, ExpMeasure, TimeInterval, TimeSet, plain_sum
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _indicator(
         else:
             bounds += (lo, end)
             bound_sf += (s_lo, s_end)
-    mass = sum([a - b for a, b in zip(bound_sf[::2], bound_sf[1::2])])
+    mass = plain_sum([a - b for a, b in zip(bound_sf[::2], bound_sf[1::2])])
     outs = [worst, best] * (len(bounds) // 2) + [worst]
     if bounds and bounds[-1] == INF:
         del bounds[-1], outs[-1]

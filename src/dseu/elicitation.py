@@ -26,7 +26,7 @@ from .equivalents import (
     time_equivalent_bisect,
 )
 from .evaluate import Beliefs, DSEUModel, UtilityModel
-from .measure import ExpMeasure
+from .measure import ExpMeasure, plain_sum
 from .oracles import CountingOracle, Preference, ProtocolError, subset_indices
 
 #: Residual size above which a recovered set function is flagged non-additive.
@@ -209,7 +209,7 @@ def elicit_measure(
             if p < 1.0:
                 hint = rate.quantile(p)
         elif e == top:
-            p = 1.0 - sum(est[1 << i] for i in range(len(states) - 1))
+            p = 1.0 - plain_sum(est[1 << i] for i in range(len(states) - 1))
             if 0.0 < p < 1.0:
                 hint = rate.quantile(p)
         est[e] = elicit_event(counting, rate, named[e], x, y, tol, hint)

@@ -11,12 +11,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
 from typing import Iterable, Mapping
 
 from .acts import GridAct, Outcome, State, StepProfile, splice_time
-from .measure import ExpMeasure
+from .measure import ExpMeasure, plain_sum
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ class Beliefs:
         for s, p in self.probs.items():
             if not math.isfinite(p) or p < 0:
                 raise ValueError(f"probability of state {s!r} must be >= 0, got {p!r}")
-        total = sum(self.probs.values())
+        total = plain_sum(self.probs.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"state probabilities must sum to 1 within 1e-12, got {total!r}")
 
@@ -115,8 +113,8 @@ class DSEUModel:
         """State-first order: expectation over states of row values.
 
         Each distinct row object is valued once, by the module-level
-        :func:`profile_value`; ``sum`` runs over the products
-        ``belief * row value`` in the act's state order.  The recorded row
+        :func:`profile_value`; the products ``belief * row value`` are added
+        left to right in the act's state order.  The recorded row
         of a deterministic act (``act.common_row``) is valued without
         walking the rows; an act built from a mapping is walked by row
         ``id``, which gives the same floats.
@@ -128,16 +126,19 @@ class DSEUModel:
         row = act.common_row
         if row is not None:
             v = profile_value(discount, utility, row)
-            return sum(map(mul, map(probs.__getitem__, act.profiles), repeat(v)))
+            total = 0.0
+            for s in act.profiles:
+                total += probs[s] * v
+            return total
         # Keyed by id(): the act keeps every row alive for the whole call.
         done: dict[int, float] = {}
-        terms: list[float] = []
+        total = 0.0
         for s, p in act.profiles.items():
             v = done.get(id(p))
             if v is None:
                 v = done[id(p)] = profile_value(discount, utility, p)
-            terms.append(probs[s] * v)
-        return sum(terms)
+            total += probs[s] * v
+        return total
 
     def act_value_dual(self, act: GridAct) -> float:
         """Time-first order: expectation over a common time refinement.
@@ -146,8 +147,8 @@ class DSEUModel:
         rows' common refinement (between consecutive cuts of any row).
         One sorted pass over every row's cuts keeps the terms
         ``belief * utility`` of the current cell, one per row in state order,
-        and replaces one term per cut; each cell adds
-        ``(sf(lo) - sf(hi)) * sum(terms)``.  Agrees with :meth:`act_value`
+        and replaces one term per cut; each cell adds ``sf(lo) - sf(hi)``
+        times the terms added left to right.  Agrees with :meth:`act_value`
         up to float roundoff.
         """
         check_states(self.states, act)
@@ -167,10 +168,15 @@ class DSEUModel:
         for t, i, term in events:
             if t > lo:
                 sf_hi = math.exp(-rate * t)
-                total += (sf_lo - sf_hi) * sum(terms)
+                # plain_sum's additions, inline in this hot loop (from 0.0,
+                # which gives the same result on float terms).
+                cell = 0.0
+                for x in terms:
+                    cell += x
+                total += (sf_lo - sf_hi) * cell
                 lo, sf_lo = t, sf_hi
             terms[i] = term
-        return total + sf_lo * sum(terms)
+        return total + sf_lo * plain_sum(terms)
 
     def prefix_value(self, act: GridAct, t: float) -> float:
         """Expected discounted utility of ``act`` restricted to times before ``t``.

@@ -18,6 +18,20 @@ from typing import Iterable, Iterator, Sequence
 INF = math.inf
 
 
+def plain_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from the int ``0``, as ``sum`` did before CPython 3.12.
+
+    From 3.12 ``sum`` of floats is compensated, which changes last digits;
+    every float sum in the library is this one, so its results and the CLI's
+    bytes are the same on every supported version.  An empty sum is the int
+    ``0``, as ``sum([])`` is.
+    """
+    total = 0
+    for x in values:
+        total += x
+    return total
+
+
 def _require_finite(name: str, x: float) -> None:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {x!r}")
@@ -170,7 +184,7 @@ class ExpMeasure:
     def mass(self, a: TimeSet | TimeInterval) -> float:
         if isinstance(a, TimeInterval):
             return self.interval_mass(a)
-        return sum([self.sf(lo) - self.sf(hi) for lo, hi in a])
+        return plain_sum([self.sf(lo) - self.sf(hi) for lo, hi in a])
 
     def split(
         self, iv: TimeInterval, weights: Sequence[float]
@@ -183,7 +197,7 @@ class ExpMeasure:
         """
         if any(w < 0 or math.isnan(w) for w in weights):
             raise ValueError(f"weights must be non-negative, got {list(weights)}")
-        total = sum(weights)
+        total = plain_sum(weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
         positive = [w for w in weights if w > 0.0]

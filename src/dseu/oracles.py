@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .acts import GridAct, Outcome, State
 from .evaluate import Beliefs, DSEUModel, UtilityModel, check_states, profile_value
-from .measure import ExpMeasure
+from .measure import ExpMeasure, plain_sum
 
 
 class ProtocolError(RuntimeError):
@@ -272,7 +272,8 @@ class Capacity:
         # Sum in state order: a sum over the frozenset follows its hash order.
         probs = [beliefs(s) for s in states]
         spec = {
-            frozenset(map(states.__getitem__, c)): (1.0 - epsilon) * sum(map(probs.__getitem__, c))
+            frozenset(map(states.__getitem__, c)): (1.0 - epsilon)
+            * plain_sum(map(probs.__getitem__, c))
             for c in subset_indices(len(states))
         }
         spec[frozenset(states)] = 1.0
@@ -340,7 +341,7 @@ class ChoquetOracle(Oracle):
                 rows[s] = v
             return choquet_value(capacity, rows)
         v = profile_value(discount, utility, row)
-        # The loop of choquet_value: sum() of floats is compensated from Python 3.12.
+        # The loop of choquet_value, which adds as measure.plain_sum does.
         total = 0.0
         for step in capacity._steps:
             total += step * v

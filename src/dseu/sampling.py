@@ -12,8 +12,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .acts import GridAct, Outcome, State, StepProfile
-from .measure import ExpMeasure, TimeSet
+from .acts import _NO_OUTCOME, GridAct, Outcome, State, StepProfile, _bad_count
+from .measure import INF, ExpMeasure, TimeSet
 
 #: Draws :meth:`ActSampler.disjoint_time_sets` makes before giving up; one
 #: draw suffices unless the sampler's quantiles collapse onto one or two cuts.
@@ -25,10 +25,12 @@ class ActSampler:
     """Draws step structure matched to one measure, state space, and alphabet.
 
     Each profile has 1 to ``max_pieces`` pieces, cut at quantiles of masses
-    drawn uniformly between 0 and ``mass_ceiling``, and is built once by
-    :meth:`StepProfile.canonical`.  Both fields are checked at construction
-    (``max_pieces`` an integer ``>= 1``, ``0 <= mass_ceiling <= 1``), so no
-    draw needs a check of its own.
+    drawn uniformly between 0 and ``mass_ceiling``.  It is built in one loop
+    over the sorted masses, which computes each cut and drops and merges
+    pieces as the private ``StepProfile._sorted`` does, and equals
+    :meth:`StepProfile.canonical` of those cuts.  Both fields are checked at
+    construction (``max_pieces`` an integer ``>= 1``, ``0 <= mass_ceiling <=
+    1``), so no draw needs a check of its own.
 
     The draws are exactly those of ``randint(1, max_pieces)``,
     ``uniform(0.0, mass_ceiling)`` and ``choice(outcomes)``, in the same
@@ -55,7 +57,8 @@ class ActSampler:
         return cls(measure, tuple(oracle.states), tuple(oracle.outcomes))
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.max_pieces, int) and self.max_pieces >= 1):
+        # As in the JSON readers, a bool is not an integer here.
+        if not (type(self.max_pieces) is int and self.max_pieces >= 1):
             raise ValueError(f"max_pieces must be an integer >= 1, got {self.max_pieces!r}")
         if not 0.0 <= self.mass_ceiling <= 1.0:
             raise ValueError(f"mass_ceiling must lie in [0, 1], got {self.mass_ceiling!r}")
@@ -75,7 +78,9 @@ class ActSampler:
         if pieces is None:
             # randint(1, n) is randrange(1, n + 1), that is 1 + _randbelow(n).
             pieces = 1 + below(self.max_pieces)
-        cuts = self.breakpoints(rng, pieces - 1)
+        # The draws of breakpoints(rng, pieces - 1), then one outcome per piece.
+        random, ceiling = rng.random, self.mass_ceiling
+        qs = sorted([0.0 + ceiling * random() for _ in range(pieces - 1)])
         outcomes = self.outcomes
         n = len(outcomes)
         # choice(seq) is seq[_randbelow(len(seq))]; it raises on no outcomes.
@@ -83,10 +88,32 @@ class ActSampler:
             outs = [outcomes[below(n)] for _ in range(pieces)]
         else:
             outs = [rng.choice(outcomes) for _ in range(pieces)]
-        return StepProfile.canonical(cuts, outs)
+        if not outs:
+            # StepProfile.canonical's error for no outcomes.
+            raise ValueError(_bad_count([0.0, INF], outs))
+        # StepProfile._sorted's loop, with each cut computed in it from its
+        # mass: sorted masses give non-decreasing cuts, and a quantile that
+        # overflows to inf (a subnormal rate) only makes zero-width pieces.
+        log1p, rate = math.log1p, self.measure.rate
+        starts: list[float] = []
+        runs: list[Outcome] = []
+        lo, last = 0.0, _NO_OUTCOME
+        for q, out in zip(qs, outs):
+            hi = -log1p(-q) / rate
+            if lo != hi:
+                if out != last:
+                    starts.append(lo)
+                    runs.append(out)
+                    last = out
+                lo = hi
+        if lo != INF and outs[-1] != last:
+            starts.append(lo)
+            runs.append(outs[-1])
+        del starts[0]
+        return StepProfile._unchecked(tuple(starts), tuple(runs))
 
     def act(self, rng: random.Random) -> GridAct:
-        return GridAct({s: self.profile(rng) for s in self.states})
+        return GridAct._unchecked({s: self.profile(rng) for s in self.states})
 
     def time_set(self, rng: random.Random) -> TimeSet:
         n = rng.randint(0, 3)

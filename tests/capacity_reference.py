@@ -10,6 +10,8 @@ validation must match in weights, masks, steps, ``repr`` and errors.
 
 from dseu.oracles import Capacity, subsets
 
+from left_sum import left_sum
+
 
 class ReferenceCapacity(Capacity):
     def __post_init__(self) -> None:
@@ -51,7 +53,7 @@ class ReferenceCapacity(Capacity):
             raise ValueError(f"contamination must lie in [0, 1], got {epsilon}")
         states = beliefs.states
         spec = {
-            c: (1.0 - epsilon) * sum(beliefs(s) for s in states if s in c)
+            c: (1.0 - epsilon) * left_sum(beliefs(s) for s in states if s in c)
             for c in subsets(states)
         }
         spec[frozenset(states)] = 1.0

@@ -17,6 +17,8 @@ from dseu.elicitation import ElicitationReport
 from dseu.equivalents import DEFAULT_TOL
 from dseu.oracles import CountingOracle, subsets
 
+from left_sum import left_sum
+
 
 def subset_families(states):
     """Subsets to elicit and the disjoint pairs to audit.
@@ -64,7 +66,7 @@ def elicit_measure(oracle, rate, x, y, tol=DEFAULT_TOL):
             if p < 1.0:
                 hint = -math.log1p(-p) / rate.rate
         elif e == frozenset(states[-1:]):
-            p = 1.0 - sum(mu_hat[frozenset({s})] for s in states[:-1])
+            p = 1.0 - left_sum(mu_hat[frozenset({s})] for s in states[:-1])
             if 0.0 < p < 1.0:
                 hint = -math.log1p(-p) / rate.rate
         mu_hat[e] = elicitation.elicit_event(counting, rate, e, x, y, tol, hint)

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from left_sum import left_sum
+
 INF = math.inf
 
 
@@ -120,4 +122,4 @@ class RefTimeSet:
 
 def ref_mass(measure, ts: RefTimeSet) -> float:
     """``ExpMeasure.mass`` of the interval-object set: one ``interval_mass`` per interval."""
-    return sum(measure.sf(iv.lo) - measure.sf(iv.hi) for iv in ts.intervals)
+    return left_sum(measure.sf(iv.lo) - measure.sf(iv.hi) for iv in ts.intervals)

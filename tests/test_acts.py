@@ -181,6 +181,35 @@ class TestCanonical:
                 assert built == checked
 
 
+@st.composite
+def sorted_inputs(draw):
+    """Non-decreasing cuts ``>= 0`` (repeats, ``0.0``, ``-0.0``, ``inf``) and one outcome more."""
+    point = st.sampled_from((0.0, -0.0, 0.5, 1.0, 3.0, INF)) | st.floats(
+        min_value=0.0, allow_nan=False, allow_infinity=True
+    )
+    cuts = sorted(draw(st.lists(point, max_size=8)))
+    n = len(cuts) + 1
+    outs = draw(st.lists(st.sampled_from(("a", "b", "c")), min_size=n, max_size=n))
+    return cuts, outs
+
+
+class TestSorted:
+    @pytest.mark.identity
+    @given(sorted_inputs())
+    @example(([0.0, 0.0, 1.0, 1.0, INF, INF], ["a", "b", "c", "c", "a", "b", "c"]))
+    @example(([INF], ["a", "b"]))
+    @example(([-0.0, 2.0], ["a", "a", "b"]))
+    @settings(deadline=None)
+    def test_equals_canonical_on_sorted_cuts(self, case):
+        cuts, outs = case
+        want = StepProfile.canonical(cuts, outs)
+        got = StepProfile._sorted(cuts, outs)
+        assert profile_fields_are_tuples(got)
+        assert [c.hex() for c in got.cuts] == [c.hex() for c in want.cuts]
+        assert got.outs == want.outs
+        assert StepProfile(got.cuts, got.outs) == got
+
+
 def profile_fields_are_tuples(p):
     return type(p) is StepProfile and type(p.cuts) is tuple and type(p.outs) is tuple
 

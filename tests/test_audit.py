@@ -26,7 +26,7 @@ from dseu.audit import (
     t_measurability_report,
 )
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
-from dseu.measure import INF, ExpMeasure, TimeInterval
+from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
 from dseu.oracles import (
     Capacity,
     ChoquetOracle,
@@ -491,7 +491,7 @@ class TestSamplerStream:
         assert RandomOnly._randbelow is random.Random._randbelow_without_getrandbits
         assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
 
-    @pytest.mark.parametrize("max_pieces", [2.0, 2.5, "3", None])
+    @pytest.mark.parametrize("max_pieces", [2.0, 2.5, "3", None, True, False])
     def test_max_pieces_must_be_an_integer(self, max_pieces):
         model = seu_model()
         with pytest.raises(ValueError, match="max_pieces"):
@@ -502,6 +502,57 @@ class TestSamplerStream:
         with pytest.raises(IndexError):
             sampler.profile(random.Random(0))
         assert sampler.disjoint_time_sets(random.Random(0)) is not None
+
+
+class TestSortedBuilders:
+    """The builders that skip canonical's per-cut check give what it gives."""
+
+    def test_quantiles_that_overflow_give_the_reference_profile(self):
+        # At a subnormal rate every quantile of a positive mass overflows to
+        # inf: the first piece runs forever and the others have zero width.
+        sampler = ActSampler(ExpMeasure(5e-324), STATES, ("a", "b", "c"))
+        rng, ref = random.Random(4), random.Random(4)
+        for n in [None] * 20 + [6]:
+            got, want = sampler.profile(rng, n), draws_profile(sampler, ref, n)
+            assert got == want
+            assert got.cuts == ()
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("outcomes", [("a", "b"), ()])
+    @pytest.mark.parametrize("pieces", [0, -2])
+    def test_no_pieces_raise_the_canonical_error(self, pieces, outcomes):
+        sampler = ActSampler(ExpMeasure(1.0), STATES, outcomes)
+        rng = random.Random(0)
+        drawn = rng.getstate()
+        with pytest.raises(ValueError, match="^need 1 outcomes for 2 bounds, got 0$"):
+            sampler.profile(rng, pieces)
+        assert rng.getstate() == drawn
+
+    @pytest.mark.parametrize(
+        "first, second, cuts",
+        [
+            # Intervals that start at one time, which only a custom sampler gives.
+            ((1.0, 2.0), (1.0, 3.0), ()),
+            ((1.0, 2.0, 4.0, INF), (1.0, 1.5), (0.5, 1.5, 2.5)),
+            ((0.0, 1.0), (0.0, 1.0), (0.5,)),
+            # Background cuts on the span bounds.
+            ((1.0, 2.0), (3.0, 4.0), (1.0, 2.0, 3.0, 4.0)),
+            ((0.0, 1.0), (2.0, INF), (1.0, 2.0)),
+        ],
+    )
+    def test_swapped_pastes_equal_the_canonical_builds(self, monkeypatch, first, second, cuts):
+        background = StepProfile(cuts, tuple("abcab"[: len(cuts) + 1]))
+        got = audit._swapped_pastes(TimeSet(first), TimeSet(second))(background, "b", "c")
+        monkeypatch.setattr(StepProfile, "_sorted", StepProfile.__dict__["canonical"])
+        want = audit._swapped_pastes(TimeSet(first), TimeSet(second))(background, "b", "c")
+        assert got == want
+
+    def test_spans_with_one_start_drop_the_empty_piece(self):
+        # [1, 2) is walked first, so [1, 3) leaves the piece [1, 1) behind.
+        build = audit._swapped_pastes(TimeSet((1.0, 2.0)), TimeSet((1.0, 3.0)))
+        left, right = build(StepProfile.constant("a"), "b", "c")
+        assert left == StepProfile((1.0, 3.0), ("a", "c", "a"))
+        assert right == StepProfile((1.0, 3.0), ("a", "b", "a"))
 
 
 # -- the witness builders as they were before StepProfile.canonical ------------

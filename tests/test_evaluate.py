@@ -19,6 +19,7 @@ from dseu.evaluate import (
 )
 from dseu.measure import INF, ExpMeasure, TimeSet
 
+from left_sum import left_sum
 from refinement import refine
 
 STATES = ("s0", "s1", "s2", "s3")
@@ -209,7 +210,7 @@ def ref_act_value_dual(model, act):
     sf_lo = model.discount.sf(0.0)
     for _, hi, outcomes, _ in refine(act.profiles.values()):
         sf_hi = model.discount.sf(hi)
-        mean_u = sum(w * model.utility(x) for w, x in zip(weights, outcomes))
+        mean_u = left_sum(w * model.utility(x) for w, x in zip(weights, outcomes))
         total += (sf_lo - sf_hi) * mean_u
         sf_lo = sf_hi
     return total

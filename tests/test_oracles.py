@@ -29,6 +29,7 @@ from dseu.oracles import (
 )
 
 from capacity_reference import ReferenceCapacity
+from left_sum import left_sum
 
 STATES = ("s0", "s1", "s2")
 UTIL = {"w": 1.0, "m": 0.4, "l": 0.0}
@@ -116,7 +117,7 @@ class TestCapacity:
         want = {}
         for r in range(len(states) + 1):
             for c in itertools.combinations(states, r):
-                want[frozenset(c)] = sum(beliefs(s) for s in c)
+                want[frozenset(c)] = left_sum(beliefs(s) for s in c)
         want[frozenset(states)] = 1.0
         assert Capacity.additive(beliefs).weights == want
         shrunk = {c: (1.0 - epsilon) * v for c, v in want.items()}

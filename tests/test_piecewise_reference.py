@@ -17,6 +17,7 @@ from dseu.acts import Event, GridAct, StepProfile, splice_event, splice_time
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel, profile_value
 from dseu.measure import INF, ExpMeasure, TimeSet
 
+from left_sum import left_sum
 from level_sets import level_set
 
 UTIL = {"a": 0.0, "b": 1.0, "c": -0.35}
@@ -77,7 +78,7 @@ def ref_overlay(top, times, bottom):
 
 def ref_profile_value(model, pieces):
     sf = model.discount.sf
-    return sum((sf(lo) - sf(hi)) * model.utility(x) for lo, hi, x in pieces)
+    return left_sum((sf(lo) - sf(hi)) * model.utility(x) for lo, hi, x in pieces)
 
 
 def ref_act_value_dual(model, rows):
@@ -85,7 +86,7 @@ def ref_act_value_dual(model, rows):
     sf = model.discount.sf
     total = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
-        mean_u = sum(
+        mean_u = left_sum(
             model.beliefs(s) * model.utility(ref_outcome_at(rows[s], lo)) for s in rows
         )
         total += (sf(lo) - sf(hi)) * mean_u

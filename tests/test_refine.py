@@ -17,6 +17,7 @@ from dseu.audit import _swapped_pastes
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
 
+from left_sum import left_sum
 from refinement import refine
 
 OUTCOMES = ("a", "b", "c")
@@ -106,7 +107,7 @@ def naive_dual_value(model, act):
     total = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
         cell = model.discount.interval_mass(TimeInterval(lo, hi))
-        mean_u = sum(
+        mean_u = left_sum(
             model.beliefs(s) * model.utility(act.at(s, lo)) for s in act.states
         )
         total += cell * mean_u

@@ -28,6 +28,8 @@ from dseu.oracles import (
     subsets,
 )
 
+from left_sum import left_sum
+
 UTIL = {"a": 0.0, "b": 1.0, "c": -0.5, "d": 2.25}
 STATES = ("s0", "s1", "s2", "s3")
 TIMES = st.one_of(
@@ -68,7 +70,7 @@ def models(draw):
 
 
 def ref_seu(model: DSEUModel, f: GridAct) -> float:
-    return sum(
+    return left_sum(
         model.beliefs(s) * profile_value(model.discount, model.utility, f.row(s))
         for s in f.states
     )
