@@ -27,7 +27,7 @@ from .acts import (
 )
 from .evaluate import Beliefs, DSEUModel
 from .measure import INF, TimeSet
-from .oracles import CountingOracle, Preference, SEUOracle
+from .oracles import Preference
 from .sampling import DISJOINT_ATTEMPTS, ActSampler
 
 PASS = "PASS"
@@ -514,23 +514,19 @@ def run_audit(
     """All applicable checks on one oracle, under a single seed.
 
     The dominance check needs reference beliefs to decide which states are
-    non-null; an expected-utility oracle supplies its own, any other oracle
-    exposing a utility gets uniform reference beliefs.  A
-    :class:`CountingOracle` only counts the comparisons of the oracle it
-    wraps, so it is audited like that oracle.  The oracle's ranking of the
-    constant acts is asked once and handed to every check that reads it.
+    non-null; an oracle exposing a ``model`` (an expected-utility oracle,
+    also behind a :class:`~dseu.oracles.CountingOracle`) supplies its own
+    beliefs, any other oracle exposing a utility gets uniform reference
+    beliefs.  The decomposition check runs on every oracle with a ``model``.
+    The oracle's ranking of the constant acts is asked once and handed to
+    every check that reads it.
     """
     _check_count("samples", samples)
     _check_count("horizon_max", horizon_max)
     sampler = sampler or ActSampler.for_oracle(oracle)
-    base = oracle
-    while isinstance(base, CountingOracle):
-        base = base.inner
-    row_model = None
+    model = row_model = getattr(oracle, "model", None)
     utility = getattr(oracle, "utility", None)
-    if isinstance(base, SEUOracle):
-        row_model = base.model
-    elif utility is not None:
+    if model is None and utility is not None:
         row_model = DSEUModel(
             oracle.discount, utility, Beliefs.uniform(tuple(oracle.states))
         )
@@ -559,9 +555,9 @@ def run_audit(
             worst,
             horizon_max,
         )
-    if isinstance(base, SEUOracle):
+    if model is not None:
         checks["decomposition"] = check_decomposition(
-            oracle.value, base.model, samples, seed + 4, sampler
+            oracle.value, model, samples, seed + 4, sampler
         )
     checks["t_measurability"] = t_measurability_report()
     return AuditReport(checks)

@@ -229,8 +229,7 @@ def run_session(
     """Full session: half-life first, then the event family, one query log."""
     counting = CountingOracle(oracle)
     rate = elicit_lambda(counting, x, y, tol)
-    report = elicit_measure(counting.inner, rate, x, y, tol)
-    # elicit_measure wrapped the inner oracle itself; merge both query counts.
+    report = elicit_measure(oracle, rate, x, y, tol)
     report.query_count += counting.count
     return report
 

@@ -7,10 +7,10 @@ when there is no discount measure), ``value(f)`` and ``compare(f, g)``.
 ties declared inside the indifference band.  The expected-utility oracle
 follows a full model; the Choquet oracle replaces the state beliefs with a
 (possibly non-additive) capacity, applying it to the discounted row values.
-The wrappers :class:`WidenedOracle` and :class:`CountingOracle` read every
-attribute they do not define from the oracle they wrap.  All oracles here
-are deterministic, so elicitation sessions and audit witnesses replay
-exactly.
+:func:`WidenedOracle` copies an oracle with a wider ``band``.  The one
+wrapper, :class:`CountingOracle`, reads every attribute it does not define
+from the oracle it wraps.  All oracles here are deterministic, so
+elicitation sessions and audit witnesses replay exactly.
 
 The SEU and Choquet oracles memoise the values of the two acts they used
 most recently, keyed by identity (:func:`_recall`).  Every query of a
@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .acts import GridAct, Outcome, State
@@ -80,16 +80,6 @@ class Oracle:
             if diff > 0
             else Preference.STRICTLY_PREFERS_SECOND
         )
-
-
-def _forward(wrapper, name: str):
-    """A wrapper's ``__getattr__``: what it does not define, its inner oracle has.
-
-    Never ``inner`` itself, which ``copy`` and ``pickle`` probe before it is set.
-    """
-    if name == "inner":
-        raise AttributeError(name)
-    return getattr(wrapper.inner, name)
 
 
 def _memo_field():
@@ -369,25 +359,16 @@ class FunctionalOracle(Oracle):
         return self.fn(f)
 
 
-@dataclass(frozen=True)
-class WidenedOracle(Oracle):
-    """Same values as the inner oracle, with a larger indifference band."""
+def WidenedOracle(inner: Oracle, extra_band: float = 0.0) -> Oracle:
+    """A copy of ``inner``, of its class, with the band ``inner.band + extra_band``.
 
-    inner: Oracle | CountingOracle
-    extra_band: float = 0.0
-
-    __getattr__ = _forward
-
-    def __post_init__(self) -> None:
-        if not self.extra_band >= 0:
-            raise ValueError(f"band inflation must be >= 0, got {self.extra_band}")
-
-    @property
-    def band(self) -> float:
-        return self.inner.band + self.extra_band
-
-    def value(self, f: GridAct) -> float:
-        return self.inner.value(f)
+    The copy starts with an empty value memo.  Only an oracle dataclass with
+    a ``band`` field can be widened: widening a :class:`CountingOracle`
+    raises ``TypeError``.
+    """
+    if not extra_band >= 0:
+        raise ValueError(f"band inflation must be >= 0, got {extra_band}")
+    return replace(inner, band=inner.band + extra_band)
 
 
 @dataclass
@@ -402,7 +383,14 @@ class CountingOracle:
     keep_log: bool = False
     log: list[tuple[GridAct, GridAct, Preference]] = field(default_factory=list)
 
-    __getattr__ = _forward
+    def __getattr__(self, name: str):
+        """What it does not define, its inner oracle has.
+
+        Never ``inner`` itself, which ``copy`` and ``pickle`` probe before it is set.
+        """
+        if name == "inner":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
 
     def compare(self, f: GridAct, g: GridAct) -> Preference:
         answer = self.inner.compare(f, g)

@@ -323,17 +323,11 @@ def oracle_from_json(doc: Any):
     else:
         raise ValueError(f"unknown oracle kind {kind!r}; expected 'seu' or 'choquet'")
     inflation = _number(doc.get("band_inflation", 0.0), "a number for 'band_inflation'")
-    if inflation == 0.0:
-        return oracle
     # A negative or NaN inflation raises the ValueError of WidenedOracle.
     return WidenedOracle(oracle, inflation)
 
 
 def oracle_to_json(oracle) -> dict[str, Any]:
-    if isinstance(oracle, WidenedOracle):
-        doc = oracle_to_json(oracle.inner)
-        doc["band_inflation"] = oracle.extra_band
-        return doc
     if isinstance(oracle, SEUOracle):
         doc = model_to_json(oracle.model)
         doc.update({"kind": "seu", "band": oracle.band})

@@ -354,23 +354,33 @@ class TestIndifferentOracle:
 
 
 class TestWrappedAndDegenerateInputs:
+    @pytest.mark.parametrize("wrap", ["counting", "widened"])
     @pytest.mark.parametrize("kind", ["seu", "choquet"])
     @pytest.mark.parametrize("probs", [(0.5, 0.3, 0.2), (0.7, 0.3, 0.0)])
-    def test_counting_wrapper_audits_like_the_oracle_it_wraps(self, kind, probs):
+    def test_counting_wrapper_audits_like_the_oracle_it_wraps(self, wrap, kind, probs):
+        # A null state (the second beliefs) is what uniform reference beliefs get wrong.
         model = seu_model(probs=probs)
         if kind == "seu":
             oracle = SEUOracle(model)
         else:
             cap = Capacity.epsilon_contamination(model.beliefs, 0.2)
             oracle = ChoquetOracle(model.discount, model.utility, cap)
-        counted = CountingOracle(oracle)
-        report = run_audit(counted, samples=20, seed=5)
+        wrapped = CountingOracle(oracle) if wrap == "counting" else WidenedOracle(oracle, 0.0)
+        report = run_audit(wrapped, samples=20, seed=5)
         assert report == run_audit(oracle, samples=20, seed=5)
         assert "dominance" in report.checks
         assert ("decomposition" in report.checks) == (kind == "seu")
         if kind == "seu":
             assert report.all_pass
-        assert counted.count > 0
+        if wrap == "counting":
+            assert wrapped.count > 0
+
+    def test_widened_oracle_audits_like_the_oracle_with_the_wider_band(self):
+        model = seu_model(probs=(0.7, 0.3, 0.0))
+        widened = run_audit(WidenedOracle(SEUOracle(model), 0.01), samples=20, seed=5)
+        assert widened == run_audit(SEUOracle(model, band=0.01), samples=20, seed=5)
+        assert widened.checks["dominance"].verdict == PASS
+        assert "decomposition" in widened.checks
 
     @pytest.mark.parametrize("kind", ["seu", "choquet", "noisy"])
     def test_run_audit_asks_the_outcome_ranking_once(self, kind, monkeypatch):

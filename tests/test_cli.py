@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from dseu.cli import main
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import ExpMeasure
 from dseu.acts import GridAct, StepProfile
+
+DEMO_ORACLE = Path(__file__).resolve().parent.parent / "demos" / "data" / "oracle_seu.json"
 
 
 @pytest.fixture
@@ -184,6 +187,22 @@ class TestAudit:
         doc = json.loads(out.read_text())
         assert doc["all_pass"] is True
         assert doc["checks"]["stationarity"]["verdict"] == "PASS"
+
+    def test_band_inflation_audits_like_the_summed_band(self, tmp_path, capsys):
+        doc = json.loads(DEMO_ORACLE.read_text())
+        inflated = tmp_path / "inflated.json"
+        inflated.write_text(json.dumps({**doc, "band_inflation": 0.001}))
+        folded = tmp_path / "folded.json"
+        folded.write_text(json.dumps({**doc, "band": doc["band"] + 0.001}))
+        outs = []
+        for path in (inflated, folded):
+            out = tmp_path / f"audit_{path.stem}.json"
+            flags = ["--samples", "20", "--seed", "7", "--out", str(out)]
+            assert main(["audit", str(path), *flags]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert any(line.startswith("decomposition") for line in lines)
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestBracket:

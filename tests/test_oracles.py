@@ -460,15 +460,27 @@ class TestWrappers:
         assert oracle.count == 2
         assert len(oracle.log) == 2
 
-    def test_widened_counting_oracle_answers_like_widened_oracle(self):
+    def test_counted_widened_oracle_answers_like_widened_oracle(self):
         oracle = SEUOracle(base_model())
-        counted = CountingOracle(oracle)
-        wrapped = WidenedOracle(counted, 0.01)
         reference = WidenedOracle(oracle, 0.01)
+        counted = CountingOracle(WidenedOracle(oracle, 0.01))
         rng = random.Random(38)
         for _ in range(50):
             f, g = random_act(rng), random_act(rng)
-            assert wrapped.compare(f, g) is reference.compare(f, g)
+            assert counted.compare(f, g) is reference.compare(f, g)
+        assert counted.count == 50
+        assert counted.band == reference.band == 0.01
+
+    def test_widened_oracle_is_the_oracle_with_the_summed_band(self):
+        oracle = SEUOracle(base_model(), band=0.25)
+        wide = WidenedOracle(oracle, 0.5)
+        assert type(wide) is SEUOracle and wide == SEUOracle(oracle.model, band=0.75)
+        assert oracle.band == 0.25
+
+    def test_widening_a_counting_oracle_raises(self):
+        # A counted oracle has no band of its own: count the widened oracle instead.
+        with pytest.raises(TypeError):
+            WidenedOracle(CountingOracle(SEUOracle(base_model())), 0.01)
 
 
 def functional_value(act: GridAct) -> float:

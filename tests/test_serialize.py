@@ -356,9 +356,10 @@ class TestOracleSpecs:
 
     def test_widened_round_trip(self):
         oracle = WidenedOracle(SEUOracle(sample_model()), extra_band=0.01)
-        back = serialize.oracle_from_json(serialize.oracle_to_json(oracle))
-        assert isinstance(back, WidenedOracle)
-        assert back.extra_band == 0.01
+        doc = serialize.oracle_to_json(oracle)
+        assert "band_inflation" not in doc and doc["band"] == 0.01
+        back = serialize.oracle_from_json(doc)
+        assert type(back) is SEUOracle and back == SEUOracle(sample_model(), band=0.01)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -160,10 +160,6 @@ def test_deterministic_act_values_equal_the_per_row_reference(case):
     assert choquet.value(f) == ref_choquet(choquet, f)
 
 
-def memo_of(oracle):
-    return oracle.inner._memo if isinstance(oracle, WidenedOracle) else oracle._memo
-
-
 @settings(max_examples=150, deadline=None)
 @given(models(), acts())
 def test_act_value_equals_the_per_row_sum(model, f):
@@ -195,7 +191,7 @@ def test_repeated_acts_value_as_on_a_fresh_oracle(made, pool, order, with_compar
         assert oracle.value(f) == make().value(f)
         if with_compare:
             assert oracle.compare(f, g) is make().compare(f, g)
-        assert len(memo_of(oracle)) <= 2
+        assert len(oracle._memo) <= 2
 
 
 @pytest.mark.parametrize("anchors", [True, False])
@@ -287,6 +283,6 @@ def test_the_memo_is_not_part_of_equality_hash_or_repr():
         before = repr(used)
         assert used == fresh
         used.compare(f, g)
-        assert memo_of(used) and not memo_of(fresh)
+        assert used._memo and not fresh._memo
         assert used == fresh and repr(used) == repr(fresh) == before
     assert hash(seu) == hash(other) == hashed
