@@ -7,14 +7,14 @@ finite grid: per state, a step profile given by its cut times
 their structure, so a profile is checked once, by its constructor, and
 trusted everywhere else, as is the flat bounds tuple of an event's time set.
 Every profile an operation here returns is canonical (no zero-width piece,
-no two equal neighbours): a spliced row is built once, from runs of pieces
-copied by bisection, by :meth:`StepProfile.canonical`, and a row passed
-through whole goes through :meth:`StepProfile.normalized`.  Builders whose
-cuts come out sorted (sampled quantiles, the audit's pasted witnesses, a
-checked row with some outcomes changed) skip the per-cut check through
-``StepProfile._sorted``.  Deterministic acts have the same profile in every
-state; stochastic acts are constant over time.  Outcomes and states are
-opaque string labels.
+no two equal neighbours): a row spliced on an event is built once, from
+runs of pieces copied by bisection, by :meth:`StepProfile.canonical`, and a
+row passed through whole goes through :meth:`StepProfile.normalized`.
+Builders whose cuts come out sorted (sampled quantiles, the audit's pasted
+witnesses, a checked row with some outcomes changed, a head spliced in time
+to a shifted tail) skip the per-cut check through ``StepProfile._sorted``.
+Deterministic acts have the same profile in every state; stochastic acts
+are constant over time.  Outcomes and states are opaque string labels.
 """
 
 from __future__ import annotations
@@ -214,8 +214,8 @@ class GridAct:
     ``late`` after") skip the constructor and check only that there is a
     state: their rows are canonical by construction.  ``_switch_act`` also
     builds its one row without :meth:`StepProfile.normalized`.
-    ``ActSampler.act`` and the audit's t-separability witnesses skip the
-    constructor too, on rows that are canonical as built.
+    ``ActSampler.act``, :func:`splice_time` and the audit's t-separability
+    witnesses skip the constructor too, on rows that are canonical as built.
     """
 
     profiles: Mapping[State, StepProfile]
@@ -336,7 +336,12 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
     """Act equal to ``h`` before time ``t`` and to ``f`` shifted by ``t`` after.
 
     ``t = 0`` returns ``f`` itself (normalized).  A piece of ``f`` too short
-    to survive the shift (its two ends round to one float) is dropped.
+    to survive the shift (its two ends round to one float) is dropped, as is
+    one shifted past the largest float.  Each row's cuts are the head's cuts
+    below ``t``, then ``t``, then ``t`` plus each tail cut: non-decreasing
+    and ``>= 0`` (a shifted cut may round onto its neighbour or overflow to
+    ``inf``), so the row is built by ``StepProfile._sorted``, which merges
+    equal outcomes across ``t`` too.
     """
     if t < 0 or math.isnan(t) or math.isinf(t):
         raise ValueError(f"splice time must be finite and >= 0, got {t!r}")
@@ -348,10 +353,10 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
             continue
         head, tail = h.row(s), f.row(s)
         k = bisect_left(head.cuts, t)
-        out[s] = StepProfile.canonical(
+        out[s] = StepProfile._sorted(
             [*head.cuts[:k], t, *[t + c for c in tail.cuts]], [*head.outs[: k + 1], *tail.outs]
         )
-    return GridAct(out)
+    return GridAct._unchecked(out)
 
 
 def _paste(

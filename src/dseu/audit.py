@@ -175,23 +175,38 @@ def check_stationarity(
     return CheckReport(axiom="stationarity", checked=samples, violations=violations)
 
 
+def _upgrades(
+    ranking: Ranking, outcomes: tuple[Outcome, ...]
+) -> dict[Outcome, tuple[Outcome, ...]]:
+    """Each outcome, in ``outcomes`` order, with those the ranking puts strictly above it."""
+    return {
+        out: tuple(
+            cand
+            for cand in outcomes
+            if cand != out and ranking[(cand, out)] is Preference.STRICTLY_PREFERS_FIRST
+        )
+        for out in outcomes
+    }
+
+
 def _improved_profile(
     profile: StepProfile,
     ranking: Ranking,
-    outcomes: tuple[Outcome, ...],
+    better: dict[Outcome, tuple[Outcome, ...]],
     rng: random.Random,
 ) -> StepProfile | None:
-    """Replace one piece's outcome by a strictly better one, if any exists."""
-    upgrades = [
-        (i, cand)
-        for i, out in enumerate(profile.outs)
-        for cand in outcomes
-        if cand != out
-        and ranking[(cand, out)] is Preference.STRICTLY_PREFERS_FIRST
-    ]
+    """Replace one piece's outcome by a strictly better one, if any exists.
+
+    ``better`` is :func:`_upgrades` of ``ranking`` and the sampler's outcomes,
+    built once per check; the pick reads only ``better``.  Its keys are the
+    outcomes, so a pick that reads ``ranking`` pair by pair can take the
+    same arguments.
+    """
+    upgrades = [(i, cand) for i, out in enumerate(profile.outs) for cand in better[out]]
     if not upgrades:
         return None
-    i, cand = rng.choice(upgrades)
+    # choice(seq) is seq[_randbelow(len(seq))].
+    i, cand = upgrades[rng._randbelow(len(upgrades))]
     outs = list(profile.outs)
     outs[i] = cand
     return StepProfile._sorted(profile.cuts, outs)
@@ -216,12 +231,13 @@ def check_t_monotonicity(
     sampler, rng, ranking, strict, note = _ranked(oracle, samples, seed, sampler, ranking)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("t_monotonicity")
+    better = _upgrades(ranking, sampler.outcomes)
     states = tuple(oracle.states)
     violations: list[Violation] = []
     done = 0
     while done < samples:
         y = sampler.profile(rng)
-        x = _improved_profile(y, ranking, sampler.outcomes, rng)
+        x = _improved_profile(y, ranking, better, rng)
         if x is None:
             continue
         done += 1
@@ -259,19 +275,23 @@ def check_dominance(
     sampler, rng, ranking, strict, note = _ranked(oracle, samples, seed, sampler, ranking)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("dominance")
+    better = _upgrades(ranking, sampler.outcomes)
     states = tuple(oracle.states)
+    n = len(states)
     violations: list[Violation] = []
     done = 0
     while done < samples:
         g = sampler.act(rng)
-        k = rng.randint(1, len(states))
+        # randint(1, n) is 1 + _randbelow(n); on no states it raises, where
+        # _randbelow(0) may loop forever.
+        k = 1 + rng._randbelow(n) if n else rng.randint(1, n)
         chosen = rng.sample(states, k)
         rows = {s: g.row(s) for s in states}
         improved: list[State] = []
         for s in chosen:
-            better = _improved_profile(g.row(s), ranking, sampler.outcomes, rng)
-            if better is not None:
-                rows[s] = better
+            row = _improved_profile(g.row(s), ranking, better, rng)
+            if row is not None:
+                rows[s] = row
                 improved.append(s)
         if not improved:
             continue

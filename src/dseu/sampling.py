@@ -19,6 +19,10 @@ from .measure import INF, ExpMeasure, TimeSet
 #: draw suffices unless the sampler's quantiles collapse onto one or two cuts.
 DISJOINT_ATTEMPTS = 100
 
+#: The integer draw of ``random.Random`` and of every subclass that overrides
+#: ``getrandbits`` (``SystemRandom`` included); ``ActSampler`` runs its loop inline.
+_RANDBELOW_WITH_GETRANDBITS = random.Random._randbelow_with_getrandbits
+
 
 @dataclass(frozen=True)
 class ActSampler:
@@ -35,10 +39,19 @@ class ActSampler:
     The draws are exactly those of ``randint(1, max_pieces)``,
     ``uniform(0.0, mass_ceiling)`` and ``choice(outcomes)``, in the same
     order and with the same arithmetic, so every stream of a seed is the
-    stream those calls give.  They are made through ``rng.random`` and the
-    ``rng._randbelow`` that ``randint`` and ``choice`` call, without their
-    frames; a subclass of ``random.Random`` that overrides only ``random()``
-    gets its own ``_randbelow``, as those calls do.
+    stream those calls give.  :meth:`profile` draws one row and :meth:`act`
+    all of an act's rows, in one loop shared by both.  Floats come from
+    ``rng.random``.  An integer below ``n`` is what ``rng._randbelow(n)``
+    gives, which ``randint`` and ``choice`` call: when that is
+    ``random.Random._randbelow_with_getrandbits`` (every ``random.Random``,
+    ``SystemRandom``, any subclass that overrides ``getrandbits``), its loop
+    runs inline, without a frame per draw, on the rng's own
+    ``getrandbits``; any other rng (a subclass that overrides only
+    ``random()``) is asked through its own ``_randbelow``.  The inline loop
+    only ever sees ``n >= 1``, where its body is the same on every Python:
+    ``max_pieces`` is checked, and an empty alphabet goes through
+    ``rng.choice`` and its ``IndexError`` (at ``n == 0`` the method returns
+    0 without drawing on 3.10 and loops forever from 3.11).
     """
 
     measure: ExpMeasure
@@ -74,46 +87,72 @@ class ActSampler:
         return [-math.log1p(-q) / rate for q in qs]
 
     def profile(self, rng: random.Random, pieces: int | None = None) -> StepProfile:
-        below = rng._randbelow
-        if pieces is None:
-            # randint(1, n) is randrange(1, n + 1), that is 1 + _randbelow(n).
-            pieces = 1 + below(self.max_pieces)
-        # The draws of breakpoints(rng, pieces - 1), then one outcome per piece.
-        random, ceiling = rng.random, self.mass_ceiling
-        qs = sorted([0.0 + ceiling * random() for _ in range(pieces - 1)])
-        outcomes = self.outcomes
-        n = len(outcomes)
-        # choice(seq) is seq[_randbelow(len(seq))]; it raises on no outcomes.
-        if n:
-            outs = [outcomes[below(n)] for _ in range(pieces)]
-        else:
-            outs = [rng.choice(outcomes) for _ in range(pieces)]
-        if not outs:
-            # StepProfile.canonical's error for no outcomes.
-            raise ValueError(_bad_count([0.0, INF], outs))
-        # StepProfile._sorted's loop, with each cut computed in it from its
-        # mass: sorted masses give non-decreasing cuts, and a quantile that
-        # overflows to inf (a subnormal rate) only makes zero-width pieces.
-        log1p, rate = math.log1p, self.measure.rate
-        starts: list[float] = []
-        runs: list[Outcome] = []
-        lo, last = 0.0, _NO_OUTCOME
-        for q, out in zip(qs, outs):
-            hi = -log1p(-q) / rate
-            if lo != hi:
-                if out != last:
-                    starts.append(lo)
-                    runs.append(out)
-                    last = out
-                lo = hi
-        if lo != INF and outs[-1] != last:
-            starts.append(lo)
-            runs.append(outs[-1])
-        del starts[0]
-        return StepProfile._unchecked(tuple(starts), tuple(runs))
+        return self._rows(rng, 1, pieces)[0]
 
     def act(self, rng: random.Random) -> GridAct:
-        return GridAct._unchecked({s: self.profile(rng) for s in self.states})
+        rows = self._rows(rng, len(self.states))
+        return GridAct._unchecked(dict(zip(self.states, rows)))
+
+    def _rows(self, rng: random.Random, count: int, pieces: int | None = None) -> list[StepProfile]:
+        """``count`` rows drawn one after the other, as ``profile(rng, pieces)`` draws each."""
+        # randint(1, n) is 1 + _randbelow(n) and choice(seq) is
+        # seq[_randbelow(len(seq))]; the inline loop is _randbelow's for n >= 1.
+        below = rng._randbelow
+        inline = getattr(below, "__func__", None) is _RANDBELOW_WITH_GETRANDBITS
+        getrandbits = rng.getrandbits
+        outcomes, max_pieces = self.outcomes, self.max_pieces
+        n = len(outcomes)
+        k_out, k_pieces = n.bit_length(), max_pieces.bit_length()
+        random, ceiling = rng.random, self.mass_ceiling
+        log1p, rate = math.log1p, self.measure.rate
+        rows: list[StepProfile] = []
+        for _ in range(count):
+            m = pieces
+            if m is None:
+                if inline:
+                    r = getrandbits(k_pieces)
+                    while r >= max_pieces:
+                        r = getrandbits(k_pieces)
+                    m = 1 + r
+                else:
+                    m = 1 + below(max_pieces)
+            # The draws of breakpoints(rng, m - 1), then one outcome per piece.
+            qs = sorted([0.0 + ceiling * random() for _ in range(m - 1)])
+            if not n:
+                # choice raises IndexError on no outcomes.
+                outs = [rng.choice(outcomes) for _ in range(m)]
+            elif inline:
+                outs = []
+                for _ in range(m):
+                    r = getrandbits(k_out)
+                    while r >= n:
+                        r = getrandbits(k_out)
+                    outs.append(outcomes[r])
+            else:
+                outs = [outcomes[below(n)] for _ in range(m)]
+            if not outs:
+                # StepProfile.canonical's error for no outcomes.
+                raise ValueError(_bad_count([0.0, INF], outs))
+            # StepProfile._sorted's loop, with each cut computed in it from its
+            # mass: sorted masses give non-decreasing cuts, and a quantile that
+            # overflows to inf (a subnormal rate) only makes zero-width pieces.
+            starts: list[float] = []
+            runs: list[Outcome] = []
+            lo, last = 0.0, _NO_OUTCOME
+            for q, out in zip(qs, outs):
+                hi = -log1p(-q) / rate
+                if lo != hi:
+                    if out != last:
+                        starts.append(lo)
+                        runs.append(out)
+                        last = out
+                    lo = hi
+            if lo != INF and outs[-1] != last:
+                starts.append(lo)
+                runs.append(outs[-1])
+            del starts[0]
+            rows.append(StepProfile._unchecked(tuple(starts), tuple(runs)))
+        return rows
 
     def time_set(self, rng: random.Random) -> TimeSet:
         n = rng.randint(0, 3)
@@ -125,7 +164,8 @@ class ActSampler:
     def disjoint_time_sets(self, rng: random.Random) -> tuple[TimeSet, TimeSet] | None:
         """Two nonempty disjoint sets from alternating quantile slices, or ``None``."""
         for _ in range(DISJOINT_ATTEMPTS):
-            cuts = sorted(set(self.breakpoints(rng, rng.randint(2, 6) * 2)))
+            # randint(2, 6) is 2 + _randbelow(5).
+            cuts = sorted(set(self.breakpoints(rng, (2 + rng._randbelow(5)) * 2)))
             if len(cuts) >= 4:
                 pairs = [cuts[k : k + 2] for k in range(0, len(cuts) - 1, 2)]
                 # Tuples from lists, not iterators (see StepProfile.from_breakpoints).

@@ -20,6 +20,7 @@ from dseu.acts import (
 )
 from dseu.measure import INF, ExpMeasure, TimeSet
 
+import canonical_splice
 from level_sets import level_set
 
 STATES = ("s0", "s1", "s2")
@@ -361,7 +362,57 @@ class TestGridAct:
             assert restrict(sto, s).cuts == ()
 
 
+@st.composite
+def splice_inputs(draw):
+    """Two acts on ``STATES`` and a time: 0, on a head cut, between two, or any float.
+
+    Each act's states share up to three rows, drawn from alphabets as small
+    as one outcome, so equal outcomes often meet at the splice time.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    outcomes = OUTCOMES[: draw(st.integers(1, 4))]
+
+    def act():
+        rows = [random_profile(rng, outcomes) for _ in range(draw(st.integers(1, 3)))]
+        return GridAct({s: rows[draw(st.integers(0, len(rows) - 1))] for s in STATES})
+
+    h, f = act(), act()
+    cuts = sorted({c for row in h.profiles.values() for c in row.cuts})
+    kind = draw(st.sampled_from(("zero", "cut", "between", "any")))
+    if kind == "zero":
+        t = draw(st.sampled_from((0.0, -0.0)))
+    elif kind == "cut" and cuts:
+        t = draw(st.sampled_from(cuts))
+    elif kind == "between" and len(cuts) >= 2:
+        k = draw(st.integers(0, len(cuts) - 2))
+        t = 0.5 * (cuts[k] + cuts[k + 1])
+    else:
+        t = draw(POINTS | st.floats(0.0, 10.0))
+    return h, t, f
+
+
 class TestSpliceTime:
+    @pytest.mark.identity
+    @given(splice_inputs())
+    @settings(deadline=None)
+    def test_equals_the_canonical_build(self, case):
+        want = act_outcome(canonical_splice.splice_time, *case)
+        got = act_outcome(splice_time, *case)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.identity
+    @pytest.mark.parametrize("t", [1e308, 1.7e308])
+    def test_tail_cuts_shifted_past_the_largest_float_are_dropped_as_canonical_drops_them(self, t):
+        # t + 1e308 overflows to inf at both t; t + 1e307 only at the larger.
+        tail = StepProfile((1e307, 1e308), ("a", "b", "c"))
+        h = GridAct({"s": StepProfile((1.0,), ("d", "a")), "r": StepProfile.constant("d")})
+        f = GridAct({"s": tail, "r": tail})
+        got = act_outcome(splice_time, h, t, f)
+        assert got == act_outcome(canonical_splice.splice_time, h, t, f)
+        assert got[0] == "ok"
+        assert got[1].row("r").cuts == tuple(c for c in (t, t + 1e307) if c < INF)
+
     def test_zero_returns_tail_act(self):
         rng = random.Random(1)
         h, f = random_act(rng), random_act(rng)

@@ -5,6 +5,7 @@ import contextlib
 import math
 import random
 import signal
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from dseu.oracles import (
     SEUOracle,
     WidenedOracle,
 )
-from dseu.sampling import ActSampler
+from dseu.sampling import DISJOINT_ATTEMPTS, ActSampler
 
 from refinement import refine
 
@@ -463,6 +464,20 @@ class RandomOnly(random.Random):
         return super().random()
 
 
+class XorBits(random.Random):
+    """Overrides ``getrandbits`` alone, so CPython gives it ``_randbelow_with_getrandbits``.
+
+    Its bits are the base bits XOR a fixed mask, so a draw that reads the
+    base class's ``getrandbits`` instead of the rng's own gives other integers.
+    """
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) ^ (0x5555_5555_5555_5555 & ((1 << k) - 1))
+
+
+RNG_KINDS = (random.Random, RandomOnly, XorBits)
+
+
 def draws_profile(sampler, rng, pieces=None):
     """``ActSampler.profile`` through ``randint``, ``uniform`` and ``choice``."""
     if pieces is None:
@@ -473,10 +488,66 @@ def draws_profile(sampler, rng, pieces=None):
     return StepProfile.canonical(cuts, outs)
 
 
+def draws_disjoint_time_sets(sampler, rng):
+    """``ActSampler.disjoint_time_sets`` through ``randint`` and ``uniform``."""
+    for _ in range(DISJOINT_ATTEMPTS):
+        count = rng.randint(2, 6) * 2
+        qs = sorted(rng.uniform(0.0, sampler.mass_ceiling) for _ in range(count))
+        cuts = sorted({sampler.measure.quantile(q) for q in qs})
+        if len(cuts) >= 4:
+            pairs = [cuts[k : k + 2] for k in range(0, len(cuts) - 1, 2)]
+            return tuple(
+                TimeSet(tuple(c for pair in pairs[j::2] for c in pair)) for j in (0, 1)
+            )
+    return None
+
+
+def ranked_check_draws(check, oracle, sampler, ranking, samples, seed):
+    """The rng state after the draws of a ranked check, via ``randint``, ``sample``, ``choice``."""
+    rng = random.Random(seed)
+    states = tuple(oracle.states)
+    strict = audit._strict_pairs(ranking, oracle.outcomes)
+    done = 0
+    while done < samples:
+        if check == "t_separability":
+            if draws_disjoint_time_sets(sampler, rng) is None:
+                break
+            for _ in rng.sample(strict, min(2, len(strict))):
+                draws_profile(sampler, rng), draws_profile(sampler, rng)
+            done += 1
+        elif check == "t_monotonicity":
+            y = draws_profile(sampler, rng)
+            done += ref_improved_profile(y, ranking, sampler.outcomes, rng) is not None
+        else:
+            g = {s: draws_profile(sampler, rng) for s in sampler.states}
+            chosen = rng.sample(states, rng.randint(1, len(states)))
+            rows = [ref_improved_profile(g[s], ranking, sampler.outcomes, rng) for s in chosen]
+            done += any(row is not None for row in rows)
+    return rng.getstate()
+
+
+def hex_rows(act):
+    return {s: ([c.hex() for c in row.cuts], row.outs) for s, row in act.profiles.items()}
+
+
+def hex_bounds(pair):
+    return None if pair is None else [[c.hex() for c in ts.bounds] for ts in pair]
+
+
+SAMPLERS = st.builds(
+    ActSampler,
+    st.sampled_from((0.01, 1.0, 7.5)).map(ExpMeasure),
+    st.lists(st.sampled_from(STATES), min_size=1, max_size=4).map(tuple),
+    st.integers(1, 5).map(lambda n: tuple(f"o{k}" for k in range(n))),
+    st.integers(1, 9),
+    st.sampled_from((0.0, 5e-324, 0.5, 0.995, 1.0)),
+)
+
+
 class TestSamplerStream:
     @pytest.mark.identity
     @given(
-        st.sampled_from((random.Random, RandomOnly)),
+        st.sampled_from(RNG_KINDS),
         st.integers(0, 2**32),
         st.sampled_from((0.01, 1.0, 7.5)),
         st.integers(1, 9),
@@ -497,8 +568,65 @@ class TestSamplerStream:
             assert got.outs == want.outs
             assert rng.getstate() == ref.getstate()
 
-    def test_the_subclass_draws_integers_without_getrandbits(self):
+    @pytest.mark.identity
+    @given(st.sampled_from(RNG_KINDS), st.integers(0, 2**32), SAMPLERS, st.integers(1, 4))
+    @settings(deadline=None)
+    def test_act_draws_one_reference_profile_per_state(self, kind, seed, sampler, acts):
+        rng, ref = kind(seed), kind(seed)
+        for _ in range(acts):
+            got = sampler.act(rng)
+            want = GridAct({s: draws_profile(sampler, ref) for s in sampler.states})
+            assert hex_rows(got) == hex_rows(want)
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.identity
+    @given(
+        st.sampled_from(RNG_KINDS),
+        st.integers(0, 2**32),
+        st.sampled_from((0.01, 1.0, 7.5)),
+        # At 0 every attempt gives one cut, and the draw gives up.
+        st.sampled_from((0.0, 0.5, 0.995, 1.0)),
+        st.integers(1, 3),
+    )
+    @settings(deadline=None)
+    def test_disjoint_time_sets_draw_what_randint_and_uniform_draw(
+        self, kind, seed, rate, ceiling, n
+    ):
+        sampler = ActSampler(ExpMeasure(rate), STATES, ("a", "b"), mass_ceiling=ceiling)
+        rng, ref = kind(seed), kind(seed)
+        for _ in range(n):
+            got = sampler.disjoint_time_sets(rng)
+            assert hex_bounds(got) == hex_bounds(draws_disjoint_time_sets(sampler, ref))
+            assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.identity
+    @pytest.mark.parametrize("check", ["t_monotonicity", "dominance", "t_separability"])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_ranked_checks_draw_what_randint_sample_and_choice_draw(
+        self, monkeypatch, check, n, seed
+    ):
+        oracle = audit_respondent("seu", n, seed)
+        sampler = ActSampler.for_oracle(oracle)
+        ranking = audit._outcome_ranking(oracle)
+        made = []
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(audit, "random", types.SimpleNamespace(Random=Recorded))
+        extra = (oracle.model,) if check == "dominance" else ()
+        run = getattr(audit, f"check_{check}")
+        report = run(oracle, *extra, 30, seed, sampler, ranking=ranking)
+        assert report.checked == 30
+        [rng] = made
+        assert rng.getstate() == ranked_check_draws(check, oracle, sampler, ranking, 30, seed)
+
+    def test_the_subclasses_draw_integers_with_and_without_getrandbits(self):
         assert RandomOnly._randbelow is random.Random._randbelow_without_getrandbits
+        assert XorBits._randbelow is random.Random._randbelow_with_getrandbits
         assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
 
     @pytest.mark.parametrize("max_pieces", [2.0, 2.5, "3", None, True, False])
