@@ -7,12 +7,10 @@ finite grid: per state, a step profile given by its cut times
 their structure, so a profile is checked once, by its constructor, and
 trusted everywhere else, as is the flat bounds tuple of an event's time set.
 Every profile an operation here returns is canonical (no zero-width piece,
-no two equal neighbours): a row spliced on an event is built once, from
-runs of pieces copied by bisection, by :meth:`StepProfile.canonical`, and a
-row passed through whole goes through :meth:`StepProfile.normalized`.
-Builders whose cuts come out sorted (sampled quantiles, the audit's pasted
-witnesses, a checked row with some outcomes changed, a head spliced in time
-to a shifted tail) skip the per-cut check through ``StepProfile._sorted``.
+no two equal neighbours).  A row passed through whole goes through
+:meth:`StepProfile.normalized`; every other row (spliced, overlaid, sampled,
+pasted, bracketed or with some outcomes changed) comes from cuts that come
+out sorted and is built by ``StepProfile._sorted``, without a per-cut check.
 Deterministic acts have the same profile in every state; stochastic acts
 are constant over time.  Outcomes and states are opaque string labels.
 """
@@ -54,8 +52,8 @@ class StepProfile:
     runs to ``inf``.  Equal adjacent outcomes are allowed; :meth:`normalized`
     drops the cuts between them, and on normalized profiles equality is
     structural.  :meth:`canonical` builds a normalized profile from any
-    breakpoints, checking each cut it keeps; the private ``_sorted`` builds
-    it from breakpoints known to be sorted, without that check.
+    breakpoints; the private ``_sorted`` builds it from breakpoints known to
+    be sorted, without checking each cut.
     """
 
     cuts: tuple[float, ...]
@@ -109,50 +107,19 @@ class StepProfile:
         return cls(tuple(list(compress(bounds, kept))[1:]), tuple(list(compress(outs, kept))))
 
     @classmethod
-    def canonical(
-        cls, breakpoints: Iterable[float], outcomes: Iterable[Outcome]
-    ) -> StepProfile:
-        """``from_breakpoints(breakpoints, outcomes).normalized()``, built once.
-
-        Drops the zero-width segments, checks the cuts that remain (also a
-        cut between two equal outcomes, which the merge then drops), and
-        merges equal neighbours.  Raises ``ValueError`` on exactly the inputs
-        on which that chain raises.  The loop checks every cut it keeps (above
-        0, below ``inf``, strictly increasing) and keeps one outcome more than
-        cuts, so the result is built without running the constructor's check
-        again.
-        """
-        bounds = [0.0, *breakpoints, INF]
-        outs = list(outcomes)
-        if len(outs) != len(bounds) - 1:
-            raise ValueError(_bad_count(bounds, outs))
-        # One plain loop: audit witnesses have a handful of pieces, where it
-        # takes about half the time of C-level passes over lists.
-        cuts: list[float] = []
-        runs: list[Outcome] = []
-        prev = 0.0
-        for lo, hi, out in zip(bounds, bounds[1:], outs):
-            if lo == hi:
-                continue
-            if runs:
-                if not prev < lo < INF:
-                    raise ValueError(_bad_cut(lo, prev))
-                prev = lo
-                if out == runs[-1]:
-                    continue
-                cuts.append(lo)
-            runs.append(out)
-        return cls._unchecked(tuple(cuts), tuple(runs))
+    def canonical(cls, breakpoints: Iterable[float], outcomes: Iterable[Outcome]) -> StepProfile:
+        """``from_breakpoints(breakpoints, outcomes).normalized()``, with its errors."""
+        return cls.from_breakpoints(breakpoints, outcomes).normalized()
 
     @classmethod
     def _sorted(cls, cuts: Sequence[float], outs: Sequence[Outcome]) -> StepProfile:
         """``canonical(cuts, outs)`` for cuts a builder here knows to be sorted.
 
         The cuts are ``>= 0`` and non-decreasing (``inf`` allowed), and there
-        is one outcome more than cuts.  The loop is :meth:`canonical`'s
-        without its per-cut check, which cannot fail on such cuts: a piece is
-        kept only when ``lo != hi``, so ``lo < hi <= inf``, and its start is
-        below ``inf`` and above the start of the piece kept before it.
+        is one outcome more than cuts.  No cut is checked, as no check could
+        fail: a piece is kept only when ``lo != hi``, so ``lo < hi <= inf``,
+        and its start is below ``inf`` and above the start of the piece kept
+        before it.
         """
         starts: list[float] = []
         runs: list[Outcome] = []
@@ -214,7 +181,7 @@ class GridAct:
     ``late`` after") skip the constructor and check only that there is a
     state: their rows are canonical by construction.  ``_switch_act`` also
     builds its one row without :meth:`StepProfile.normalized`.
-    ``ActSampler.act``, :func:`splice_time` and the audit's t-separability
+    ``ActSampler.act``, both splices and the audit's t-separability
     witnesses skip the constructor too, on rows that are canonical as built.
     """
 
@@ -316,6 +283,11 @@ class Event:
     states: frozenset[State] | None = None
     times: TimeSet | None = None
 
+    def __post_init__(self) -> None:
+        # Overlays trust a time set's bounds, which its constructor checks.
+        if not (self.times is None or isinstance(self.times, TimeSet)):
+            raise TypeError(f"event times must be a TimeSet or None, got {type(self.times).__name__}")
+
     @classmethod
     def on_times(cls, times: TimeSet) -> Event:
         return cls(states=None, times=times)
@@ -335,7 +307,7 @@ def _check_same_states(f: GridAct, g: GridAct) -> tuple[State, ...]:
 def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
     """Act equal to ``h`` before time ``t`` and to ``f`` shifted by ``t`` after.
 
-    ``t = 0`` returns ``f`` itself (normalized).  A piece of ``f`` too short
+    At ``t = 0`` each row is ``f``'s, normalized.  A piece of ``f`` too short
     to survive the shift (its two ends round to one float) is dropped, as is
     one shifted past the largest float.  Each row's cuts are the head's cuts
     below ``t``, then ``t``, then ``t`` plus each tail cut: non-decreasing
@@ -348,40 +320,12 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
     states = _check_same_states(h, f)
     out: dict[State, StepProfile] = {}
     for s in states:
-        if t == 0.0:
-            out[s] = f.row(s).normalized()
-            continue
         head, tail = h.row(s), f.row(s)
         k = bisect_left(head.cuts, t)
         out[s] = StepProfile._sorted(
             [*head.cuts[:k], t, *[t + c for c in tail.cuts]], [*head.outs[: k + 1], *tail.outs]
         )
     return GridAct._unchecked(out)
-
-
-def _paste(
-    background: StepProfile,
-    patches: Iterable[tuple[float, float, Sequence[float], Sequence[Outcome]]],
-) -> StepProfile:
-    """Canonical profile paying each patch on its interval and ``background`` elsewhere.
-
-    A patch ``(lo, hi, cuts, outs)`` is the profile with those cuts and
-    outcomes, restricted to ``[lo, hi)``.  The patches come sorted by ``lo``,
-    on pairwise disjoint nonempty intervals.  Each run of pieces is copied by
-    one pair of bisections on the cuts of its source, and the result is
-    built once, by :meth:`StepProfile.canonical`.
-    """
-    starts: list[float] = []
-    outs: list[Outcome] = []
-    at = 0.0
-    for lo, hi, cuts, src in patches:
-        if at < lo:
-            _copy_run(starts, outs, background.cuts, background.outs, at, lo)
-        _copy_run(starts, outs, cuts, src, lo, hi)
-        at = hi
-    if at < INF:
-        _copy_run(starts, outs, background.cuts, background.outs, at, INF)
-    return StepProfile.canonical(starts[1:], outs)
 
 
 def _copy_run(
@@ -404,8 +348,24 @@ def _copy_run(
 
 
 def _overlay(top: StepProfile, times: TimeSet, bottom: StepProfile) -> StepProfile:
-    """Profile equal to ``top`` on ``times`` and to ``bottom`` elsewhere."""
-    return _paste(bottom, [(lo, hi, top.cuts, top.outs) for lo, hi in times])
+    """Canonical profile equal to ``top`` on ``times`` and to ``bottom`` elsewhere.
+
+    Copies the runs of ``bottom`` between the intervals of ``times`` and of
+    ``top`` on them.  A time set's bounds are checked ``>= 0`` and strictly
+    increasing (touching intervals merged), and a run adds only cuts
+    strictly inside its interval, so the row is built by ``StepProfile._sorted``.
+    """
+    starts: list[float] = []
+    outs: list[Outcome] = []
+    at = 0.0
+    for lo, hi in times:
+        if at < lo:
+            _copy_run(starts, outs, bottom.cuts, bottom.outs, at, lo)
+        _copy_run(starts, outs, top.cuts, top.outs, lo, hi)
+        at = hi
+    if at < INF:
+        _copy_run(starts, outs, bottom.cuts, bottom.outs, at, INF)
+    return StepProfile._sorted(starts[1:], outs)
 
 
 def splice_event(f: GridAct, event: Event, g: GridAct) -> GridAct:
@@ -414,13 +374,11 @@ def splice_event(f: GridAct, event: Event, g: GridAct) -> GridAct:
     times = TimeSet.full() if event.times is None else event.times
     out: dict[State, StepProfile] = {}
     for s in states:
-        if not event.covers_state(s) or times.is_empty:
-            out[s] = g.row(s).normalized()
-        elif times == TimeSet.full():
-            out[s] = f.row(s).normalized()
-        else:
+        if event.covers_state(s):
             out[s] = _overlay(f.row(s), times, g.row(s))
-    return GridAct(out)
+        else:
+            out[s] = g.row(s).normalized()
+    return GridAct._unchecked(out)
 
 
 def restrict(f: GridAct, state: State) -> StepProfile:

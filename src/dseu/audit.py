@@ -141,6 +141,14 @@ def _better_rejected(
     return None
 
 
+def _check_ranked(ranking: Ranking, outcomes) -> None:
+    """Reject the first sampler outcome ``ranking`` leaves out (after a check's vacuous return)."""
+    ranked = {a for a, _ in ranking}
+    stray = [x for x in outcomes if x not in ranked]
+    if stray:
+        raise ValueError(f"sampler outcome {stray[0]!r} is not one the oracle ranks: {sorted(ranked)}")
+
+
 def _vacuous(axiom: str) -> CheckReport:
     """Report for a check with no witness: every outcome pair is a tie."""
     return CheckReport(
@@ -231,6 +239,7 @@ def check_t_monotonicity(
     sampler, rng, ranking, strict, note = _ranked(oracle, samples, seed, sampler, ranking)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("t_monotonicity")
+    _check_ranked(ranking, sampler.outcomes)
     better = _upgrades(ranking, sampler.outcomes)
     states = tuple(oracle.states)
     violations: list[Violation] = []
@@ -275,6 +284,7 @@ def check_dominance(
     sampler, rng, ranking, strict, note = _ranked(oracle, samples, seed, sampler, ranking)
     if not _strict_pairs(ranking, sampler.outcomes):
         return _vacuous("dominance")
+    _check_ranked(ranking, sampler.outcomes)
     better = _upgrades(ranking, sampler.outcomes)
     states = tuple(oracle.states)
     n = len(states)
@@ -334,9 +344,8 @@ def _swapped_pastes(
     maps a background stream and an outcome pair ``(better, worse)`` to the
     stream paying ``better`` on ``first`` and ``worse`` on ``second``, and
     the stream paying them the other way round; both pay the background
-    elsewhere.  Each is ``acts._paste`` of the background with those
-    constant patches, and both come from one walk over the background's
-    cuts, whose runs between the patches they share.  The walk's starts
+    elsewhere.  Both come from one walk over the background's cuts, whose
+    runs between the constant patches they share.  The walk's starts
     never decrease (the spans are sorted by start, and each run is copied
     strictly inside ``(at, lo)``), so both are built by
     ``StepProfile._sorted``; two spans that start at one time give a
@@ -398,6 +407,7 @@ def check_t_separability(
     strict_pairs = _strict_pairs(ranking, oracle.outcomes)
     if not strict_pairs:
         return _vacuous("t_separability")
+    _check_ranked(ranking, sampler.outcomes)
     violations: list[Violation] = []
     for done in range(samples):
         pair = sampler.disjoint_time_sets(rng)

@@ -158,12 +158,8 @@ def _indicator(
             bounds += (lo, end)
             bound_sf += (s_lo, s_end)
     mass = plain_sum([a - b for a, b in zip(bound_sf[::2], bound_sf[1::2])])
-    outs = [worst, best] * (len(bounds) // 2) + [worst]
-    if bounds and bounds[-1] == INF:
-        del bounds[-1], outs[-1]
-    if bounds and bounds[0] == 0.0:
-        del bounds[0], outs[0]
-    return StepProfile(tuple(bounds), tuple(outs)), mass
+    # Bounds strictly increase from >= 0: a portion at 0 or to inf leaves a zero-width piece.
+    return StepProfile._sorted(bounds, [worst, best] * (len(bounds) // 2) + [worst]), mass
 
 
 def bracket_profile(

@@ -18,7 +18,7 @@ from dseu.acts import (
     splice_event,
     splice_time,
 )
-from dseu.measure import INF, ExpMeasure, TimeSet
+from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
 
 import canonical_splice
 from level_sets import level_set
@@ -96,9 +96,11 @@ class TestStepProfile:
                 StepProfile.before_after("a", t, "b")
 
 
-# -- the chain that StepProfile.canonical replaces ------------------------------
+# -- the chain that StepProfile.canonical names ---------------------------------
 # from_breakpoints(...).normalized() as it was before canonical, with the
 # per-cut check of the constructor; ValueError carries the chain's message.
+# It builds with neither from_breakpoints nor normalized, so it also stands
+# in for canonical where canonical's own build is under test.
 
 
 def ref_check_cuts(cuts):
@@ -203,7 +205,8 @@ class TestSorted:
     @settings(deadline=None)
     def test_equals_canonical_on_sorted_cuts(self, case):
         cuts, outs = case
-        want = StepProfile.canonical(cuts, outs)
+        # canonical normalizes through _sorted, so the reference is the chain's own copy.
+        want = ref_canonical(cuts, outs)
         got = StepProfile._sorted(cuts, outs)
         assert profile_fields_are_tuples(got)
         assert [c.hex() for c in got.cuts] == [c.hex() for c in want.cuts]
@@ -391,9 +394,17 @@ def splice_inputs(draw):
     return h, t, f
 
 
+# A tail whose states share one row that is not normalized, for splices at 0.
+SHARED_ROW = StepProfile((0.5, 2.0), ("a", "a", "b"))
+ZERO_HEAD = GridAct.deterministic(STATES, StepProfile((1.0,), ("d", "a")))
+ZERO_TAIL = GridAct({"s0": SHARED_ROW, "s1": SHARED_ROW, "s2": StepProfile((1.0,), ("c", "d"))})
+
+
 class TestSpliceTime:
     @pytest.mark.identity
     @given(splice_inputs())
+    @example((ZERO_HEAD, 0.0, ZERO_TAIL))
+    @example((ZERO_HEAD, -0.0, ZERO_TAIL))
     @settings(deadline=None)
     def test_equals_the_canonical_build(self, case):
         want = act_outcome(canonical_splice.splice_time, *case)
@@ -479,7 +490,63 @@ class TestSpliceTime:
                 assert spliced.at(s, u) == "d"
 
 
+@st.composite
+def splice_event_inputs(draw):
+    """Two acts on ``STATES`` and an event, with ``g`` now and then on other states.
+
+    The acts' rows are drawn as in :func:`splice_inputs`, so they are often
+    not normalized and shared between states.  The event's time set is
+    ``None``, empty, the whole horizon, or bounds drawn from the rows' cuts
+    and other times, one set starting at 0 and one reaching ``inf``.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    outcomes = OUTCOMES[: draw(st.integers(1, 4))]
+
+    def act(states):
+        rows = [random_profile(rng, outcomes) for _ in range(draw(st.integers(1, 3)))]
+        return GridAct({s: rows[draw(st.integers(0, len(rows) - 1))] for s in states})
+
+    f = act(STATES)
+    g = act(draw(st.sampled_from((STATES, STATES, STATES, STATES[:2]))))
+    states = draw(st.none() | st.frozensets(st.sampled_from((*STATES, "x")), max_size=3))
+    kind = draw(st.sampled_from(("none", "empty", "full", "from 0", "to inf", "inside")))
+    if kind == "none":
+        return f, Event(states, None), g
+    if kind == "empty":
+        return f, Event(states, TimeSet.empty()), g
+    if kind == "full":
+        return f, Event(states, TimeSet.full()), g
+    cuts = sorted({c for a in (f, g) for row in a.profiles.values() for c in row.cuts})
+    point = st.sampled_from((0.5, 1.0, 2.0)) | st.floats(1e-3, 10.0)
+    if cuts:
+        point |= st.sampled_from(cuts)
+    bounds = sorted(set(draw(st.lists(point, min_size=1, max_size=6))))
+    if kind == "from 0":
+        bounds.insert(0, draw(st.sampled_from((0.0, -0.0))))
+    elif kind == "to inf":
+        bounds.append(INF)
+    if len(bounds) % 2:
+        del bounds[0 if kind == "to inf" else -1]
+    return f, Event(states, TimeSet(tuple(bounds))), g
+
+
 class TestSpliceEvent:
+    @pytest.mark.identity
+    @given(splice_event_inputs())
+    @settings(deadline=None)
+    def test_equals_the_canonical_build(self, case):
+        want = act_outcome(canonical_splice.splice_event, *case)
+        got = act_outcome(splice_event, *case)
+        assert got == want
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("times", [[(0.0, 1.0)], (0.0, 1.0), TimeInterval(0.0, 1.0), "[0, 1)"])
+    def test_event_times_must_be_a_time_set(self, times):
+        with pytest.raises(TypeError, match="^event times must be a TimeSet or None, got "):
+            Event(times=times)
+        with pytest.raises(TypeError):
+            Event.on_times(times)
+
     def test_full_and_empty(self):
         rng = random.Random(6)
         f, g = random_act(rng), random_act(rng)

@@ -39,6 +39,7 @@ from dseu.oracles import (
 )
 from dseu.sampling import DISJOINT_ATTEMPTS, ActSampler
 
+import test_acts
 from refinement import refine
 
 STATES = ("s0", "s1", "s2")
@@ -445,6 +446,36 @@ class TestSamplerArguments:
         with pytest.raises(ValueError, match="max_pieces"):
             ActSampler(model.discount, STATES, model.outcomes, max_pieces=0)
 
+    @pytest.mark.parametrize("samples", [0, 5])
+    @pytest.mark.parametrize("check", ["t_monotonicity", "dominance", "t_separability"])
+    def test_an_outcome_the_oracle_does_not_rank_is_named(self, check, samples):
+        model = DSEUModel(
+            ExpMeasure(1.0), UtilityModel(dict(UTIL)), Beliefs({"s0": 0.6, "s1": 0.4})
+        )
+        oracle = SEUOracle(model)
+        # The first outcome the oracle does not rank, in sampler order, is z.
+        sampler = ActSampler(model.discount, model.states, ("a", "b", "z", "c", "y"))
+        run = {
+            "t_monotonicity": lambda: check_t_monotonicity(oracle, samples, 0, sampler),
+            "dominance": lambda: check_dominance(oracle, model, samples, 0, sampler),
+            "t_separability": lambda: check_t_separability(oracle, samples, 0, sampler),
+        }[check]
+        message = r"^sampler outcome 'z' is not one the oracle ranks: \['a', 'b', 'c'\]$"
+        with pytest.raises(ValueError, match=message):
+            run()
+
+    def test_an_oracle_that_ranks_no_pair_strictly_stays_vacuous(self):
+        model = seu_model()
+        oracle = FunctionalOracle(fn=lambda act: 0.0, states=STATES, outcomes=())
+        sampler = ActSampler(model.discount, STATES, ("a", "z"))
+        reports = [
+            check_t_monotonicity(oracle, samples=5, seed=0, sampler=sampler),
+            check_dominance(oracle, model, samples=5, seed=0, sampler=sampler),
+            check_t_separability(oracle, samples=5, seed=0, sampler=sampler),
+        ]
+        for report in reports:
+            assert (report.checked, report.verdict, report.note) == (0, PASS, VACUOUS)
+
     @pytest.mark.parametrize("ceiling", [0.0, 5e-324, 0.5, 0.995, 1.0])
     def test_breakpoints_are_the_quantiles_of_the_draws(self, ceiling):
         for rate in (0.01, 1.0, 7.5):
@@ -681,7 +712,7 @@ class TestSortedBuilders:
     def test_swapped_pastes_equal_the_canonical_builds(self, monkeypatch, first, second, cuts):
         background = StepProfile(cuts, tuple("abcab"[: len(cuts) + 1]))
         got = audit._swapped_pastes(TimeSet(first), TimeSet(second))(background, "b", "c")
-        monkeypatch.setattr(StepProfile, "_sorted", StepProfile.__dict__["canonical"])
+        monkeypatch.setattr(StepProfile, "_sorted", test_acts.ref_canonical)
         want = audit._swapped_pastes(TimeSet(first), TimeSet(second))(background, "b", "c")
         assert got == want
 

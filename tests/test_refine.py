@@ -5,14 +5,14 @@ again at the left end of each cell.  The sweep (``refinement.refine``, the
 reference of the one-pass valuations) must give exactly the same cells, and
 splices, pastes and the time-first value bit-identical profiles and values.
 The two t-separability witnesses that ``audit._swapped_pastes`` builds from
-one walk must each equal the paste of their own patches (``pasted_profile``).
+one walk must each equal the paste of their own patches (``naive_pasted``).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseu.acts import GridAct, StepProfile, _overlay, _paste
+from dseu.acts import GridAct, StepProfile, _overlay
 from dseu.audit import _swapped_pastes
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
@@ -90,18 +90,6 @@ def naive_pasted(background, patches):
     return StepProfile(tuple(bounds[1:-1]), tuple(outs)).normalized()
 
 
-def pasted_profile(background, patches):
-    """Background overwritten by constant patches ``(time set, outcome)``.
-
-    The t-separability witness builder before both witnesses came from one
-    walk: every patch interval sorted, then ``acts._paste``.
-    """
-    return _paste(
-        background,
-        sorted([(lo, hi, (), (out,)) for ts, out in patches for lo, hi in ts]),
-    )
-
-
 def naive_dual_value(model, act):
     bounds = naive_bounds([act.row(s) for s in act.states], ())
     total = 0.0
@@ -127,13 +115,6 @@ def test_overlay_matches_per_cell_formula(top, time_sets, bottom):
     assert _overlay(top, times, bottom) == naive_overlay(top, times, bottom)
 
 
-@given(profiles(), disjoint_time_sets(), st.lists(st.sampled_from(OUTCOMES), min_size=3, max_size=3))
-@settings(max_examples=100, deadline=None)
-def test_pasted_profile_matches_per_cell_formula(background, time_sets, outs):
-    patches = list(zip(time_sets, outs))
-    assert pasted_profile(background, patches) == naive_pasted(background, patches)
-
-
 @st.composite
 def touching_time_sets(draw):
     """Disjoint sets from one chain of cuts with no gaps, so intervals of different sets touch."""
@@ -143,13 +124,6 @@ def touching_time_sets(draw):
     for lo, hi in zip(bounds, bounds[1:]):
         members[draw(st.integers(0, 1))].append((lo, hi))
     return [TimeSet.from_pairs(pairs) for pairs in members]
-
-
-@given(profiles(), touching_time_sets(), st.lists(st.sampled_from(OUTCOMES), min_size=2, max_size=2))
-@settings(max_examples=100, deadline=None)
-def test_pasted_profile_on_touching_sets_matches_per_cell_formula(background, time_sets, outs):
-    patches = list(zip(time_sets, outs))
-    assert pasted_profile(background, patches) == naive_pasted(background, patches)
 
 
 @pytest.mark.identity
@@ -163,8 +137,8 @@ def test_swapped_pastes_equal_one_pasted_profile_per_witness(background, time_se
     first, second = time_sets
     better, worse = outs
     left, right = _swapped_pastes(first, second)(background, better, worse)
-    assert left == pasted_profile(background, [(first, better), (second, worse)])
-    assert right == pasted_profile(background, [(first, worse), (second, better)])
+    assert left == naive_pasted(background, [(first, better), (second, worse)])
+    assert right == naive_pasted(background, [(first, worse), (second, better)])
 
 
 @given(
