@@ -284,6 +284,11 @@ class Event:
     times: TimeSet | None = None
 
     def __post_init__(self) -> None:
+        # ``covers_state`` tests membership, which a string answers by substring.
+        if not (self.states is None or isinstance(self.states, (set, frozenset))):
+            raise TypeError(
+                f"event states must be a set, a frozenset or None, got {type(self.states).__name__}"
+            )
         # Overlays trust a time set's bounds, which its constructor checks.
         if not (self.times is None or isinstance(self.times, TimeSet)):
             raise TypeError(f"event times must be a TimeSet or None, got {type(self.times).__name__}")

@@ -15,19 +15,22 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .acts import GridAct, Outcome, State, StepProfile, _switch_act
 from .equivalents import (
+    CEILING_MASS,
     DEFAULT_TOL,
     FALLBACK_HORIZON,
     TimeEquivalent,
+    _check_tol,
+    _equivalent,
     bisect_indifference,
     time_equivalent_bisect,
 )
 from .evaluate import Beliefs, DSEUModel, UtilityModel
 from .measure import ExpMeasure, plain_sum
-from .oracles import CountingOracle, Preference, ProtocolError, subset_indices
+from .oracles import Preference, ProtocolError, subset_indices
 
 #: Residual size above which a recovered set function is flagged non-additive.
 DEFAULT_RESIDUAL_TOLERANCE = 1e-3
@@ -74,20 +77,35 @@ def elicit_lambda(
     result and error is the one of asking it before the search, with one
     query fewer once a probe answered "second".
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
-    states = oracle.states
+    _check_tol(tol)
+    return _half_life(oracle.compare, oracle.states, x, y, tol)[0]
+
+
+def _half_life(
+    compare: Callable[[GridAct, GridAct], Preference],
+    states: tuple[State, ...],
+    x: Outcome,
+    y: Outcome,
+    tol: float,
+) -> tuple[ExpMeasure, int]:
+    """The search of :func:`elicit_lambda` on a checked ``tol``, with its query count.
+
+    ``compare`` is the oracle's and ``states`` its states.  The count is the
+    probes, then the ranking query when it was asked.
+    """
     seen: list[Preference] = []
 
     def probe(t: float) -> Preference:
         # x-then-y against y-then-x, both switching at t.
-        answer = oracle.compare(_switch_act(states, x, t, y), _switch_act(states, y, t, x))
+        answer = compare(_switch_act(states, x, t, y), _switch_act(states, y, t, x))
         seen.append(answer)
         return answer
 
     found = bisect_indifference(probe, FALLBACK_HORIZON, tol)
+    asked = len(seen)
     if found is None or Preference.STRICTLY_PREFERS_SECOND not in seen:
-        ranked = oracle.compare(GridAct.constant(states, x), GridAct.constant(states, y))
+        asked += 1
+        ranked = compare(GridAct.constant(states, x), GridAct.constant(states, y))
         if ranked is not Preference.STRICTLY_PREFERS_FIRST:
             raise ProtocolError(
                 f"half-life query needs a strict preference for {x!r} over {y!r}, got {ranked.name}"
@@ -96,7 +114,7 @@ def elicit_lambda(
         raise ProtocolError(
             f"no half-life indifference up to the search ceiling {FALLBACK_HORIZON:g}"
         )
-    return ExpMeasure(math.log(2.0) / found[0])
+    return ExpMeasure(math.log(2.0) / found[0]), asked
 
 
 def elicit_event(
@@ -182,24 +200,44 @@ def elicit_measure(
     and 1.  For an oracle whose answers are weakly monotone in the prefix
     length every estimate equals the cold search's bit for bit, each event
     costing at most three queries more; near-additive oracles cost far
-    fewer.  Estimates are kept by mask; the report's set-keyed ``mu_hat``
-    and residuals are built once, at the end, the residuals in one pass
-    over the plan's pairs of masks, each ``est[e | f] - est[e] - est[f]``,
-    keyed by the pair's two sets in plan order.  Every event is elicited
-    through the module's ``elicit_event``.
+    fewer.  The empty event gets 0 and the sure event 1, without a query.
+
+    ``tol`` is checked once, before any query, and the oracle's states and
+    ``compare``, the search ceiling and the two constant rows of the bets
+    are read once per session.  Each other event is the search of
+    :func:`~dseu.equivalents.time_equivalent_bisect` on the bet that
+    :meth:`~dseu.acts.GridAct.bet` would build ("x" on the event, "y" off
+    it, in ``states`` order), so every estimate, query and error is that of
+    :func:`elicit_event` with the same hint.  The report's ``query_count``
+    adds up what each search asked, probes and end queries; the oracle is
+    not wrapped.  Estimates are kept by mask; the report's set-keyed
+    ``mu_hat`` and residuals are built once, at the end, the residuals in
+    one pass over the plan's pairs of masks, each
+    ``est[e | f] - est[e] - est[f]``, keyed by the pair's two sets in plan
+    order.
     """
-    counting = CountingOracle(oracle)
+    _check_tol(tol)
     states = oracle.states
+    compare = oracle.compare
+    ceiling = rate.quantile(CEILING_MASS)
+    won, lost = StepProfile.constant(x), StepProfile.constant(y)
+    bits = [(s, 1 << i) for i, s in enumerate(states)]
     events, pairs = _event_plan(len(states))
     named: dict[int, frozenset[State]] = {0: frozenset()}
-    named.update((1 << i, frozenset((s,))) for i, s in enumerate(states))
+    named.update((b, frozenset((s,))) for s, b in bits)
     est: dict[int, float] = {}
+    full = (1 << len(states)) - 1
     top = 1 << len(states) >> 1  # the last state's bit; 0 without states
+    queries = 0
     for e in events:
-        hint = None
         if e & (e - 1):
             last = 1 << (e.bit_length() - 1)
             named[e] = named[e ^ last] | named[last]
+        if not e or e == full:
+            est[e] = 1.0 if e else 0.0
+            continue
+        hint = None
+        if e & (e - 1):
             total, rest = 0.0, e
             while rest:
                 bit = rest & -rest
@@ -212,25 +250,31 @@ def elicit_measure(
             p = 1.0 - plain_sum(est[1 << i] for i in range(len(states) - 1))
             if 0.0 < p < 1.0:
                 hint = rate.quantile(p)
-        est[e] = elicit_event(counting, rate, named[e], x, y, tol, hint)
+        bet = GridAct._unchecked({s: won if e & b else lost for s, b in bits})
+        t, _, asked = _equivalent(compare, states, bet, x, y, ceiling, tol, hint)
+        queries += asked
+        est[e] = 1.0 if t is None else -math.expm1(-rate.rate * t)
     return ElicitationReport(
         lambda_hat=rate.rate,
         mu_hat={named[e]: v for e, v in est.items()},
         additivity_residuals={
             (named[e], named[f]): est[e | f] - est[e] - est[f] for e, f in pairs
         },
-        query_count=counting.count,
+        query_count=queries,
     )
 
 
 def run_session(
     oracle, x: Outcome, y: Outcome, tol: float = DEFAULT_TOL
 ) -> ElicitationReport:
-    """Full session: half-life first, then the event family, one query log."""
-    counting = CountingOracle(oracle)
-    rate = elicit_lambda(counting, x, y, tol)
+    """Full session: half-life first, then the event family, one query count.
+
+    Neither phase wraps the oracle: each counts the queries it asks.
+    """
+    _check_tol(tol)
+    rate, asked = _half_life(oracle.compare, oracle.states, x, y, tol)
     report = elicit_measure(oracle, rate, x, y, tol)
-    report.query_count += counting.count
+    report.query_count += asked
     return report
 
 

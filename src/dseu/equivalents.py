@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .acts import GridAct, Outcome, StepProfile, _switch_act
+from .acts import GridAct, Outcome, State, StepProfile, _switch_act
 from .evaluate import DSEUModel
 from .measure import ExpMeasure
 from .oracles import Preference, ProtocolError
@@ -219,6 +219,56 @@ def bisect_indifference(
     return 0.5 * (lo + hi), hi - lo
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that is not above 0, NaN included."""
+    if not tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {tol}")
+
+
+def _equivalent(
+    compare: Callable[[GridAct, GridAct], Preference],
+    states: tuple[State, ...],
+    f: GridAct,
+    x: Outcome,
+    y: Outcome,
+    ceiling: float,
+    tol: float,
+    hint: float | None,
+) -> tuple[float | None, float, int]:
+    """The search of :func:`time_equivalent_bisect`, on checked arguments.
+
+    ``compare`` is the oracle's, ``states`` the act's, in its order.
+    Returns the fields of the :class:`TimeEquivalent`, ``t`` and
+    ``bracket_width``, and the number of queries asked: the probes, then
+    the end queries that were asked.
+    """
+    seen: list[Preference] = []
+
+    def probe(t: float) -> Preference:
+        answer = compare(_switch_act(states, x, t, y), f)
+        seen.append(answer)
+        return answer
+
+    found = bisect_indifference(probe, ceiling, tol, hint)
+    asked = len(seen)
+    top = bottom = Preference.STRICTLY_PREFERS_FIRST
+    if Preference.STRICTLY_PREFERS_FIRST not in seen:
+        asked += 1
+        top = compare(GridAct.constant(states, x), f)
+        if top is Preference.STRICTLY_PREFERS_SECOND:
+            raise ProtocolError(f"oracle strictly prefers the act to constant {x!r}")
+    if Preference.STRICTLY_PREFERS_SECOND not in seen:
+        asked += 1
+        bottom = compare(f, GridAct.constant(states, y))
+        if bottom is Preference.STRICTLY_PREFERS_SECOND:
+            raise ProtocolError(f"oracle strictly prefers constant {y!r} to the act")
+    if bottom is Preference.INDIFFERENT:
+        return 0.0, 0.0, asked
+    if top is Preference.INDIFFERENT or found is None:
+        return None, 0.0, asked
+    return *found, asked
+
+
 def time_equivalent_bisect(
     oracle,
     f: GridAct,
@@ -250,30 +300,7 @@ def time_equivalent_bisect(
     search more for an act worth ``x`` or ``y`` or outside them, which an
     end query settled before any probe.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be > 0, got {tol}")
-    states = f.states
+    _check_tol(tol)
     ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
-
-    seen: list[Preference] = []
-
-    def probe(t: float) -> Preference:
-        answer = oracle.compare(_switch_act(states, x, t, y), f)
-        seen.append(answer)
-        return answer
-
-    found = bisect_indifference(probe, ceiling, tol, hint)
-    top = bottom = Preference.STRICTLY_PREFERS_FIRST
-    if Preference.STRICTLY_PREFERS_FIRST not in seen:
-        top = oracle.compare(GridAct.constant(states, x), f)
-        if top is Preference.STRICTLY_PREFERS_SECOND:
-            raise ProtocolError(f"oracle strictly prefers the act to constant {x!r}")
-    if Preference.STRICTLY_PREFERS_SECOND not in seen:
-        bottom = oracle.compare(f, GridAct.constant(states, y))
-        if bottom is Preference.STRICTLY_PREFERS_SECOND:
-            raise ProtocolError(f"oracle strictly prefers constant {y!r} to the act")
-    if bottom is Preference.INDIFFERENT:
-        return TimeEquivalent(0.0)
-    if top is Preference.INDIFFERENT or found is None:
-        return TimeEquivalent(None)
-    return TimeEquivalent(*found)
+    t, width, _ = _equivalent(oracle.compare, f.states, f, x, y, ceiling, tol, hint)
+    return TimeEquivalent(t, width)

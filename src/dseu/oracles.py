@@ -9,8 +9,9 @@ follows a full model; the Choquet oracle replaces the state beliefs with a
 (possibly non-additive) capacity, applying it to the discounted row values.
 :func:`WidenedOracle` copies an oracle with a wider ``band``.  The one
 wrapper, :class:`CountingOracle`, reads every attribute it does not define
-from the oracle it wraps.  All oracles here are deterministic, so
-elicitation sessions and audit witnesses replay exactly.
+from the oracle it wraps; elicitation sessions count their own queries,
+so it is for callers who want a count or a log.  All oracles here are
+deterministic, so elicitation sessions and audit witnesses replay exactly.
 
 The SEU and Choquet oracles memoise the values of the two acts they used
 most recently, keyed by identity (:func:`_recall`).  Every query of a

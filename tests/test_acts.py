@@ -547,6 +547,19 @@ class TestSpliceEvent:
         with pytest.raises(TypeError):
             Event.on_times(times)
 
+    @pytest.mark.parametrize("states", ["s10", ("s10",), ["s10"], {"s10": True}])
+    def test_event_states_must_be_a_set(self, states):
+        with pytest.raises(TypeError, match="^event states must be a set, a frozenset or None, got "):
+            Event(states=states)
+
+    @pytest.mark.parametrize("states", [{"s10"}, frozenset({"s10"})])
+    def test_a_state_named_inside_another_is_not_covered(self, states):
+        # A string "s10" would contain "s1" as a substring.
+        f = GridAct.constant(("s1", "s10"), "a")
+        g = GridAct.constant(("s1", "s10"), "b")
+        spliced = splice_event(f, Event(states=states), g)
+        assert spliced == GridAct({"s1": g.row("s1"), "s10": f.row("s10")})
+
     def test_full_and_empty(self):
         rng = random.Random(6)
         f, g = random_act(rng), random_act(rng)

@@ -1,14 +1,16 @@
 """Rate and probability recovery, additivity audits, and the worked chain."""
 
 import collections
+import json
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseu import elicitation
+from dseu import elicitation, serialize
 from dseu.elicitation import (
     _event_plan,
     elicit_event,
@@ -24,6 +26,7 @@ from dseu.oracles import (
     Capacity,
     ChoquetOracle,
     CountingOracle,
+    FunctionalOracle,
     Preference,
     ProtocolError,
     SEUOracle,
@@ -34,6 +37,8 @@ from dseu.oracles import (
 import event_plan_reference
 import ranking_first
 from capacity_reference import ReferenceCapacity
+
+DATA = pathlib.Path(__file__).resolve().parents[1] / "demos" / "data"
 
 
 def seu_for(rate: float, probs: dict[str, float], band=0.0):
@@ -226,12 +231,31 @@ class TestElicitMeasure:
         pair = (frozenset({"a"}), frozenset({"b"}))
         assert report.additivity_residuals[pair] == pytest.approx(0.1, abs=1e-6)
 
+    @pytest.mark.parametrize("probs", [{"only": 1.0}, {"a": 0.2, "b": 0.35, "c": 0.45}])
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tolerance_that_is_not_above_zero_is_rejected_before_any_query(self, probs, tol):
+        oracle = CountingOracle(seu_for(1.0, probs))
+        with pytest.raises(ValueError, match=f"^tolerance must be > 0, got {tol}$"):
+            elicit_measure(oracle, ExpMeasure(1.0), "x", "y", tol=tol)
+        assert oracle.count == 0
+
     def test_single_state_trivial_report(self):
         oracle = seu_for(1.0, {"only": 1.0})
         report = elicit_measure(oracle, ExpMeasure(1.0), "x", "y")
         assert report.mu_hat[frozenset({"only"})] == 1.0
         assert report.max_residual == 0.0
         assert report.verdict == "PASS"
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("oracle_*.json")), ids=lambda p: p.name)
+    def test_query_count_is_the_count_of_an_outer_counter(self, path):
+        oracle = serialize.oracle_from_json(json.loads(path.read_text()))
+        y, x = oracle.utility.anchors()
+        counting = CountingOracle(oracle)
+        report = run_session(counting, x, y)
+        assert report.query_count == counting.count > 0
+        counting = CountingOracle(oracle)
+        report = elicit_measure(counting, ExpMeasure(report.lambda_hat), x, y)
+        assert report.query_count == counting.count > 0
 
     def test_full_session_roundtrip(self):
         rng = random.Random(51)
@@ -400,6 +424,94 @@ class TestEventPlan:
         for owner, name, reference in event_plan_reference.BUILDERS:
             monkeypatch.setattr(owner, name, reference)
         assert got == hex_report(run_session(oracle_with(ReferenceCapacity), "x", "y"))
+
+
+def logged_session(oracle):
+    """``run_session`` on ``oracle`` behind a logging counter, or the error it raised."""
+    log = CountingOracle(oracle, keep_log=True)
+    try:
+        return run_session(log, "x", "y"), log
+    except ProtocolError as error:
+        return error, log
+
+
+def assert_same_queries(got, want):
+    assert got.count == want.count == len(got.log) == len(want.log)
+    for (f, g, answer), (f_want, g_want, answer_want) in zip(got.log, want.log):
+        assert f == f_want and g == g_want
+        assert answer is answer_want
+
+
+def session_oracle(kind, n):
+    """An oracle of ``kind`` on ``n`` states, drawn from a seed of both."""
+    rng = random.Random(f"loop:{kind}:{n}")
+    raw = [rng.uniform(0.5, 1.5) for _ in range(n)]
+    if kind == "null":
+        # Events of mass 0 and 1 besides the empty and the sure one: their
+        # searches end on an end query.
+        raw[rng.randrange(n)] = 0.0
+    model = DSEUModel(
+        ExpMeasure(rng.uniform(0.3, 3.0)),
+        UtilityModel({"x": 1.0, "y": 0.0}),
+        Beliefs({f"s{n - i}": w / sum(raw) for i, w in enumerate(raw)}),
+    )
+    if kind in ("seu", "null"):
+        return SEUOracle(model)
+    if kind == "banded":
+        return SEUOracle(model, 1e-4)
+    if kind == "functional":
+        # A monotone transform of the expected utility, valued without a memo.
+        return FunctionalOracle(lambda f: model.act_value(f) ** 2, states=model.states)
+    additive = Capacity.additive(model.beliefs)
+    if kind == "contaminated":
+        capacity = Capacity.epsilon_contamination(model.beliefs, 0.2)
+    else:
+        capacity = Capacity(additive.states, {c: p * p for c, p in additive.weights.items()})
+    return ChoquetOracle(model.discount, model.utility, capacity)
+
+
+class TestSessionLoop:
+    """The session's event loop against the reference session of ``elicit_event`` calls."""
+
+    @pytest.mark.identity
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize(
+        "kind", ["seu", "null", "contaminated", "squared", "banded", "functional"]
+    )
+    def test_queries_and_report_equal_the_elicit_event_session(self, n, kind, monkeypatch):
+        got, got_log = logged_session(session_oracle(kind, n))
+        monkeypatch.setattr(elicitation, "elicit_measure", event_plan_reference.elicit_measure)
+        want, want_log = logged_session(session_oracle(kind, n))
+        assert hex_report(got) == hex_report(want)
+        assert got.query_count == got_log.count
+        assert_same_queries(got_log, want_log)
+
+    @pytest.mark.identity
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize(
+        "shift, error",
+        [
+            (1.0, "oracle strictly prefers the act to constant 'x'"),
+            (-1.0, "oracle strictly prefers constant 'y' to the act"),
+        ],
+    )
+    def test_errors_equal_the_elicit_event_session(self, n, shift, error, monkeypatch):
+        # Every bet is shifted by ``shift``, above "x" or below "y"; the
+        # deterministic acts of the half-life search are not.
+        model = session_oracle("seu", n).model
+
+        def oracle():
+            return FunctionalOracle(
+                lambda f: model.act_value(f) + (shift if f.common_row is None else 0.0),
+                states=model.states,
+            )
+
+        got, got_log = logged_session(oracle())
+        monkeypatch.setattr(elicitation, "elicit_measure", event_plan_reference.elicit_measure)
+        want, want_log = logged_session(oracle())
+        assert isinstance(got, ProtocolError) and isinstance(want, ProtocolError)
+        assert str(got) == str(want) == error
+        assert_same_queries(got_log, want_log)
 
 
 class TestSection2Demo:
