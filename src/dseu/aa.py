@@ -57,8 +57,6 @@ class Lottery:
 
     def distance(self, other: Lottery) -> float:
         outs = set(self.probs) | set(other.probs)
-        if not outs:
-            return 0.0
         return max(abs(self.prob(o) - other.prob(o)) for o in outs)
 
 

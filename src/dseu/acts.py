@@ -159,9 +159,6 @@ class StepProfile:
         return set(self.outs)
 
 
-_NO_STATES = "an act needs at least one state"
-
-
 @dataclass(frozen=True)
 class GridAct:
     """Act given by one step profile per state.
@@ -175,14 +172,6 @@ class GridAct:
     as ``common_row``, so a valuation can read it once instead of walking
     the states; an act built from a mapping has ``common_row`` ``None``,
     whatever its rows.  ``common_row`` takes no part in ``==`` or ``repr``.
-
-    :meth:`deterministic` (and with it :meth:`constant`), :meth:`bet` and
-    the module's ``_switch_act`` (the probe "``early`` before ``t``,
-    ``late`` after") skip the constructor and check only that there is a
-    state: their rows are canonical by construction.  ``_switch_act`` also
-    builds its one row without :meth:`StepProfile.normalized`.
-    ``ActSampler.act``, both splices and the audit's t-separability
-    witnesses skip the constructor too, on rows that are canonical as built.
     """
 
     profiles: Mapping[State, StepProfile]
@@ -192,18 +181,13 @@ class GridAct:
 
     def __post_init__(self) -> None:
         if not self.profiles:
-            raise ValueError(_NO_STATES)
+            raise ValueError("an act needs at least one state")
 
     @classmethod
-    def _unchecked(
-        cls, profiles: dict[State, StepProfile], common_row: StepProfile | None = None
-    ) -> GridAct:
-        """``cls(profiles)`` for rows a builder here made; only emptiness is checked."""
-        if not profiles:
-            raise ValueError(_NO_STATES)
-        act = object.__new__(cls)
-        object.__setattr__(act, "profiles", profiles)
-        object.__setattr__(act, "common_row", common_row)
+    def _lift(cls, states: Iterable[State], row: StepProfile) -> GridAct:
+        """The act paying the canonical ``row`` in every state, recorded as ``common_row``."""
+        act = cls(dict.fromkeys(states, row))
+        object.__setattr__(act, "common_row", row)
         return act
 
     @property
@@ -227,12 +211,11 @@ class GridAct:
 
     @classmethod
     def deterministic(cls, states: Iterable[State], profile: StepProfile) -> GridAct:
-        row = profile.normalized()
-        return cls._unchecked(dict.fromkeys(states, row), row)
+        return cls._lift(states, profile.normalized())
 
     @classmethod
     def constant(cls, states: Iterable[State], outcome: Outcome) -> GridAct:
-        return cls.deterministic(states, StepProfile.constant(outcome))
+        return cls._lift(states, StepProfile.constant(outcome))
 
     @classmethod
     def stochastic(cls, assignment: Mapping[State, Outcome]) -> GridAct:
@@ -252,10 +235,8 @@ class GridAct:
 
         As with :meth:`stochastic`, states paying the same outcome share one row.
         """
-        event = on if isinstance(on, (set, frozenset)) else set(on)
-        rows = {lose: StepProfile.constant(lose), win: StepProfile.constant(win)}
-        won, lost = rows[win], rows[lose]
-        return cls._unchecked({s: won if s in event else lost for s in states})
+        event = set(on)
+        return cls.stochastic({s: win if s in event else lose for s in states})
 
 
 def _switch_act(states: Iterable[State], early: Outcome, t: float, late: Outcome) -> GridAct:
@@ -266,8 +247,7 @@ def _switch_act(states: Iterable[State], early: Outcome, t: float, late: Outcome
     input takes the checked path, with its errors.
     """
     if early != late and 0.0 < t < INF:
-        row = StepProfile._unchecked((t,), (early, late))
-        return GridAct._unchecked(dict.fromkeys(states, row), row)
+        return GridAct._lift(states, StepProfile._unchecked((t,), (early, late)))
     return GridAct.deterministic(states, StepProfile.before_after(early, t, late))
 
 
@@ -330,7 +310,7 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
         out[s] = StepProfile._sorted(
             [*head.cuts[:k], t, *[t + c for c in tail.cuts]], [*head.outs[: k + 1], *tail.outs]
         )
-    return GridAct._unchecked(out)
+    return GridAct(out)
 
 
 def _copy_run(
@@ -383,7 +363,7 @@ def splice_event(f: GridAct, event: Event, g: GridAct) -> GridAct:
             out[s] = _overlay(f.row(s), times, g.row(s))
         else:
             out[s] = g.row(s).normalized()
-    return GridAct._unchecked(out)
+    return GridAct(out)
 
 
 def restrict(f: GridAct, state: State) -> StepProfile:

@@ -213,8 +213,7 @@ def _improved_profile(
     upgrades = [(i, cand) for i, out in enumerate(profile.outs) for cand in better[out]]
     if not upgrades:
         return None
-    # choice(seq) is seq[_randbelow(len(seq))].
-    i, cand = upgrades[rng._randbelow(len(upgrades))]
+    i, cand = rng.choice(upgrades)
     outs = list(profile.outs)
     outs[i] = cand
     return StepProfile._sorted(profile.cuts, outs)
@@ -287,15 +286,11 @@ def check_dominance(
     _check_ranked(ranking, sampler.outcomes)
     better = _upgrades(ranking, sampler.outcomes)
     states = tuple(oracle.states)
-    n = len(states)
     violations: list[Violation] = []
     done = 0
     while done < samples:
         g = sampler.act(rng)
-        # randint(1, n) is 1 + _randbelow(n); on no states it raises, where
-        # _randbelow(0) may loop forever.
-        k = 1 + rng._randbelow(n) if n else rng.randint(1, n)
-        chosen = rng.sample(states, k)
+        chosen = rng.sample(states, rng.randint(1, len(states)))
         rows = {s: g.row(s) for s in states}
         improved: list[State] = []
         for s in chosen:
@@ -421,9 +416,7 @@ def check_t_separability(
         for better, worse in rng.sample(strict_pairs, n_pairs):
             for background in (sampler.profile(rng), sampler.profile(rng)):
                 left, right = paste(background, better, worse)
-                # Canonical rows, lifted as acts._switch_act lifts its row.
-                fa = GridAct._unchecked(dict.fromkeys(states, left), left)
-                fb = GridAct._unchecked(dict.fromkeys(states, right), right)
+                fa, fb = GridAct._lift(states, left), GridAct._lift(states, right)
                 combos.append((fa, fb, oracle.compare(fa, fb)))
         answers = {answer for _, _, answer in combos}
         opposed = (

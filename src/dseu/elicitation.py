@@ -250,7 +250,7 @@ def elicit_measure(
             p = 1.0 - plain_sum(est[1 << i] for i in range(len(states) - 1))
             if 0.0 < p < 1.0:
                 hint = rate.quantile(p)
-        bet = GridAct._unchecked({s: won if e & b else lost for s, b in bits})
+        bet = GridAct({s: won if e & b else lost for s, b in bits})
         t, _, asked = _equivalent(compare, states, bet, x, y, ceiling, tol, hint)
         queries += asked
         est[e] = 1.0 if t is None else -math.expm1(-rate.rate * t)

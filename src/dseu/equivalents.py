@@ -220,9 +220,12 @@ def bisect_indifference(
 
 
 def _check_tol(tol: float) -> None:
-    """Reject a tolerance that is not above 0, NaN included."""
+    """Reject a tolerance that is not a finite number above 0."""
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
+    # The gallop's grid step is the power of two at or below tol.
+    if tol == math.inf:
+        raise ValueError(f"tolerance must be finite, got {tol}")
 
 
 def _equivalent(

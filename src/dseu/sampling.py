@@ -91,7 +91,7 @@ class ActSampler:
 
     def act(self, rng: random.Random) -> GridAct:
         rows = self._rows(rng, len(self.states))
-        return GridAct._unchecked(dict(zip(self.states, rows)))
+        return GridAct(dict(zip(self.states, rows)))
 
     def _rows(self, rng: random.Random, count: int, pieces: int | None = None) -> list[StepProfile]:
         """``count`` rows drawn one after the other, as ``profile(rng, pieces)`` draws each."""
@@ -164,8 +164,7 @@ class ActSampler:
     def disjoint_time_sets(self, rng: random.Random) -> tuple[TimeSet, TimeSet] | None:
         """Two nonempty disjoint sets from alternating quantile slices, or ``None``."""
         for _ in range(DISJOINT_ATTEMPTS):
-            # randint(2, 6) is 2 + _randbelow(5).
-            cuts = sorted(set(self.breakpoints(rng, (2 + rng._randbelow(5)) * 2)))
+            cuts = sorted(set(self.breakpoints(rng, rng.randint(2, 6) * 2)))
             if len(cuts) >= 4:
                 pairs = [cuts[k : k + 2] for k in range(0, len(cuts) - 1, 2)]
                 # Tuples from lists, not iterators (see StepProfile.from_breakpoints).

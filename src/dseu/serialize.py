@@ -193,20 +193,30 @@ def act_to_json(act: GridAct) -> dict[str, Any]:
     }
 
 
-def act_from_json(doc: Any) -> GridAct:
-    _typed(doc, dict, "an act document")
+def _per_state(doc: dict, key: str, what: str) -> list[tuple[str, Any]]:
+    """``(state, entry)`` for each state of ``doc["states"]``, in that order, from ``doc[key]``.
+
+    The table must hold an entry for each listed state and no other, and no
+    state may be listed twice.
+    """
     states = [str(s) for s in _typed(doc["states"], list, "the act's states")]
-    profiles = _typed(doc["profiles"], dict, "the act's profiles")
+    table = _typed(doc[key], dict, what)
     if len(set(states)) != len(states):
         twice = next(s for i, s in enumerate(states) if s in states[:i])
         raise ValueError(f"act document lists state {twice!r} twice in {states}")
-    missing = [s for s in states if s not in profiles]
+    missing = [s for s in states if s not in table]
     if missing:
-        raise ValueError(f"act document misses profiles for states {missing}")
-    extra = sorted(set(profiles) - set(states))
+        raise ValueError(f"act document misses {key} for states {missing}")
+    extra = sorted(set(table) - set(states))
     if extra:
-        raise ValueError(f"act document has profiles for unlisted states {extra}")
-    return GridAct({s: profile_from_json(profiles[s]) for s in states})
+        raise ValueError(f"act document has {key} for unlisted states {extra}")
+    return [(s, table[s]) for s in states]
+
+
+def act_from_json(doc: Any) -> GridAct:
+    _typed(doc, dict, "an act document")
+    rows = _per_state(doc, "profiles", "the act's profiles")
+    return GridAct({s: profile_from_json(row) for s, row in rows})
 
 
 # -- models ------------------------------------------------------------------
@@ -257,16 +267,15 @@ def lottery_act_to_json(act: LotteryAct) -> dict[str, Any]:
 
 def lottery_act_from_json(doc: Any) -> LotteryAct:
     _typed(doc, dict, "a lottery act document")
-    lotteries = _typed(doc["lotteries"], dict, "'lotteries'")
     return LotteryAct(
         {
-            str(s): Lottery(
+            s: Lottery(
                 {
                     str(o): _number(p, f"a number for the probability of {o!r}")
                     for o, p in _typed(lot, dict, "a lottery").items()
                 }
             )
-            for s, lot in lotteries.items()
+            for s, lot in _per_state(doc, "lotteries", "'lotteries'")
         }
     )
 

@@ -91,7 +91,7 @@ def bet(cls, states, on, win, lose):
     event = set(on)
     rows = {lose: StepProfile.constant(lose), win: StepProfile.constant(win)}
     won, lost = rows[win], rows[lose]
-    return cls._unchecked({s: won if s in event else lost for s in states})
+    return cls({s: won if s in event else lost for s in states})
 
 
 #: ``(owner, name, reference)`` for ``monkeypatch.setattr``.

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,40 @@ class TestMix:
         a, b = random_lottery_act(rng), random_lottery_act(rng)
         with pytest.raises(ValueError):
             mix(a, b, 1.2)
+
+    def test_acts_on_other_states_are_rejected(self):
+        a = LotteryAct({"s0": Lottery.degenerate("a")})
+        b = LotteryAct({"s1": Lottery.degenerate("a")})
+        with pytest.raises(ValueError, match="^cannot mix lottery acts on different state spaces$"):
+            mix(a, b, 0.5)
+        with pytest.raises(ValueError, match="^lottery acts live on different state spaces$"):
+            a.distance(b)
+
+
+class TestLotteryInputs:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Lottery({"a": -0.5, "b": 1.5}), "probability of 'a' must be >= 0, got -0.5"),
+            (lambda: Lottery({"a": math.nan, "b": 1.0}), "probability of 'a' must be >= 0, got nan"),
+            (lambda: Lottery({"a": 0.5, "b": 0.4}), "lottery probabilities must sum to 1"),
+            (lambda: LotteryAct({}), "a lottery act needs at least one state"),
+        ],
+        ids=["negative", "nan", "sum", "no-state"],
+    )
+    def test_malformed_lottery_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build()
+
+    def test_window_without_mass_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^window \[800.0, inf\) carries no mass$"):
+            reduce_profile_on(ExpMeasure(1.0), StepProfile.constant("a"), TimeInterval(800.0, INF))
+
+    @pytest.mark.parametrize("t", [0.0, INF, math.nan])
+    def test_realization_window_must_be_positive_and_finite(self, t):
+        act = LotteryAct({"s0": Lottery.degenerate("a")})
+        with pytest.raises(ValueError, match="^realization window end must be positive and finite"):
+            realize_lottery_act(ExpMeasure(1.0), t, act)
 
 
 class TestRealize:

@@ -53,6 +53,11 @@ class TestStepProfile:
             with pytest.raises(ValueError):
                 StepProfile(cuts, outs)
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_outcome_at_a_negative_or_nan_time_is_rejected(self, t):
+        with pytest.raises(ValueError, match=f"^time must be >= 0, got {t}$"):
+            StepProfile.before_after("a", 1.0, "b").outcome_at(t)
+
     def test_normalize_merges(self):
         p = StepProfile((1.0,), ("x", "x"))
         assert p.normalized() == StepProfile.constant("x")

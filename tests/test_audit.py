@@ -165,6 +165,62 @@ class TestDominanceDeviant:
             assert violation.replay(oracle)
 
 
+class TestLocallyReversedOutcome:
+    """SEU with the top outcome's utility negated on ``[1, 2)`` only.
+
+    Constants keep their ranking (``high`` is worth 0.535 against ``mid``'s
+    0.4), but upgrading a piece to ``high`` across ``[1, 2)`` can lower a
+    stream's value.
+    """
+
+    MODEL = DSEUModel(
+        ExpMeasure(1.0),
+        UtilityModel({"high": 1.0, "mid": 0.4, "low": 0.0}),
+        Beliefs(dict(zip(STATES, (0.5, 0.3, 0.2)))),
+    )
+    HIGH = DSEUModel(
+        ExpMeasure(1.0), UtilityModel({"high": 1.0, "mid": 0.0, "low": 0.0}), MODEL.beliefs
+    )
+
+    def oracle(self):
+        model, high = self.MODEL, self.HIGH
+
+        def value(act):
+            reversed_high = sum(
+                high.beliefs(s) * clipped_row_value(high, act.row(s), 1.0, 2.0)
+                for s in act.states
+            )
+            return model.act_value(act) - 2.0 * reversed_high
+
+        return FunctionalOracle(
+            fn=value, states=STATES, outcomes=("high", "mid", "low"), discount=model.discount
+        )
+
+    def test_pointwise_better_streams_rejected(self):
+        oracle = self.oracle()
+        report = check_t_monotonicity(oracle, samples=200, seed=0)
+        assert report.verdict == FAIL
+        assert report.violations
+        assert {v.kind for v in report.violations} == {"pointwise-better stream rejected"}
+        for violation in report.violations:
+            assert violation.replay(oracle)
+
+    def test_rejected_row_premise_skips_the_sample(self):
+        # Rows are valued state by state, so a statewise-better act is never
+        # rejected; the samples whose row premise fails are skipped.
+        oracle = self.oracle()
+        counting = CountingOracle(oracle, keep_log=True)
+        ranking = audit._outcome_ranking(oracle)
+        report = check_dominance(counting, self.MODEL, samples=200, seed=0, ranking=ranking)
+        assert report.verdict == PASS
+        rejected_rows = [
+            (fa, fb)
+            for fa, fb, answer in counting.log
+            if answer is Preference.STRICTLY_PREFERS_SECOND and fa.common_row is not None
+        ]
+        assert rejected_rows
+
+
 class TestSeparabilityDeviant:
     def test_prefix_tail_interaction_fails(self):
         # Non-separable time functional: value couples the stream before and
@@ -440,6 +496,11 @@ class TestSamplerArguments:
         model = seu_model()
         with pytest.raises(ValueError, match="mass_ceiling"):
             ActSampler(model.discount, STATES, model.outcomes, mass_ceiling=ceiling)
+
+    def test_oracle_without_a_discount_measure_is_rejected(self):
+        oracle = FunctionalOracle(lambda f: 0.0, states=STATES, outcomes=("a", "b"))
+        with pytest.raises(ValueError, match="^oracle exposes no discount measure"):
+            ActSampler.for_oracle(oracle)
 
     def test_no_pieces_is_rejected(self):
         model = seu_model()

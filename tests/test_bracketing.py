@@ -226,6 +226,11 @@ class TestIndependentSelection:
         with pytest.raises(ValueError):
             independent_selection(ExpMeasure(1.0), [TimeSet.full()], 1.0)
 
+    @pytest.mark.parametrize("frac", [-0.1, math.nan])
+    def test_rejects_negative_or_nan_fraction(self, frac):
+        with pytest.raises(ValueError, match=f"^target fraction must be >= 0, got {frac!r}$"):
+            independent_selection(ExpMeasure(1.0), [TimeSet.full()], frac)
+
     @pytest.mark.identity
     @given(selection_cases())
     @settings(deadline=None)
@@ -396,6 +401,11 @@ def bracket_act_cases(draw):
 
 
 class TestBracketAct:
+    def test_rejects_bad_bin_count(self):
+        act = GridAct.constant(STATES, "lo")
+        with pytest.raises(ValueError, match="^need at least one bin, got 0$"):
+            bracket_act(model_for(), act, 0)
+
     @given(bracket_act_cases())
     @settings(deadline=None)
     def test_rows_are_the_prefix_indicators_of_each_state_bin(self, case):

@@ -128,6 +128,13 @@ class TestEquiv:
     def test_missing_source_is_usage_error(self, act_path):
         assert main(["equiv", act_path, "--upper", "x", "--lower", "y"]) == 1
 
+    def test_top_act_prints_the_whole_horizon(self, tmp_path, capsys, model_path):
+        path = tmp_path / "top.json"
+        path.write_text(serialize.dumps(serialize.act_to_json(GridAct.constant(("a", "b"), "x"))))
+        code = main(["equiv", str(path), "--model", model_path, "--upper", "x", "--lower", "y"])
+        assert code == 0
+        assert "time equivalent (closed form): whole horizon" in capsys.readouterr().out
+
     def test_nan_tolerance_is_an_error(self, capsys, act_path, oracle_path):
         # It used to print t = 0.5 and exit 0.
         code = main(
@@ -136,6 +143,15 @@ class TestEquiv:
         )
         assert code == 1
         assert "tolerance must be > 0, got nan" in capsys.readouterr().err
+
+    def test_infinite_tolerance_is_an_error(self, capsys, act_path, oracle_path):
+        # It used to print a time equivalent and exit 0.
+        code = main(
+            ["equiv", act_path, "--oracle", oracle_path, "--upper", "x", "--lower", "y",
+             "--tol", "inf"]
+        )
+        assert code == 1
+        assert "tolerance must be finite, got inf" in capsys.readouterr().err
 
 
 class TestElicit:
@@ -147,10 +163,20 @@ class TestElicit:
         assert doc["mu_hat"]["a"] == pytest.approx(0.3, abs=1e-4)
         assert doc["verdict"] == "PASS"
 
+    @pytest.mark.parametrize("flag", ["--upper", "--lower"])
+    def test_one_anchor_alone_is_a_usage_error(self, capsys, oracle_path, flag):
+        assert main(["elicit", oracle_path, flag, "x"]) == 1
+        assert "give both --upper and --lower, or neither" in capsys.readouterr().err
+
     def test_nan_tolerance_is_an_error(self, capsys, oracle_path):
         # It used to report a rate of 1.386 and a FAIL verdict, and exit 0.
         assert main(["elicit", oracle_path, "--tol", "nan"]) == 1
         assert "tolerance must be > 0, got nan" in capsys.readouterr().err
+
+    def test_infinite_tolerance_is_an_error(self, capsys, oracle_path):
+        # It used to raise OverflowError from the session's first hinted search.
+        assert main(["elicit", oracle_path, "--tol", "inf"]) == 1
+        assert "tolerance must be finite, got inf" in capsys.readouterr().err
 
     def test_nan_capacity_weight_is_an_error(self, tmp_path, capsys):
         doc = {
@@ -214,6 +240,10 @@ class TestBracket:
         doc = json.loads(out.read_text())
         assert doc["kind"] == "act"
         assert doc["gap"] <= 1 / 8 + 1e-12
+
+    def test_profile_mode_needs_a_deterministic_act(self, capsys, model_path, act_path):
+        assert main(["bracket", model_path, act_path, "--bins", "4", "--mode", "profile"]) == 1
+        assert "profile mode needs a deterministic act" in capsys.readouterr().err
 
 
 class TestAA:

@@ -112,6 +112,16 @@ class TestElicitLambda:
                 session(oracle, "x", "y", tol=tol)
         assert oracle.count == 0
 
+    def test_infinite_tolerance_is_rejected(self):
+        # run_session used to raise OverflowError from its first hinted search.
+        oracle = CountingOracle(seu_for(1.0, {"a": 0.5, "b": 0.5}))
+        for session in (elicit_lambda, run_session):
+            with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
+                session(oracle, "x", "y", tol=math.inf)
+        with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
+            elicit_event(oracle, ExpMeasure(1.0), {"a"}, "x", "y", tol=math.inf, hint=0.7)
+        assert oracle.count == 0
+
 
 LADDER = {"top": 1.6, "x": 1.0, "m": 0.35, "y": 0.0, "twin": 0.0}
 
@@ -237,6 +247,13 @@ class TestElicitMeasure:
         oracle = CountingOracle(seu_for(1.0, probs))
         with pytest.raises(ValueError, match=f"^tolerance must be > 0, got {tol}$"):
             elicit_measure(oracle, ExpMeasure(1.0), "x", "y", tol=tol)
+        assert oracle.count == 0
+
+    @pytest.mark.parametrize("probs", [{"only": 1.0}, {"a": 0.2, "b": 0.35, "c": 0.45}])
+    def test_infinite_tolerance_is_rejected_before_any_query(self, probs):
+        oracle = CountingOracle(seu_for(1.0, probs))
+        with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
+            elicit_measure(oracle, ExpMeasure(1.0), "x", "y", tol=math.inf)
         assert oracle.count == 0
 
     def test_single_state_trivial_report(self):

@@ -179,6 +179,17 @@ class TestBisection:
             time_equivalent_bisect(oracle, bet, "x", "y", tol=tol, rate=m.discount, hint=hint)
         assert oracle.count == 0
 
+    @pytest.mark.parametrize("hint", [None, 0.7])
+    def test_infinite_tolerance_is_rejected(self, hint):
+        # It used to return t = 0.5 unhinted, and to raise OverflowError from
+        # the gallop's grid with a hint.
+        m = model_for(probs=(0.5, 0.5))
+        oracle = CountingOracle(SEUOracle(m))
+        bet = GridAct.bet(STATES, {"s0"}, "x", "y")
+        with pytest.raises(ValueError, match="^tolerance must be finite, got inf$"):
+            time_equivalent_bisect(oracle, bet, "x", "y", tol=math.inf, hint=hint)
+        assert oracle.count == 0
+
     def test_whole_horizon_for_top_act(self):
         m = model_for()
         oracle = SEUOracle(m)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,33 @@ class TestActValue:
             value(m, GridAct.constant(("a",), "x"))
         with pytest.raises(KeyError, match=r"missing \[\], extra \['c'\]"):
             value(m, GridAct.constant(("a", "b", "c"), "x"))
+
+
+class TestModelInputs:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: UtilityModel({}), "utility needs at least one outcome"),
+            (lambda: UtilityModel({"x": math.inf, "y": 0.0}), "utility of 'x' must be finite, got inf"),
+            (lambda: UtilityModel({"x": 1.0, "y": 1.0}), "utility must be nonconstant"),
+            (lambda: Beliefs({}), "beliefs need at least one state"),
+            (lambda: Beliefs({"a": -0.5, "b": 1.5}), "probability of state 'a' must be >= 0, got -0.5"),
+            (lambda: Beliefs({"a": 0.5, "b": 0.4}), "state probabilities must sum to 1"),
+        ],
+        ids=["no-outcome", "infinite-utility", "constant-utility", "no-state", "negative", "sum"],
+    )
+    def test_malformed_model_part_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            build()
+
+    def test_unknown_state_has_no_belief(self):
+        with pytest.raises(KeyError, match="no probability for state 'z'"):
+            Beliefs({"a": 1.0})("z")
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_negative_or_nan_prefix_end_is_rejected(self, t):
+        with pytest.raises(ValueError, match=f"^prefix end must be >= 0, got {t!r}$"):
+            model_for(1.0).prefix_value(GridAct.constant(STATES, "a"), t)
 
 
 class TestIntegrationOrderDuality:

@@ -210,6 +210,16 @@ class TestSplit:
         with pytest.raises(ValueError):
             ExpMeasure(1.0).split(TimeInterval(0.0, 1.0), (0.5, 0.4))
 
+    @pytest.mark.parametrize("weights", [(-0.5, 1.5), (math.nan, 1.0)])
+    def test_negative_or_nan_weight_is_rejected(self, weights):
+        with pytest.raises(ValueError, match="^weights must be non-negative"):
+            ExpMeasure(1.0).split(TimeInterval(0.0, 1.0), weights)
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan])
+    def test_prefix_fraction_outside_the_unit_interval_is_rejected(self, fraction):
+        with pytest.raises(ValueError, match="^fraction must lie in \\[0, 1\\]"):
+            ExpMeasure(1.0).prefix_fraction(TimeInterval(0.0, 1.0), fraction)
+
     def test_random_splits_tile_and_reproduce_weights(self):
         rng = random.Random(3)
         for _ in range(300):

@@ -524,6 +524,18 @@ class TestOracleInterface:
         with pytest.raises(ValueError, match=f"band inflation must be >= 0, got {extra}"):
             WidenedOracle(SEUOracle(base_model()), extra)
 
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5, math.nan])
+    def test_contamination_outside_the_unit_interval_is_rejected(self, epsilon):
+        with pytest.raises(ValueError, match=f"^contamination must lie in \\[0, 1\\], got {epsilon}$"):
+            Capacity.epsilon_contamination(Beliefs({"a": 0.5, "b": 0.5}), epsilon)
+
+    def test_choquet_oracle_checks_act_states(self):
+        oracle = base_oracles()["choquet"]
+        with pytest.raises(KeyError, match=r"missing \['s1', 's2'\], extra \[\]"):
+            oracle.value(GridAct.constant(("s0",), "w"))
+        with pytest.raises(KeyError, match=r"missing \[\], extra \['s3'\]"):
+            oracle.value(GridAct.stochastic({s: "w" for s in (*STATES, "s3")}))
+
     def test_functional_oracle_checks_act_states_when_it_has_states(self):
         oracle = FunctionalOracle(lambda f: 0.5, states=("a", "b"))
         with pytest.raises(KeyError, match=r"missing \['b'\], extra \[\]"):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +15,9 @@ from dseu.aa import Lottery, LotteryAct
 from dseu.elicitation import run_session, section2_demo
 from dseu.evaluate import Beliefs, DSEUModel, UtilityModel
 from dseu.measure import INF, ExpMeasure, TimeSet
-from dseu.oracles import Capacity, ChoquetOracle, SEUOracle, WidenedOracle
+from dseu.oracles import Capacity, ChoquetOracle, FunctionalOracle, SEUOracle, WidenedOracle
 
+DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 def sample_model() -> DSEUModel:
     return DSEUModel(
@@ -233,6 +235,12 @@ class TestCoreRoundTrips:
         with pytest.raises(ValueError, match=r"unlisted states \['c'\]"):
             serialize.act_from_json(doc)
 
+    def test_act_with_a_missing_profile_is_rejected(self):
+        doc = serialize.act_to_json(sample_act())
+        del doc["profiles"]["b"]
+        with pytest.raises(ValueError, match=r"^act document misses profiles for states \['b'\]$"):
+            serialize.act_from_json(doc)
+
     def test_act_with_a_repeated_state_is_rejected(self):
         doc = serialize.act_to_json(sample_act())
         doc["states"].append(doc["states"][0])
@@ -291,6 +299,24 @@ class TestCoreRoundTrips:
         )
         back = serialize.lottery_act_from_json(serialize.lottery_act_to_json(la))
         assert back.distance(la) == 0.0
+
+    def test_lottery_act_states_follow_the_document(self):
+        doc = json.loads((DATA / "lottery_act.json").read_text())
+        assert serialize.lottery_act_from_json(doc).states == ("boom", "flat", "bust")
+
+    @pytest.mark.parametrize(
+        "states, lotteries, message",
+        [
+            (["a", "b", "c"], {"z": {"x": 1.0}}, r"misses lotteries for states \['a', 'b', 'c'\]$"),
+            (["a"], {"a": {"x": 1.0}, "z": {"x": 1.0}}, r"has lotteries for unlisted states \['z'\]$"),
+            (["a", "a"], {"a": {"x": 1.0}}, r"lists state 'a' twice in \['a', 'a'\]$"),
+        ],
+        ids=["missing", "extra", "repeated"],
+    )
+    def test_lottery_act_must_match_its_states(self, states, lotteries, message):
+        doc = {"states": states, "lotteries": lotteries}
+        with pytest.raises(ValueError, match="^act document " + message):
+            serialize.lottery_act_from_json(doc)
 
     @pytest.mark.parametrize("prob", [True, "0.5", None, [0.5]])
     def test_lottery_probability_must_be_a_number(self, prob):
@@ -360,6 +386,15 @@ class TestOracleSpecs:
         assert "band_inflation" not in doc and doc["band"] == 0.01
         back = serialize.oracle_from_json(doc)
         assert type(back) is SEUOracle and back == SEUOracle(sample_model(), band=0.01)
+
+    def test_capacity_naming_no_states_rejected(self):
+        with pytest.raises(ValueError, match="^capacity document names no states$"):
+            serialize.capacity_from_json({"": 0.0})
+
+    def test_functional_oracle_cannot_be_written(self):
+        oracle = FunctionalOracle(lambda f: 0.0)
+        with pytest.raises(ValueError, match="^cannot serialize oracle of type FunctionalOracle$"):
+            serialize.oracle_to_json(oracle)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
