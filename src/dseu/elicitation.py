@@ -22,11 +22,9 @@ from .equivalents import (
     CEILING_MASS,
     DEFAULT_TOL,
     FALLBACK_HORIZON,
-    TimeEquivalent,
     _check_tol,
     _equivalent,
     bisect_indifference,
-    time_equivalent_bisect,
 )
 from .evaluate import Beliefs, DSEUModel, UtilityModel
 from .measure import ExpMeasure, plain_sum
@@ -77,7 +75,6 @@ def elicit_lambda(
     result and error is the one of asking it before the search, with one
     query fewer once a probe answered "second".
     """
-    _check_tol(tol)
     return _half_life(oracle.compare, oracle.states, x, y, tol)[0]
 
 
@@ -88,7 +85,7 @@ def _half_life(
     y: Outcome,
     tol: float,
 ) -> tuple[ExpMeasure, int]:
-    """The search of :func:`elicit_lambda` on a checked ``tol``, with its query count.
+    """The search of :func:`elicit_lambda`, with its query count.
 
     ``compare`` is the oracle's and ``states`` its states.  The count is the
     probes, then the ranking query when it was asked.
@@ -129,8 +126,10 @@ def elicit_event(
     """Probability of an event from the time equivalent of a bet on it.
 
     ``hint``, a predicted time equivalent, warm-starts the search (see
-    :func:`~dseu.equivalents.time_equivalent_bisect`).
+    :func:`~dseu.equivalents.time_equivalent_bisect`).  ``tol`` is checked
+    first, also for the empty and the sure event (0 and 1, unasked).
     """
+    _check_tol(tol)
     states = oracle.states
     event = frozenset(event)
     space = set(states)
@@ -141,12 +140,9 @@ def elicit_event(
     if len(event) == len(space):
         return 1.0
     bet = GridAct.bet(states, event, x, y)
-    te: TimeEquivalent = time_equivalent_bisect(
-        oracle, bet, x, y, tol, rate=rate, hint=hint
-    )
-    if te.is_whole_horizon:
-        return 1.0
-    return -math.expm1(-rate.rate * te.t)
+    ceiling = rate.quantile(CEILING_MASS)
+    t, _, _ = _equivalent(oracle.compare, states, bet, x, y, ceiling, tol, hint)
+    return 1.0 if t is None else -math.expm1(-rate.rate * t)
 
 
 @functools.lru_cache(maxsize=None)
@@ -202,9 +198,9 @@ def elicit_measure(
     costing at most three queries more; near-additive oracles cost far
     fewer.  The empty event gets 0 and the sure event 1, without a query.
 
-    ``tol`` is checked once, before any query, and the oracle's states and
-    ``compare``, the search ceiling and the two constant rows of the bets
-    are read once per session.  Each other event is the search of
+    ``tol`` is checked first, also for a one-state session, and the oracle's
+    states and ``compare``, the search ceiling and the two constant rows of
+    the bets are read once per session.  Each other event is the search of
     :func:`~dseu.equivalents.time_equivalent_bisect` on the bet that
     :meth:`~dseu.acts.GridAct.bet` would build ("x" on the event, "y" off
     it, in ``states`` order), so every estimate, query and error is that of
@@ -271,7 +267,6 @@ def run_session(
 
     Neither phase wraps the oracle: each counts the queries it asks.
     """
-    _check_tol(tol)
     rate, asked = _half_life(oracle.compare, oracle.states, x, y, tol)
     report = elicit_measure(oracle, rate, x, y, tol)
     report.query_count += asked
@@ -325,10 +320,6 @@ class Section2Trace:
         return _CHAIN
 
 
-def _stream(breaks: list[float], outs: list[str]) -> StepProfile:
-    return StepProfile.from_breakpoints(breaks, outs)
-
-
 def section2_demo(rate: ExpMeasure, mu_e: float, mu_f: float) -> Section2Trace:
     """Run the seven-matrix indifference chain for two disjoint events.
 
@@ -361,12 +352,12 @@ def section2_demo(rate: ExpMeasure, mu_e: float, mu_f: float) -> Section2Trace:
         Beliefs({"e": mu_e, "f": mu_f, "r": 1.0 - mu_e - mu_f}),
     )
 
-    bet_row = _stream([t], [GOOD, BAD])
+    bet_row = StepProfile.from_breakpoints([t], [GOOD, BAD])
     zero = StepProfile.constant(BAD)
-    delayed_row = _stream([t], [BAD, GOOD])
-    window_union = _stream([t, t + t_union], [BAD, GOOD, BAD])
-    window_f = _stream([t, t + t_f], [BAD, GOOD, BAD])
-    e_long = _stream([t + t_f], [GOOD, BAD])
+    delayed_row = StepProfile.from_breakpoints([t], [BAD, GOOD])
+    window_union = StepProfile.from_breakpoints([t, t + t_union], [BAD, GOOD, BAD])
+    window_f = StepProfile.from_breakpoints([t, t + t_f], [BAD, GOOD, BAD])
+    e_long = StepProfile.from_breakpoints([t + t_f], [GOOD, BAD])
     fprime_head = [t_f_prime, t]
     acts = {
         "bet_union": GridAct({"e": bet_row, "f": bet_row, "r": zero}),
@@ -376,13 +367,14 @@ def section2_demo(rate: ExpMeasure, mu_e: float, mu_f: float) -> Section2Trace:
         "bet_e_sure_f": GridAct({"e": e_long, "f": window_f, "r": window_f}),
         "sure_fprime_bet_e": GridAct(
             {
-                "e": _stream(fprime_head, [GOOD, BAD, GOOD]),
-                "f": _stream(fprime_head, [GOOD, BAD, BAD]),
-                "r": _stream(fprime_head, [GOOD, BAD, BAD]),
+                "e": StepProfile.from_breakpoints(fprime_head, [GOOD, BAD, GOOD]),
+                "f": StepProfile.from_breakpoints(fprime_head, [GOOD, BAD, BAD]),
+                "r": StepProfile.from_breakpoints(fprime_head, [GOOD, BAD, BAD]),
             }
         ),
         "sure_two_windows": GridAct.deterministic(
-            ("e", "f", "r"), _stream([*fprime_head, t + t_e], [GOOD, BAD, GOOD, BAD])
+            ("e", "f", "r"),
+            StepProfile.from_breakpoints([*fprime_head, t + t_e], [GOOD, BAD, GOOD, BAD]),
         ),
     }
 

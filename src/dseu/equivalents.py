@@ -147,7 +147,8 @@ def bisect_indifference(
     onto one of its ends (a ``tol`` below the float spacing at the switch).
     Returns ``(t, 0.0)`` as soon as the probe is indifferent at ``t``, else
     the final midpoint and bracket width, or ``None`` when the probe still
-    prefers the second side at ``ceiling``.
+    prefers the second side at ``ceiling``.  Before any probe, a ``tol``
+    not finite and above 0 or a ``ceiling`` not above 0 raises ValueError.
 
     A ``hint``, a predicted switch time, warm-starts the search: at most
     three probes near it (:func:`_gallop`), the first at the grid point
@@ -172,6 +173,9 @@ def bisect_indifference(
     midpoint exact.  Any other bracket replays the loops, asking every step
     the gallop's answers do not cover, also at ``t = inf``.
     """
+    _check_tol(tol)
+    if not ceiling > 0:
+        raise ValueError(f"search ceiling must be > 0, got {ceiling}")
     # A bound no answer gave is NaN, and every comparison with NaN is false.
     second_below = first_above = math.nan
     if hint is not None:
@@ -238,7 +242,7 @@ def _equivalent(
     tol: float,
     hint: float | None,
 ) -> tuple[float | None, float, int]:
-    """The search of :func:`time_equivalent_bisect`, on checked arguments.
+    """The search of :func:`time_equivalent_bisect`, with its query count.
 
     ``compare`` is the oracle's, ``states`` the act's, in its order.
     Returns the fields of the :class:`TimeEquivalent`, ``t`` and
@@ -303,7 +307,6 @@ def time_equivalent_bisect(
     search more for an act worth ``x`` or ``y`` or outside them, which an
     end query settled before any probe.
     """
-    _check_tol(tol)
     ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
     t, width, _ = _equivalent(oracle.compare, f.states, f, x, y, ceiling, tol, hint)
     return TimeEquivalent(t, width)

@@ -168,7 +168,8 @@ class Capacity:
 
     The states must be distinct; the first one listed again raises.  The
     constructor then maps each weighted subset to its mask once and checks
-    the weights on that list, in this order: every subset weighted, the
+    the weights on that list, in this order: every subset weighted (the
+    first missing one in the order of :func:`subset_indices` named), the
     empty set 0, the full set 1 (within 1e-12), every key a set of the
     states, monotone (within 1e-12), and no weight NaN.  The first
     violation, in the order of the weights and then of ``states``, raises.
@@ -196,12 +197,13 @@ class Capacity:
             sum(map(bits.__getitem__, c)) if isinstance(c, frozenset) and c <= full else None
             for c in spec
         ]
-        # Distinct sets of the states have distinct masks, so with every key
-        # one of them, 2^k keys are all the subsets of the k states.
-        if None in masks or len(masks) != 1 << len(states):
-            missing = set(subsets(states)) - set(spec)
-            if missing:
-                raise ValueError(f"capacity misses {len(missing)} subsets, e.g. {sorted(next(iter(missing)))}")
+        # Distinct sets of the states have distinct masks, so the keys name as
+        # many of the 2^k subsets of the k states as there are masks not None.
+        missing = (1 << len(states)) - len(masks) + masks.count(None)
+        if missing:
+            present = set(masks)
+            first = next(c for c in subset_indices(len(states)) if sum(1 << i for i in c) not in present)
+            raise ValueError(f"capacity misses {missing} subsets, e.g. {sorted(states[i] for i in first)}")
         if spec[frozenset()] != 0.0:
             raise ValueError("capacity of the empty set must be 0")
         if abs(spec[full] - 1.0) > 1e-12:

@@ -20,9 +20,9 @@ class ReferenceCapacity(Capacity):
         spec = dict(self.weights)
         spec.setdefault(frozenset(), 0.0)
         spec.setdefault(full, 1.0)
-        missing = set(subsets(self.states)) - set(spec)
+        missing = [c for c in subsets(self.states) if c not in spec]
         if missing:
-            raise ValueError(f"capacity misses {len(missing)} subsets, e.g. {sorted(next(iter(missing)))}")
+            raise ValueError(f"capacity misses {len(missing)} subsets, e.g. {sorted(missing[0])}")
         if spec[frozenset()] != 0.0:
             raise ValueError("capacity of the empty set must be 0")
         if abs(spec[full] - 1.0) > 1e-12:

@@ -215,6 +215,23 @@ class TestElicitEvent:
         with pytest.raises(ValueError):
             elicit_event(oracle, ExpMeasure(1.0), {"zz"}, "x", "y")
 
+    @pytest.mark.parametrize("event", [set(), {"a", "b"}], ids=["empty", "sure"])
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (math.nan, "must be > 0, got nan"),
+            (0.0, "must be > 0, got 0.0"),
+            (-1.0, "must be > 0, got -1.0"),
+            (math.inf, "must be finite, got inf"),
+        ],
+    )
+    def test_tolerance_is_checked_before_the_empty_and_the_sure_event(self, event, tol, message):
+        # Both used to return 0 or 1 without looking at tol.
+        oracle = CountingOracle(seu_for(1.0, {"a": 0.4, "b": 0.6}))
+        with pytest.raises(ValueError, match=f"^tolerance {message}$"):
+            elicit_event(oracle, ExpMeasure(1.0), event, "x", "y", tol=tol)
+        assert oracle.count == 0
+
 
 class TestElicitMeasure:
     def test_seu_measure_is_additive(self):

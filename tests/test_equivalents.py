@@ -60,6 +60,13 @@ class TestClosedForm:
         m = model_for()
         assert m.profile_value(te.profile("x", "y")) == pytest.approx(0.3, abs=1e-12)
 
+    def test_target_share_rounding_to_one_gives_whole_horizon(self):
+        # (1 - u(y)) / (u(x) - u(y)) rounds to exactly 1.0 although v < u(x).
+        m = DSEUModel(
+            ExpMeasure(1.0), UtilityModel({"x": 2.0, "y": -1e20}), Beliefs({"s": 1.0})
+        )
+        assert time_equivalent_value(m, 1.0, "x", "y").is_whole_horizon
+
     def test_roundtrip_on_value_grid(self):
         m = model_for(rate=1.7)
         for k in range(100):
@@ -556,6 +563,45 @@ class TestBisectIndifference:
         cell = math.floor(switch / tol) * tol
         ends = [cell, cell + tol] if switch - cell < tol / 2 else [cell + tol, cell]
         assert probe.asked == ends
+
+    @pytest.mark.parametrize(
+        "tol, message",
+        [
+            (math.nan, "must be > 0, got nan"),
+            (0.0, "must be > 0, got 0.0"),
+            (-1e-9, "must be > 0, got -1e-09"),
+            (math.inf, "must be finite, got inf"),
+        ],
+    )
+    @pytest.mark.parametrize("hint", [None, 0.7])
+    def test_tolerance_is_checked_before_any_probe(self, tol, message, hint):
+        # Unhinted, tol=nan used to return (0.5, 1.0) after one probe; hinted,
+        # tol=inf raised OverflowError from the gallop's grid.
+        probe = RecordingProbe(0.3)
+        with pytest.raises(ValueError, match=f"^tolerance {message}$"):
+            bisect_indifference(probe, 10.0, tol, hint)
+        assert probe.asked == []
+
+    @pytest.mark.parametrize("ceiling", [math.nan, 0.0, -0.0, -5.0, -math.inf])
+    @pytest.mark.parametrize(
+        "answer", [Preference.STRICTLY_PREFERS_FIRST, Preference.STRICTLY_PREFERS_SECOND]
+    )
+    @pytest.mark.parametrize("hint", [None, 0.7])
+    def test_ceiling_not_above_zero_is_rejected_before_any_probe(self, ceiling, answer, hint):
+        # A NaN ceiling used to probe t = inf without end when every answer
+        # was "second"; -5.0 probed -5.0 and returned (-2.5, -5.0), and 0.0
+        # returned (0.0, 0.0), when every answer was "first".
+        asked = []
+
+        def probe(t: float) -> Preference:
+            if len(asked) >= 1000:
+                raise RuntimeError("the search did not end")
+            asked.append(t)
+            return answer
+
+        with pytest.raises(ValueError, match=f"^search ceiling must be > 0, got {ceiling}$"):
+            bisect_indifference(probe, ceiling, 1e-9, hint)
+        assert asked == []
 
     def test_tolerance_below_the_float_spacing_still_ends(self):
         # Near 1e6 adjacent floats are about 1.2e-10 apart, so no bracket

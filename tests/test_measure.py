@@ -59,6 +59,10 @@ class TestIntervalAndSet:
         b = TimeSet.from_pairs([(1.0, 4.0)])
         assert a.intersect(b) == TimeSet.from_pairs([(1.0, 2.0), (3.0, 4.0)])
 
+    def test_truth_is_nonemptiness(self):
+        assert not TimeSet.empty()
+        assert TimeSet.full()
+
 
 class TestCdf:
     def test_half_life(self):
@@ -205,6 +209,11 @@ class TestSplit:
         m = ExpMeasure(1.0)
         parts = m.split(TimeInterval(0.0, 2.0), (0.0, 1.0, 0.0))
         assert parts == [TimeInterval(0.0, 2.0)]
+
+    def test_one_weight_on_a_mass_zero_interval_keeps_it_whole(self):
+        # Both survivals underflow to 0, so the interval has no mass to split.
+        iv = TimeInterval(800.0, 900.0)
+        assert ExpMeasure(1.0).split(iv, (1.0,)) == [iv]
 
     def test_bad_weight_sum(self):
         with pytest.raises(ValueError):

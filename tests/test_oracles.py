@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -203,6 +204,20 @@ class TestCapacityStates:
         states = ("b", "a", "c", "a", "b")
         with pytest.raises(ValueError, match="^capacity lists state 'a' twice in "):
             Capacity(states, {c: float(len(c) == 3) for c in subsets(states)})
+
+    def test_the_first_missing_subset_in_subset_order_is_named(self):
+        # It used to be the first one in set iteration order, which the hash seed picks.
+        with pytest.raises(ValueError, match=r"^capacity misses 13 subsets, e\.g\. \['b'\]$"):
+            Capacity(("a", "b", "c", "d"), {frozenset({"a"}): 0.3})
+
+    def test_an_incomplete_capacity_on_many_states_is_rejected_at_once(self):
+        # It used to build all 2^20 subsets first: seconds and hundreds of MB.
+        states = tuple(f"s{i:02d}" for i in range(20))
+        weights = {frozenset({"s00"}): 0.1, frozenset({"s01"}): 0.2}
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^capacity misses 1048572 subsets, e\.g\. \['s02'\]$"):
+            Capacity(states, weights)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCapacityMasks:
