@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .measure import INF, TimeSet
 
@@ -170,14 +170,15 @@ class GridAct:
     states may share one profile object (deterministic acts and bets do).
     :meth:`deterministic` and :meth:`constant` record the one row they hold
     as ``common_row``, so a valuation can read it once instead of walking
-    the states; an act built from a mapping has ``common_row`` ``None``,
-    whatever its rows.  ``common_row`` takes no part in ``==`` or ``repr``.
+    the states.  ``common_row`` is a class default of ``None``, not a
+    field, which ``_lift`` overrides on the act it builds: an act built
+    from a mapping (also by ``dataclasses.replace``) reads ``None``,
+    whatever its rows, and ``common_row`` takes no part in ``fields``,
+    ``==`` or ``repr``.
     """
 
     profiles: Mapping[State, StepProfile]
-    common_row: StepProfile | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    common_row: ClassVar[StepProfile | None] = None
 
     def __post_init__(self) -> None:
         if not self.profiles:

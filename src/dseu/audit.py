@@ -27,7 +27,7 @@ from .acts import (
 )
 from .evaluate import Beliefs, DSEUModel
 from .measure import INF, TimeSet
-from .oracles import Preference
+from .oracles import _FIRST, _SECOND, Preference
 from .sampling import DISJOINT_ATTEMPTS, ActSampler
 
 PASS = "PASS"
@@ -103,7 +103,7 @@ def _strict_pairs(ranking: Ranking, outcomes) -> list[tuple[Outcome, Outcome]]:
     return [
         (a, b)
         for (a, b), answer in ranking.items()
-        if answer is Preference.STRICTLY_PREFERS_FIRST and a in keep and b in keep
+        if answer is _FIRST and a in keep and b in keep
     ]
 
 
@@ -134,9 +134,9 @@ def _better_rejected(
     answer: Preference, strict: bool, rejected: str, not_strict: str
 ) -> str | None:
     """The kind of violation, if any, when the better of two acts gets ``answer``."""
-    if answer is Preference.STRICTLY_PREFERS_SECOND:
+    if answer is _SECOND:
         return rejected
-    if strict and answer is not Preference.STRICTLY_PREFERS_FIRST:
+    if strict and answer is not _FIRST:
         return not_strict
     return None
 
@@ -191,7 +191,7 @@ def _upgrades(
         out: tuple(
             cand
             for cand in outcomes
-            if cand != out and ranking[(cand, out)] is Preference.STRICTLY_PREFERS_FIRST
+            if cand != out and ranking[(cand, out)] is _FIRST
         )
         for out in outcomes
     }
@@ -310,9 +310,9 @@ def check_dominance(
             fb = GridAct.deterministic(states, g.row(s))
             answer = oracle.compare(fa, fb)
             row_queries.append((fa, fb, answer))
-            if answer is Preference.STRICTLY_PREFERS_SECOND:
+            if answer is _SECOND:
                 premise_ok = False
-            if answer is Preference.STRICTLY_PREFERS_FIRST and row_model.beliefs(s) > 0:
+            if answer is _FIRST and row_model.beliefs(s) > 0:
                 strict_row = True
         if not premise_ok:
             continue
@@ -419,10 +419,7 @@ def check_t_separability(
                 fa, fb = GridAct._lift(states, left), GridAct._lift(states, right)
                 combos.append((fa, fb, oracle.compare(fa, fb)))
         answers = {answer for _, _, answer in combos}
-        opposed = (
-            Preference.STRICTLY_PREFERS_FIRST in answers
-            and Preference.STRICTLY_PREFERS_SECOND in answers
-        )
+        opposed = _FIRST in answers and _SECOND in answers
         if opposed or (exact and len(answers) > 1):
             violations.append(
                 Violation(
@@ -444,7 +441,7 @@ def check_monotone_continuity(
     """
     _check_count("horizon_max", horizon_max)
     base = oracle.compare(f, g)
-    if base is not Preference.STRICTLY_PREFERS_FIRST:
+    if base is not _FIRST:
         raise ValueError(
             f"tail-continuity proxy needs a strict preference, oracle said {base.name}"
         )
@@ -454,10 +451,7 @@ def check_monotone_continuity(
         patched_g = splice_event(GridAct.constant(g.states, x), tail, g)
         a1 = oracle.compare(patched_f, g)
         a2 = oracle.compare(f, patched_g)
-        if (
-            a1 is Preference.STRICTLY_PREFERS_FIRST
-            and a2 is Preference.STRICTLY_PREFERS_FIRST
-        ):
+        if a1 is _FIRST and a2 is _FIRST:
             return CheckReport(
                 axiom="monotone_continuity",
                 checked=n,

@@ -28,7 +28,7 @@ from .equivalents import (
 )
 from .evaluate import Beliefs, DSEUModel, UtilityModel
 from .measure import ExpMeasure, plain_sum
-from .oracles import Preference, ProtocolError, subset_indices
+from .oracles import _FIRST, _SECOND, Preference, ProtocolError, subset_indices
 
 #: Residual size above which a recovered set function is flagged non-additive.
 DEFAULT_RESIDUAL_TOLERANCE = 1e-3
@@ -100,10 +100,10 @@ def _half_life(
 
     found = bisect_indifference(probe, FALLBACK_HORIZON, tol)
     asked = len(seen)
-    if found is None or Preference.STRICTLY_PREFERS_SECOND not in seen:
+    if found is None or _SECOND not in seen:
         asked += 1
         ranked = compare(GridAct.constant(states, x), GridAct.constant(states, y))
-        if ranked is not Preference.STRICTLY_PREFERS_FIRST:
+        if ranked is not _FIRST:
             raise ProtocolError(
                 f"half-life query needs a strict preference for {x!r} over {y!r}, got {ranked.name}"
             )

@@ -16,7 +16,7 @@ from typing import Callable
 from .acts import GridAct, Outcome, State, StepProfile, _switch_act
 from .evaluate import DSEUModel
 from .measure import ExpMeasure
-from .oracles import Preference, ProtocolError
+from .oracles import _FIRST, _INDIFFERENT, _SECOND, Preference, ProtocolError
 
 #: Prefix masses above this are reported as the whole horizon.
 CEILING_MASS = 1.0 - 1e-9
@@ -105,28 +105,28 @@ def _gallop(
         return lo, hi
     start = t = min(max(round(cell), 1) * grid, ceiling)
     answer = probe(t)
-    if answer is Preference.STRICTLY_PREFERS_SECOND:
+    if answer is _SECOND:
         lo = t
         for steps in (1, 2):
             if t >= ceiling:
                 break
             t = min(start + steps * grid, ceiling)
             answer = probe(t)
-            if answer is Preference.STRICTLY_PREFERS_FIRST:
+            if answer is _FIRST:
                 hi = t
-            if answer is not Preference.STRICTLY_PREFERS_SECOND:
+            if answer is not _SECOND:
                 break
             lo = t
-    elif answer is Preference.STRICTLY_PREFERS_FIRST:
+    elif answer is _FIRST:
         hi = t
         for steps in (1, 2):
             t = start - steps * grid
             if t <= 0.0:
                 break
             answer = probe(t)
-            if answer is Preference.STRICTLY_PREFERS_SECOND:
+            if answer is _SECOND:
                 lo = t
-            if answer is not Preference.STRICTLY_PREFERS_FIRST:
+            if answer is not _FIRST:
                 break
             hi = t
     return lo, hi
@@ -197,9 +197,9 @@ def bisect_indifference(
             if hi >= first_above:
                 break
             answer = probe(hi)
-            if answer is Preference.INDIFFERENT:
+            if answer is _INDIFFERENT:
                 return hi, 0.0
-            if answer is Preference.STRICTLY_PREFERS_FIRST:
+            if answer is _FIRST:
                 break
         if hi >= ceiling:
             return None
@@ -214,9 +214,9 @@ def bisect_indifference(
             hi = mid
         else:
             answer = probe(mid)
-            if answer is Preference.INDIFFERENT:
+            if answer is _INDIFFERENT:
                 return mid, 0.0
-            if answer is Preference.STRICTLY_PREFERS_FIRST:
+            if answer is _FIRST:
                 hi = mid
             else:
                 lo = mid
@@ -258,20 +258,20 @@ def _equivalent(
 
     found = bisect_indifference(probe, ceiling, tol, hint)
     asked = len(seen)
-    top = bottom = Preference.STRICTLY_PREFERS_FIRST
-    if Preference.STRICTLY_PREFERS_FIRST not in seen:
+    top = bottom = _FIRST
+    if _FIRST not in seen:
         asked += 1
         top = compare(GridAct.constant(states, x), f)
-        if top is Preference.STRICTLY_PREFERS_SECOND:
+        if top is _SECOND:
             raise ProtocolError(f"oracle strictly prefers the act to constant {x!r}")
-    if Preference.STRICTLY_PREFERS_SECOND not in seen:
+    if _SECOND not in seen:
         asked += 1
         bottom = compare(f, GridAct.constant(states, y))
-        if bottom is Preference.STRICTLY_PREFERS_SECOND:
+        if bottom is _SECOND:
             raise ProtocolError(f"oracle strictly prefers constant {y!r} to the act")
-    if bottom is Preference.INDIFFERENT:
+    if bottom is _INDIFFERENT:
         return 0.0, 0.0, asked
-    if top is Preference.INDIFFERENT or found is None:
+    if top is _INDIFFERENT or found is None:
         return None, 0.0, asked
     return *found, asked
 

@@ -13,10 +13,13 @@ from the oracle it wraps; elicitation sessions count their own queries,
 so it is for callers who want a count or a log.  All oracles here are
 deterministic, so elicitation sessions and audit witnesses replay exactly.
 
-The SEU and Choquet oracles memoise the values of the two acts they used
-most recently, keyed by identity (:func:`_recall`).  Every query of a
-search uses its fixed act, so that act is valued once per search.  This
-relies on acts being immutable: the library never mutates a
+``compare`` raises ``ValueError`` on a NaN value difference, which no
+answer fits.  The SEU and Choquet oracles share one ``value``, which
+memoises the values of the two acts they used most recently, keyed by
+identity, and on a miss calls the valuation directly: the model's
+``act_value``, bound once at construction, or the Choquet integral.  Every
+query of a search uses its fixed act, so that act is valued once per
+search.  This relies on acts being immutable: the library never mutates a
 :class:`~dseu.acts.GridAct` after construction.
 Every row is valued through the module-level ``profile_value`` (so a
 wrapper bound to that name sees every row).  Every probe of a search is a
@@ -54,11 +57,18 @@ class Preference(enum.Enum):
 
     @property
     def flipped(self) -> Preference:
-        if self is Preference.STRICTLY_PREFERS_FIRST:
-            return Preference.STRICTLY_PREFERS_SECOND
-        if self is Preference.STRICTLY_PREFERS_SECOND:
-            return Preference.STRICTLY_PREFERS_FIRST
+        if self is _FIRST:
+            return _SECOND
+        if self is _SECOND:
+            return _FIRST
         return self
+
+
+# The members as module names, for the search and audit loops: a module name
+# is read in a few ns, ``Preference.<member>`` in over 100.
+_FIRST = Preference.STRICTLY_PREFERS_FIRST
+_INDIFFERENT = Preference.INDIFFERENT
+_SECOND = Preference.STRICTLY_PREFERS_SECOND
 
 
 class Oracle:
@@ -73,14 +83,15 @@ class Oracle:
             raise ValueError(f"indifference band must be >= 0, got {self.band}")
 
     def compare(self, f: GridAct, g: GridAct) -> Preference:
+        """The preference between ``f`` and ``g``; a NaN value difference raises ``ValueError``."""
         diff = self.value(f) - self.value(g)
         if abs(diff) <= self.band:
-            return Preference.INDIFFERENT
-        return (
-            Preference.STRICTLY_PREFERS_FIRST
-            if diff > 0
-            else Preference.STRICTLY_PREFERS_SECOND
-        )
+            return _INDIFFERENT
+        if diff > 0:
+            return _FIRST
+        if diff < 0:
+            return _SECOND
+        raise ValueError(f"the value difference of the two acts is {diff!r}")
 
 
 def _memo_field():
@@ -88,40 +99,57 @@ def _memo_field():
     return field(default_factory=list, init=False, repr=False, compare=False)
 
 
-def _recall(
-    memo: list[tuple[GridAct, float]],
-    f: GridAct,
-    compute: Callable[[GridAct], float],
-) -> float:
-    """``compute(f)``, remembered for the two acts most recently used.
+class _Memoised(Oracle):
+    """An oracle whose ``value`` remembers the two acts most recently used.
 
-    ``memo`` holds ``(act, value)`` pairs, most recently used first, and
-    matches acts by identity; holding the acts keeps their identities
-    unique.  A hit moves the act to the front; a miss puts the newly valued
-    act at the front and drops the back one.
+    A subclass keeps the memo in its field ``_memo`` and supplies the
+    valuation ``_value(f)``, as a method or as an attribute set at
+    construction.
     """
-    if memo:
-        first = memo[0]
-        if first[0] is f:
-            return first[1]
-        if len(memo) == 2:
-            second = memo[1]
-            if second[0] is f:
-                memo[0], memo[1] = second, first
-                return second[1]
-    v = compute(f)
-    memo.insert(0, (f, v))
-    del memo[2:]
-    return v
+
+    _memo: list[tuple[GridAct, float]]
+    _value: Callable[[GridAct], float]
+
+    def value(self, f: GridAct) -> float:
+        """``_value(f)``, remembered for the two acts most recently used.
+
+        ``_memo`` holds ``(act, value)`` pairs, most recently used first, and
+        matches acts by identity; holding the acts keeps their identities
+        unique.  A hit moves the act to the front; a miss puts the newly
+        valued act at the front and drops the back one, and a valuation
+        that raises leaves the memo as it was.
+        """
+        memo = self._memo
+        if memo:
+            first = memo[0]
+            if first[0] is f:
+                return first[1]
+            if len(memo) == 2:
+                second = memo[1]
+                if second[0] is f:
+                    memo[0], memo[1] = second, first
+                    return second[1]
+        v = self._value(f)
+        memo.insert(0, (f, v))
+        del memo[2:]
+        return v
 
 
 @dataclass(frozen=True)
-class SEUOracle(Oracle):
-    """Compares acts by their discounted subjective expected utility."""
+class SEUOracle(_Memoised):
+    """Compares acts by their discounted subjective expected utility.
+
+    ``_value`` is the model's bound ``act_value``, stored at construction.
+    """
 
     model: DSEUModel
     band: float = 0.0
     _memo: list[tuple[GridAct, float]] = _memo_field()
+    _value: Callable[[GridAct], float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "_value", self.model.act_value)
 
     @property
     def states(self) -> tuple[State, ...]:
@@ -138,9 +166,6 @@ class SEUOracle(Oracle):
     @property
     def utility(self) -> UtilityModel:
         return self.model.utility
-
-    def value(self, f: GridAct) -> float:
-        return _recall(self._memo, f, self.model.act_value)
 
 
 def subset_indices(n: int) -> Iterator[tuple[int, ...]]:
@@ -296,7 +321,7 @@ def choquet_value(
 
 
 @dataclass(frozen=True)
-class ChoquetOracle(Oracle):
+class ChoquetOracle(_Memoised):
     """Discounts each row first, then aggregates rows with a Choquet integral."""
 
     discount: ExpMeasure
@@ -312,9 +337,6 @@ class ChoquetOracle(Oracle):
     @property
     def outcomes(self) -> tuple[Outcome, ...]:
         return self.utility.outcomes
-
-    def value(self, f: GridAct) -> float:
-        return _recall(self._memo, f, self._value)
 
     def _value(self, f: GridAct) -> float:
         capacity = self.capacity

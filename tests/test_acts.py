@@ -1,7 +1,10 @@
 """Profiles, grid acts, and the time/event splice operators."""
 
+import copy
+import dataclasses
 import math
 import operator
+import pickle
 import random
 from itertools import compress
 
@@ -18,6 +21,7 @@ from dseu.acts import (
     splice_event,
     splice_time,
 )
+from dseu.equivalents import CEILING_MASS, FALLBACK_HORIZON
 from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
 
 import canonical_splice
@@ -266,6 +270,11 @@ class TestUncheckedBuilders:
     @given(ACT_STATES, st.sampled_from(OUTCOMES), POINTS, st.sampled_from(OUTCOMES))
     @example(["s0"], "a", 0.0, "b")
     @example(["s0"], "a", -0.0, "b")
+    @example(["s0"], "a", 5e-324, "b")
+    @example(["s0", "s1"], "a", 1.0, "b")
+    # The searches' ceilings: at rate 1, and without a rate.
+    @example(["s0", "s1"], "a", ExpMeasure(1.0).quantile(CEILING_MASS), "b")
+    @example(["s0", "s1"], "a", FALLBACK_HORIZON, "b")
     @example(["s0"], "a", INF, "b")
     @example(["s0"], "a", math.nan, "b")
     @example(["s0"], "a", -1.0, "b")
@@ -342,6 +351,30 @@ class TestUncheckedBuilders:
         recorded = GridAct.constant(STATES, "a")
         assert recorded == GridAct(dict.fromkeys(STATES, row))
         assert repr(recorded) == repr(GridAct(dict.fromkeys(STATES, row)))
+
+    def test_common_row_is_a_class_default_that_lifted_acts_override(self):
+        lifted = GridAct.deterministic(STATES, StepProfile.before_after("a", 1.0, "b"))
+        row = lifted.common_row
+        assert row is not None and "common_row" in vars(lifted)
+        # Only lifted acts hold one: an act built from a mapping reads the class's None.
+        assert GridAct.common_row is None
+        assert "common_row" not in vars(GridAct(dict(lifted.profiles)))
+        assert [f.name for f in dataclasses.fields(GridAct)] == ["profiles"]
+        for twin in (copy.copy(lifted), copy.deepcopy(lifted), pickle.loads(pickle.dumps(lifted))):
+            assert twin == lifted
+            assert twin.common_row == row
+            assert all(p is twin.common_row for p in twin.profiles.values())
+        assert copy.copy(lifted).common_row is row
+        # replace builds the act from its mapping, so it records no row.
+        for built in (dataclasses.replace(lifted), dataclasses.replace(lifted, profiles=dict(lifted.profiles))):
+            assert built == lifted and built.common_row is None
+        plain = GridAct(dict(lifted.profiles))
+        for twin in (copy.copy(plain), pickle.loads(pickle.dumps(plain))):
+            assert twin == lifted and twin.common_row is None
+        assert repr(lifted) == repr(plain) == f"GridAct(profiles={dict(lifted.profiles)!r})"
+        assert lifted == plain
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lifted.common_row = None
 
 
 class TestGridAct:

@@ -24,6 +24,7 @@ from dseu.oracles import (
     Capacity,
     ChoquetOracle,
     CountingOracle,
+    FunctionalOracle,
     Preference,
     ProtocolError,
     SEUOracle,
@@ -209,6 +210,18 @@ class TestBisection:
         act = GridAct.constant(STATES, "x")
         with pytest.raises(ProtocolError):
             time_equivalent_bisect(oracle, act, "m", "y")
+
+    @pytest.mark.parametrize(
+        "fn", [lambda f: math.nan, lambda f: math.inf], ids=["nan", "inf-minus-inf"]
+    )
+    def test_a_nan_value_difference_raises_instead_of_a_protocol_error(self, fn):
+        # The first query's difference is NaN; it used to answer "second", so the
+        # search ran to the ceiling and the top query blamed the act.
+        oracle = CountingOracle(FunctionalOracle(fn))
+        bet = GridAct.bet(STATES, {"s0"}, "x", "y")
+        with pytest.raises(ValueError, match="value difference of the two acts is nan"):
+            time_equivalent_bisect(oracle, bet, "x", "y")
+        assert oracle.count == 0
 
     def test_indifference_band_terminates_early(self):
         m = model_for()

@@ -24,7 +24,6 @@ from dseu.oracles import (
     Preference,
     SEUOracle,
     WidenedOracle,
-    _recall,
     choquet_value,
     subsets,
 )
@@ -534,6 +533,28 @@ class TestOracleInterface:
         with pytest.raises(ValueError, match="indifference band must be >= 0, got nan"):
             dataclasses.replace(oracle, band=math.nan)
 
+    @pytest.mark.parametrize(
+        "fn",
+        [lambda f: math.nan, lambda f: math.inf, lambda f: -math.inf],
+        ids=["nan", "inf-minus-inf", "minus-inf-plus-inf"],
+    )
+    @pytest.mark.parametrize("band", [0.0, 1.0, math.inf])
+    def test_a_nan_value_difference_raises_both_ways(self, fn, band):
+        oracle = FunctionalOracle(fn, band)
+        f, g = GridAct.constant(STATES, "w"), GridAct.constant(STATES, "l")
+        for first, second in ((f, g), (g, f), (f, f)):
+            with pytest.raises(ValueError, match="^the value difference of the two acts is nan$"):
+                oracle.compare(first, second)
+
+    def test_only_a_nan_difference_raises(self):
+        values = {"w": math.inf, "m": 0.0, "l": -math.inf}
+        oracle = FunctionalOracle(lambda f: values[f.common_row.outs[0]])
+        w, m, l = (GridAct.constant(STATES, x) for x in "wml")
+        assert oracle.compare(w, m) is Preference.STRICTLY_PREFERS_FIRST
+        assert oracle.compare(l, m) is Preference.STRICTLY_PREFERS_SECOND
+        assert oracle.compare(w, l) is Preference.STRICTLY_PREFERS_FIRST
+        assert FunctionalOracle(oracle.fn, math.inf).compare(w, l) is Preference.INDIFFERENT
+
     @pytest.mark.parametrize("extra", [-1e-9, math.nan])
     def test_widened_oracle_rejects_negative_and_nan_inflation(self, extra):
         with pytest.raises(ValueError, match=f"band inflation must be >= 0, got {extra}"):
@@ -601,11 +622,18 @@ def memo_contents(memo):
     return [(id(act), v) for act, v in memo]
 
 
+def memo_oracles():
+    """The SEU and Choquet oracles, which share the memoised ``value``."""
+    return {kind: base_oracles()[kind] for kind in ("seu", "choquet")}
+
+
 class TestRecall:
     @pytest.mark.identity
+    @pytest.mark.parametrize("kind", ["seu", "choquet"])
     @given(st.integers(1, 4), st.lists(st.integers(0, 3), max_size=40))
     @settings(deadline=None)
-    def test_keeps_the_memo_the_enumerate_version_kept(self, n_acts, picks):
+    def test_keeps_the_memo_the_enumerate_version_kept(self, kind, n_acts, picks):
+        oracle = memo_oracles()[kind]
         acts = [GridAct.constant(STATES, "w") for _ in range(n_acts)]
         values = {id(a): float(k) for k, a in enumerate(acts)}
         computed, ref_computed = [], []
@@ -618,23 +646,40 @@ class TestRecall:
             ref_computed.append(f)
             return values[id(f)]
 
-        memo, ref_memo = [], []
+        # The valuation ``value`` calls on a miss, stubbed on this instance.
+        object.__setattr__(oracle, "_value", compute)
+        ref_memo = []
         for k in picks:
             f = acts[k % n_acts]
-            assert _recall(memo, f, compute) == ref_recall(ref_memo, f, ref_compute)
-            assert memo_contents(memo) == memo_contents(ref_memo)
+            assert oracle.value(f) == ref_recall(ref_memo, f, ref_compute)
+            assert memo_contents(oracle._memo) == memo_contents(ref_memo)
             assert [id(a) for a in computed] == [id(a) for a in ref_computed]
 
-    def test_a_failed_valuation_leaves_the_memo_as_it_was(self):
+    @pytest.mark.parametrize("kind", ["seu", "choquet"])
+    def test_a_failed_valuation_leaves_the_memo_as_it_was(self, kind):
+        oracle = memo_oracles()[kind]
         acts = [GridAct.constant(STATES, "w") for _ in range(3)]
-        memo = []
-        _recall(memo, acts[0], lambda f: 0.0)
-        _recall(memo, acts[1], lambda f: 1.0)
-        before = list(memo)
+        object.__setattr__(oracle, "_value", lambda f: 0.0)
+        oracle.value(acts[0])
+        object.__setattr__(oracle, "_value", lambda f: 1.0)
+        oracle.value(acts[1])
+        before = list(oracle._memo)
 
         def fail(f):
             raise KeyError("no")
 
+        object.__setattr__(oracle, "_value", fail)
         with pytest.raises(KeyError):
-            _recall(memo, acts[2], fail)
-        assert memo_contents(memo) == memo_contents(before)
+            oracle.value(acts[2])
+        assert memo_contents(oracle._memo) == memo_contents(before)
+
+    def test_the_seu_oracle_values_through_its_models_bound_act_value(self):
+        oracle = memo_oracles()["seu"]
+        assert oracle._value.__self__ is oracle.model
+        assert oracle._value.__func__ is DSEUModel.act_value
+        widened = WidenedOracle(oracle, 0.1)
+        assert widened._value.__self__ is widened.model
+        rng = random.Random(40)
+        for _ in range(20):
+            f = random_act(rng)
+            assert oracle.value(f) == oracle.model.act_value(f)
