@@ -15,13 +15,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .acts import GridAct, Outcome, State, StepProfile, _switch_act
 from .equivalents import (
-    CEILING_MASS,
     DEFAULT_TOL,
     FALLBACK_HORIZON,
+    _check_outcomes,
     _check_tol,
     _equivalent,
     bisect_indifference,
@@ -75,21 +75,17 @@ def elicit_lambda(
     result and error is the one of asking it before the search, with one
     query fewer once a probe answered "second".
     """
-    return _half_life(oracle.compare, oracle.states, x, y, tol)[0]
+    return _half_life(oracle, x, y, tol)[0]
 
 
-def _half_life(
-    compare: Callable[[GridAct, GridAct], Preference],
-    states: tuple[State, ...],
-    x: Outcome,
-    y: Outcome,
-    tol: float,
-) -> tuple[ExpMeasure, int]:
+def _half_life(oracle, x: Outcome, y: Outcome, tol: float) -> tuple[ExpMeasure, int]:
     """The search of :func:`elicit_lambda`, with its query count.
 
-    ``compare`` is the oracle's and ``states`` its states.  The count is the
-    probes, then the ranking query when it was asked.
+    The count is the probes, then the ranking query when it was asked.
+    Equal outcomes ``x`` and ``y`` raise ValueError before any query.
     """
+    _check_outcomes(x, y)
+    compare, states = oracle.compare, oracle.states
     seen: list[Preference] = []
 
     def probe(t: float) -> Preference:
@@ -126,10 +122,12 @@ def elicit_event(
     """Probability of an event from the time equivalent of a bet on it.
 
     ``hint``, a predicted time equivalent, warm-starts the search (see
-    :func:`~dseu.equivalents.time_equivalent_bisect`).  ``tol`` is checked
-    first, also for the empty and the sure event (0 and 1, unasked).
+    :func:`~dseu.equivalents.time_equivalent_bisect`).  ``tol``, then
+    ``x != y``, is checked first, also for the empty and the sure event (0
+    and 1, unasked).
     """
     _check_tol(tol)
+    _check_outcomes(x, y)
     states = oracle.states
     event = frozenset(event)
     space = set(states)
@@ -140,8 +138,7 @@ def elicit_event(
     if len(event) == len(space):
         return 1.0
     bet = GridAct.bet(states, event, x, y)
-    ceiling = rate.quantile(CEILING_MASS)
-    t, _, _ = _equivalent(oracle.compare, states, bet, x, y, ceiling, tol, hint)
+    t, _, _ = _equivalent(oracle, bet, x, y, rate, tol, hint)
     return 1.0 if t is None else -math.expm1(-rate.rate * t)
 
 
@@ -198,9 +195,9 @@ def elicit_measure(
     costing at most three queries more; near-additive oracles cost far
     fewer.  The empty event gets 0 and the sure event 1, without a query.
 
-    ``tol`` is checked first, also for a one-state session, and the oracle's
-    states and ``compare``, the search ceiling and the two constant rows of
-    the bets are read once per session.  Each other event is the search of
+    ``tol``, then ``x != y``, is checked first, also for a one-state
+    session, and the two constant rows of the bets are built once per
+    session.  Each other event is the search of
     :func:`~dseu.equivalents.time_equivalent_bisect` on the bet that
     :meth:`~dseu.acts.GridAct.bet` would build ("x" on the event, "y" off
     it, in ``states`` order), so every estimate, query and error is that of
@@ -213,9 +210,8 @@ def elicit_measure(
     order.
     """
     _check_tol(tol)
+    _check_outcomes(x, y)
     states = oracle.states
-    compare = oracle.compare
-    ceiling = rate.quantile(CEILING_MASS)
     won, lost = StepProfile.constant(x), StepProfile.constant(y)
     bits = [(s, 1 << i) for i, s in enumerate(states)]
     events, pairs = _event_plan(len(states))
@@ -247,7 +243,7 @@ def elicit_measure(
             if 0.0 < p < 1.0:
                 hint = rate.quantile(p)
         bet = GridAct({s: won if e & b else lost for s, b in bits})
-        t, _, asked = _equivalent(compare, states, bet, x, y, ceiling, tol, hint)
+        t, _, asked = _equivalent(oracle, bet, x, y, rate, tol, hint)
         queries += asked
         est[e] = 1.0 if t is None else -math.expm1(-rate.rate * t)
     return ElicitationReport(
@@ -267,7 +263,7 @@ def run_session(
 
     Neither phase wraps the oracle: each counts the queries it asks.
     """
-    rate, asked = _half_life(oracle.compare, oracle.states, x, y, tol)
+    rate, asked = _half_life(oracle, x, y, tol)
     report = elicit_measure(oracle, rate, x, y, tol)
     report.query_count += asked
     return report

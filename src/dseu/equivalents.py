@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .acts import GridAct, Outcome, State, StepProfile, _switch_act
+from .acts import GridAct, Outcome, StepProfile, _switch_act
 from .evaluate import DSEUModel
 from .measure import ExpMeasure
 from .oracles import _FIRST, _INDIFFERENT, _SECOND, Preference, ProtocolError
@@ -232,23 +232,30 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite, got {tol}")
 
 
+def _check_outcomes(x: Outcome, y: Outcome) -> None:
+    """Reject equal reference outcomes, whose switch streams are all one act."""
+    if x == y:
+        raise ValueError(f"the two outcomes must differ, got {x!r} twice")
+
+
 def _equivalent(
-    compare: Callable[[GridAct, GridAct], Preference],
-    states: tuple[State, ...],
+    oracle,
     f: GridAct,
     x: Outcome,
     y: Outcome,
-    ceiling: float,
+    rate: ExpMeasure | None,
     tol: float,
     hint: float | None,
 ) -> tuple[float | None, float, int]:
     """The search of :func:`time_equivalent_bisect`, with its query count.
 
-    ``compare`` is the oracle's, ``states`` the act's, in its order.
     Returns the fields of the :class:`TimeEquivalent`, ``t`` and
     ``bracket_width``, and the number of queries asked: the probes, then
-    the end queries that were asked.
+    the end queries that were asked.  The probe and constant acts list
+    ``f``'s states in its order.  Its callers check that ``x != y``.
     """
+    compare, states = oracle.compare, f.profiles
+    ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
     seen: list[Preference] = []
 
     def probe(t: float) -> Preference:
@@ -288,7 +295,8 @@ def time_equivalent_bisect(
     """Bisect an oracle for the prefix length indifferent to ``f``.
 
     Requires the oracle to weakly rank ``x`` above ``f`` above ``y``
-    (violations raise :class:`ProtocolError`).  The search is
+    (violations raise :class:`ProtocolError`); equal ``x`` and ``y`` raise
+    ValueError before any query.  The search is
     :func:`bisect_indifference` on the x-then-y prefix stream against ``f``;
     past the mass ceiling (computed from ``rate`` when given, a fixed large
     horizon otherwise) the answer is the whole horizon.  A ``hint``, a
@@ -307,6 +315,6 @@ def time_equivalent_bisect(
     search more for an act worth ``x`` or ``y`` or outside them, which an
     end query settled before any probe.
     """
-    ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
-    t, width, _ = _equivalent(oracle.compare, f.states, f, x, y, ceiling, tol, hint)
+    _check_outcomes(x, y)
+    t, width, _ = _equivalent(oracle, f, x, y, rate, tol, hint)
     return TimeEquivalent(t, width)

@@ -47,11 +47,11 @@ class ActSampler:
     ``SystemRandom``, any subclass that overrides ``getrandbits``), its loop
     runs inline, without a frame per draw, on the rng's own
     ``getrandbits``; any other rng (a subclass that overrides only
-    ``random()``) is asked through its own ``_randbelow``.  The inline loop
-    only ever sees ``n >= 1``, where its body is the same on every Python:
-    ``max_pieces`` is checked, and an empty alphabet goes through
-    ``rng.choice`` and its ``IndexError`` (at ``n == 0`` the method returns
-    0 without drawing on 3.10 and loops forever from 3.11).
+    ``random()``) is asked through its own ``randint`` and ``choice``.  The
+    inline loop only ever sees ``n >= 1``, where its body is the same on
+    every Python: ``max_pieces`` is checked, and an empty alphabet goes
+    through ``rng.choice`` and its ``IndexError`` (at ``n == 0`` the method
+    returns 0 without drawing on 3.10 and loops forever from 3.11).
     """
 
     measure: ExpMeasure
@@ -95,10 +95,9 @@ class ActSampler:
 
     def _rows(self, rng: random.Random, count: int, pieces: int | None = None) -> list[StepProfile]:
         """``count`` rows drawn one after the other, as ``profile(rng, pieces)`` draws each."""
-        # randint(1, n) is 1 + _randbelow(n) and choice(seq) is
-        # seq[_randbelow(len(seq))]; the inline loop is _randbelow's for n >= 1.
-        below = rng._randbelow
-        inline = getattr(below, "__func__", None) is _RANDBELOW_WITH_GETRANDBITS
+        # randint(1, n) is 1 + _randbelow(n) and choice(seq) is seq[_randbelow(len(seq))];
+        # the inline loop is _randbelow's for n >= 1, so no outcomes go to choice's IndexError.
+        inline = getattr(rng._randbelow, "__func__", None) is _RANDBELOW_WITH_GETRANDBITS
         getrandbits = rng.getrandbits
         outcomes, max_pieces = self.outcomes, self.max_pieces
         n = len(outcomes)
@@ -115,13 +114,10 @@ class ActSampler:
                         r = getrandbits(k_pieces)
                     m = 1 + r
                 else:
-                    m = 1 + below(max_pieces)
+                    m = rng.randint(1, max_pieces)
             # The draws of breakpoints(rng, m - 1), then one outcome per piece.
             qs = sorted([0.0 + ceiling * random() for _ in range(m - 1)])
-            if not n:
-                # choice raises IndexError on no outcomes.
-                outs = [rng.choice(outcomes) for _ in range(m)]
-            elif inline:
+            if inline and n:
                 outs = []
                 for _ in range(m):
                     r = getrandbits(k_out)
@@ -129,7 +125,7 @@ class ActSampler:
                         r = getrandbits(k_out)
                     outs.append(outcomes[r])
             else:
-                outs = [outcomes[below(n)] for _ in range(m)]
+                outs = [rng.choice(outcomes) for _ in range(m)]
             if not outs:
                 # StepProfile.canonical's error for no outcomes.
                 raise ValueError(_bad_count([0.0, INF], outs))

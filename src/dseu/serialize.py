@@ -199,7 +199,7 @@ def _per_state(doc: dict, key: str, what: str) -> list[tuple[str, Any]]:
     The table must hold an entry for each listed state and no other, and no
     state may be listed twice.
     """
-    states = [str(s) for s in _typed(doc["states"], list, "the act's states")]
+    states = [_state_label(str(s)) for s in _typed(doc["states"], list, "the act's states")]
     table = _typed(doc[key], dict, what)
     if len(set(states)) != len(states):
         twice = next(s for i, s in enumerate(states) if s in states[:i])
@@ -248,7 +248,7 @@ def model_from_json(doc: Any) -> DSEUModel:
         _utility_from_json(doc),
         Beliefs(
             {
-                str(s): _number(p, f"a number for the belief in {s!r}")
+                _state_label(str(s)): _number(p, f"a number for the belief in {s!r}")
                 for s, p in _typed(doc["mu"], dict, "'mu'").items()
             }
         ),
@@ -283,8 +283,17 @@ def lottery_act_from_json(doc: Any) -> LotteryAct:
 # -- state subsets -----------------------------------------------------------
 
 
+def _state_label(state: State) -> State:
+    """``state``, which must be a label that :func:`subset_key` can spell."""
+    if state == "" or "," in state:
+        raise ValueError(
+            f"state label {state!r} is empty or holds a comma, which subset keys cannot spell"
+        )
+    return state
+
+
 def subset_key(subset: frozenset[State]) -> str:
-    return ",".join(sorted(subset))
+    return ",".join(sorted(map(_state_label, subset)))
 
 
 def subset_from_key(key: str) -> frozenset[State]:
@@ -429,19 +438,15 @@ def audit_report_to_json(report: AuditReport) -> dict[str, Any]:
 
 def bracket_to_json(result: BracketResult) -> dict[str, Any]:
     if isinstance(result.lower, StepProfile):
-        return {
-            "kind": "profile",
-            "lower": profile_to_json(result.lower),
-            "upper": profile_to_json(result.upper),
-            "gap": result.gap,
-            "bins": [time_set_to_json(b) for b in result.bins],
-        }
+        kind, side, part = "profile", profile_to_json, time_set_to_json
+    else:
+        kind, side, part = "act", act_to_json, subset_key
     return {
-        "kind": "act",
-        "lower": act_to_json(result.lower),
-        "upper": act_to_json(result.upper),
+        "kind": kind,
+        "lower": side(result.lower),
+        "upper": side(result.upper),
         "gap": result.gap,
-        "bins": [subset_key(b) for b in result.bins],
+        "bins": [part(b) for b in result.bins],
     }
 
 

@@ -153,6 +153,15 @@ class TestEquiv:
         assert code == 1
         assert "tolerance must be finite, got inf" in capsys.readouterr().err
 
+    def test_equal_outcomes_are_an_error(self, capsys):
+        # It used to exit 2, blaming the oracle for preferring constant 'high' to the act.
+        act = str(DEMO_ORACLE.parent / "act.json")
+        code = main(
+            ["equiv", act, "--oracle", str(DEMO_ORACLE), "--upper", "high", "--lower", "high"]
+        )
+        assert code == 1
+        assert "the two outcomes must differ, got 'high' twice" in capsys.readouterr().err
+
 
 class TestElicit:
     def test_report_written(self, tmp_path, capsys, oracle_path):
@@ -201,6 +210,28 @@ class TestElicit:
         path = tmp_path / "flat.json"
         path.write_text(serialize.dumps(doc))
         assert main(["elicit", str(path), "--upper", "x", "--lower", "y"]) == 2
+
+    def test_equal_outcomes_are_an_error(self, capsys, oracle_path):
+        assert main(["elicit", oracle_path, "--upper", "x", "--lower", "x"]) == 1
+        assert "the two outcomes must differ, got 'x' twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", ["", "b,c"])
+    def test_state_label_no_subset_key_spells_is_an_error(self, tmp_path, capsys, label):
+        # With "" it used to report 8 events and write 7 'mu_hat' keys; with
+        # "b,c" the report read back with the subset {b, c} for the state.
+        doc = {
+            "kind": "seu",
+            "lambda": 1.0,
+            "utility": {"x": 1.0, "y": 0.0},
+            "mu": {"a": 0.5, label: 0.5},
+            "band": 0.0,
+        }
+        path = tmp_path / "oracle.json"
+        path.write_text(serialize.dumps(doc))
+        out = tmp_path / "report.json"
+        assert main(["elicit", str(path), "--out", str(out)]) == 1
+        assert f"state label {label!r} is empty or holds a comma" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAudit:

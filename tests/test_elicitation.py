@@ -592,3 +592,46 @@ class TestSection2Demo:
             section2_demo(ExpMeasure(1.0), 0.7, 0.5)
         with pytest.raises(ValueError):
             section2_demo(ExpMeasure(1.0), -0.1, 0.5)
+
+
+class TestEqualOutcomes:
+    """One outcome on both sides of every bet and switch is rejected before any query."""
+
+    @staticmethod
+    def counted() -> CountingOracle:
+        model = DSEUModel(
+            ExpMeasure(1.0),
+            UtilityModel({"x": 1.0, "y": 0.0}),
+            Beliefs({"a": 0.5, "b": 0.3, "c": 0.2}),
+        )
+        return CountingOracle(SEUOracle(model))
+
+    @pytest.mark.parametrize("event", [{"a"}, set(), {"a", "b", "c"}])
+    def test_elicit_event(self, event):
+        # {"a"} used to return 0.0 after 3 queries.
+        oracle = self.counted()
+        with pytest.raises(ValueError, match="the two outcomes must differ, got 'x' twice"):
+            elicit_event(oracle, ExpMeasure(1.0), event, "x", "x")
+        assert oracle.count == 0
+
+    def test_elicit_measure(self):
+        # It used to return a FAIL report after 21 queries.
+        oracle = self.counted()
+        with pytest.raises(ValueError, match="the two outcomes must differ"):
+            elicit_measure(oracle, ExpMeasure(1.0), "x", "x")
+        assert oracle.count == 0
+
+    def test_one_state_elicit_measure(self):
+        oracle = SEUOracle(
+            DSEUModel(ExpMeasure(1.0), UtilityModel({"x": 1.0, "y": 0.0}), Beliefs({"a": 1.0}))
+        )
+        with pytest.raises(ValueError, match="the two outcomes must differ"):
+            elicit_measure(oracle, ExpMeasure(1.0), "y", "y")
+
+    @pytest.mark.parametrize("run", [run_session, elicit_lambda])
+    def test_half_life(self, run):
+        # run_session used to raise only after 2 queries.
+        oracle = self.counted()
+        with pytest.raises(ValueError, match="the two outcomes must differ"):
+            run(oracle, "x", "x")
+        assert oracle.count == 0

@@ -790,3 +790,18 @@ class TestEndQueriesFromAnswers:
         want, flagged_log = logged_outcome(flagged_search.time_equivalent_bisect, make(), *args)
         assert got == want
         assert log == flagged_log
+
+
+@pytest.mark.parametrize("rate", [None, ExpMeasure(1.0)])
+def test_equal_outcomes_raise_before_any_query(rate):
+    # It used to return t = 0.0.
+    model = DSEUModel(
+        ExpMeasure(1.0),
+        UtilityModel({"x": 1.0, "y": 0.0}),
+        Beliefs({"a": 0.5, "b": 0.3, "c": 0.2}),
+    )
+    oracle = CountingOracle(SEUOracle(model))
+    f = GridAct.constant(("a", "b", "c"), "x")
+    with pytest.raises(ValueError, match="the two outcomes must differ, got 'x' twice"):
+        time_equivalent_bisect(oracle, f, "x", "x", rate=rate)
+    assert oracle.count == 0

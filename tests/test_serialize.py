@@ -518,3 +518,41 @@ class TestReportDocuments:
         right = serialize.act_from_json(first["second"])
         # replaying the deserialized witness reproduces the logged answer
         assert deviant.compare(left, right).name == first["answer"]
+
+
+class TestStateLabels:
+    """State labels that subset keys cannot spell: empty, or holding a comma."""
+
+    @pytest.mark.parametrize("label", ["", "b,c", ","])
+    def test_model_mu_key(self, label):
+        doc = serialize.model_to_json(sample_model())
+        doc["mu"] = {"a": 0.5, label: 0.5}
+        with pytest.raises(ValueError, match=re.escape(f"state label {label!r}")):
+            serialize.model_from_json(doc)
+
+    @pytest.mark.parametrize("label", ["", "b,c"])
+    def test_seu_oracle_mu_key(self, label):
+        doc = serialize.oracle_to_json(SEUOracle(sample_model()))
+        doc["mu"] = {"a": 0.5, label: 0.5}
+        with pytest.raises(ValueError, match=re.escape(f"state label {label!r}")):
+            serialize.oracle_from_json(doc)
+
+    @pytest.mark.parametrize("label", ["", "b,c"])
+    def test_act_state(self, label):
+        doc = {"states": ["a", label], "profiles": {"a": [[0, "inf", "x"]], label: [[0, "inf", "y"]]}}
+        with pytest.raises(ValueError, match=re.escape(f"state label {label!r}")):
+            serialize.act_from_json(doc)
+
+    @pytest.mark.parametrize("label", ["", "b,c"])
+    def test_lottery_act_state(self, label):
+        doc = {"states": [label], "lotteries": {label: {"x": 1.0}}}
+        with pytest.raises(ValueError, match=re.escape(f"state label {label!r}")):
+            serialize.lottery_act_from_json(doc)
+
+    @pytest.mark.parametrize("label", ["", "b,c"])
+    def test_subset_key(self, label):
+        with pytest.raises(ValueError, match=re.escape(f"state label {label!r}")):
+            serialize.subset_key(frozenset({"a", label}))
+        # Any other label keeps its round trip.
+        subset = frozenset({"a", "b c", "é", "0"})
+        assert serialize.subset_from_key(serialize.subset_key(subset)) == subset
