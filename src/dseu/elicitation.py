@@ -171,6 +171,32 @@ def _event_plan(n: int) -> tuple[Sequence[int], Sequence[tuple[int, int]]]:
     return events, pairs
 
 
+@functools.lru_cache(maxsize=None)
+def _session_plan(n: int) -> tuple[
+    tuple[int, ...],
+    tuple[tuple[tuple[int, int], ...], ...],
+    tuple[int, ...],
+    tuple[tuple[int, int, int], ...],
+]:
+    """:func:`_event_plan` for ``n`` states, by position in its events, cached.
+
+    Returns the events' masks; for each event ``E`` of two or more states
+    the positions of ``E - {s}`` and ``{s}`` for every state ``s`` of ``E``,
+    in state order, the last pair naming the two sets whose union is ``E``
+    (none for the empty event and the singletons); the singletons'
+    positions, in state order; and each audited pair ``(e, f)`` as the
+    positions of ``e``, ``f`` and ``e | f``.
+    """
+    events, pairs = _event_plan(n)
+    at = {e: k for k, e in enumerate(events)}
+    parts = tuple(
+        tuple((at[e ^ 1 << i], at[1 << i]) for i in range(n) if e >> i & 1) if e & (e - 1) else ()
+        for e in events
+    )
+    singles = tuple(at[1 << i] for i in range(n))
+    return tuple(events), parts, singles, tuple((at[e], at[f], at[e | f]) for e, f in pairs)
+
+
 def elicit_measure(
     oracle,
     rate: ExpMeasure,
@@ -181,13 +207,14 @@ def elicit_measure(
     """Elicit a whole set function and audit its additivity.
 
     The events and the audited pairs come from a plan of state masks that
-    depends only on the state count (see :func:`_event_plan`; the power-set
-    plans of up to 10 states are built once and cached).  Events are
-    elicited by size, so each event ``E`` of two or more states comes after
-    every ``E - {s}`` and ``{s}`` with ``s`` in ``E``.  Its search starts
-    from the additive prediction, the time equivalent of the mean of
-    ``mu(E - {s}) + mu({s})`` over every ``s`` in ``E``, summed in
-    ``states`` order (no hint when that mean is at least 1).  The last
+    depends only on the state count (see :func:`_event_plan`), read by
+    position (:func:`_session_plan`, built once per state count and
+    cached).  Events are elicited by size, so each event ``E`` of two or
+    more states comes after every ``E - {s}`` and ``{s}`` with ``s`` in
+    ``E``.  Its search starts from the additive prediction, the time
+    equivalent of the mean of ``mu(E - {s}) + mu({s})`` over every ``s``
+    in ``E``, summed in ``states`` order (no hint when that mean is at
+    least 1).  The last
     state's singleton, elicited after the others, starts from the time
     equivalent of one minus their sum, when that lies strictly between 0
     and 1.  For an oracle whose answers are weakly monotone in the prefix
@@ -203,9 +230,12 @@ def elicit_measure(
     it, in ``states`` order), so every estimate, query and error is that of
     :func:`elicit_event` with the same hint.  The report's ``query_count``
     adds up what each search asked, probes and end queries; the oracle is
-    not wrapped.  Estimates are kept by mask; the report's set-keyed
-    ``mu_hat`` and residuals are built once, at the end, the residuals in
-    one pass over the plan's pairs of masks, each
+    not wrapped.  Estimates are kept in a list by plan position, and every
+    hint reads its parts by position, adding in the order above.  The
+    report's set-keyed ``mu_hat`` and residuals are built once, at the end:
+    each event's set is the union of the two sets of its last part (``E``
+    less its last state, and that state), and the residuals come in one
+    pass over the plan's pairs, each
     ``est[e | f] - est[e] - est[f]``, keyed by the pair's two sets in plan
     order.
     """
@@ -214,43 +244,43 @@ def elicit_measure(
     states = oracle.states
     won, lost = StepProfile.constant(x), StepProfile.constant(y)
     bits = [(s, 1 << i) for i, s in enumerate(states)]
-    events, pairs = _event_plan(len(states))
-    named: dict[int, frozenset[State]] = {0: frozenset()}
-    named.update((b, frozenset((s,))) for s, b in bits)
-    est: dict[int, float] = {}
+    events, parts, singles, pairs = _session_plan(len(states))
+    # The last state's singleton, hinted from the others; -1 without states.
+    top = singles[-1] if singles else -1
+    est: list[float] = []
     full = (1 << len(states)) - 1
-    top = 1 << len(states) >> 1  # the last state's bit; 0 without states
     queries = 0
-    for e in events:
-        if e & (e - 1):
-            last = 1 << (e.bit_length() - 1)
-            named[e] = named[e ^ last] | named[last]
+    for k, e in enumerate(events):
         if not e or e == full:
-            est[e] = 1.0 if e else 0.0
+            est.append(1.0 if e else 0.0)
             continue
         hint = None
-        if e & (e - 1):
-            total, rest = 0.0, e
-            while rest:
-                bit = rest & -rest
-                total += est[e ^ bit] + est[bit]
-                rest ^= bit
-            p = total / e.bit_count()
+        if parts[k]:
+            total = 0.0
+            for rest, single in parts[k]:
+                total += est[rest] + est[single]
+            p = total / len(parts[k])
             if p < 1.0:
                 hint = rate.quantile(p)
-        elif e == top:
-            p = 1.0 - plain_sum(est[1 << i] for i in range(len(states) - 1))
+        elif k == top:
+            p = 1.0 - plain_sum(map(est.__getitem__, singles[:-1]))
             if 0.0 < p < 1.0:
                 hint = rate.quantile(p)
         bet = GridAct({s: won if e & b else lost for s, b in bits})
         t, _, asked = _equivalent(oracle, bet, x, y, rate, tol, hint)
         queries += asked
-        est[e] = 1.0 if t is None else -math.expm1(-rate.rate * t)
+        est.append(1.0 if t is None else -math.expm1(-rate.rate * t))
+    named = [frozenset()] * len(events)
+    for k, s in zip(singles, states):
+        named[k] = frozenset((s,))
+    for k, part in enumerate(parts):
+        if part:
+            named[k] = named[part[-1][0]] | named[part[-1][1]]
     return ElicitationReport(
         lambda_hat=rate.rate,
-        mu_hat={named[e]: v for e, v in est.items()},
+        mu_hat=dict(zip(named, est)),
         additivity_residuals={
-            (named[e], named[f]): est[e | f] - est[e] - est[f] for e, f in pairs
+            (named[e], named[f]): est[ef] - est[e] - est[f] for e, f, ef in pairs
         },
         query_count=queries,
     )

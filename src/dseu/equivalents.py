@@ -15,11 +15,8 @@ from typing import Callable
 
 from .acts import GridAct, Outcome, StepProfile, _switch_act
 from .evaluate import DSEUModel
-from .measure import ExpMeasure
+from .measure import CEILING_MASS, ExpMeasure
 from .oracles import _FIRST, _INDIFFERENT, _SECOND, Preference, ProtocolError
-
-#: Prefix masses above this are reported as the whole horizon.
-CEILING_MASS = 1.0 - 1e-9
 
 #: Fallback search ceiling when the oracle's discount rate is unknown.
 FALLBACK_HORIZON = 1e12
@@ -252,10 +249,13 @@ def _equivalent(
     Returns the fields of the :class:`TimeEquivalent`, ``t`` and
     ``bracket_width``, and the number of queries asked: the probes, then
     the end queries that were asked.  The probe and constant acts list
-    ``f``'s states in its order.  Its callers check that ``x != y``.
+    ``f``'s states in its order.  The ceiling is ``FALLBACK_HORIZON``
+    without a rate, else the rate's ``quantile(CEILING_MASS)``, which each
+    :class:`~dseu.measure.ExpMeasure` computes once and keeps.  Its callers
+    check that ``x != y``.
     """
     compare, states = oracle.compare, f.profiles
-    ceiling = FALLBACK_HORIZON if rate is None else rate.quantile(CEILING_MASS)
+    ceiling = FALLBACK_HORIZON if rate is None else rate._ceiling
     seen: list[Preference] = []
 
     def probe(t: float) -> Preference:

@@ -9,6 +9,7 @@ closed form, so no numerical integration happens anywhere in this module.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_right
@@ -16,6 +17,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 INF = math.inf
+
+#: Prefix masses above this are reported as the whole horizon.
+CEILING_MASS = 1.0 - 1e-9
 
 
 def plain_sum(values: Iterable[float]) -> float:
@@ -152,6 +156,15 @@ class ExpMeasure:
         _require_finite("rate", self.rate)
         if self.rate <= 0:
             raise ValueError(f"rate must be > 0, got {self.rate}")
+
+    @functools.cached_property
+    def _ceiling(self) -> float:
+        """``quantile(CEILING_MASS)``, the ceiling of every time-equivalent search at this rate.
+
+        Computed on first use and kept in the instance ``__dict__``, outside
+        the fields, so ``==``, ``hash``, ``repr`` and ``replace`` ignore it.
+        """
+        return self.quantile(CEILING_MASS)
 
     @property
     def half_life(self) -> float:

@@ -28,9 +28,12 @@ deterministic act, which records its one row
 without walking the states.  The SEU oracle sums its belief products in the
 act's state order; the Choquet oracle weights it by the capacity steps of
 :class:`Capacity`, without sorting the states.  Any other act is valued by
-walking its states and valuing each distinct row object once, keyed by
-``id``, also when all of its states share one row.  Either way the floats
-are those of the per-row path.
+walking its states in its own order and valuing each distinct row object
+once, keyed by ``id``, also when all of its states share one row.  The
+Choquet oracle then lists the row values in the capacity's state order,
+without a per-state dict, and integrates that list, sorted stably from the
+capacity's label order.  Either way the floats are those of the per-row
+path.
 """
 
 from __future__ import annotations
@@ -184,12 +187,13 @@ class Capacity:
 
     Besides ``weights``, it keeps its state set, for the oracle's state
     check, the same values in a list indexed by bitmask, bit ``i`` standing
-    for ``states[i]``, for :func:`choquet_value`, and the steps
-    ``by_mask[top_k] - by_mask[top_{k-1}]`` along the states in label order
-    (``top_k`` the first ``k`` of them, ``by_mask[top_0]`` read as 0).
-    Label order is the order :func:`choquet_value` takes when every state
-    has the same value, so that value times each step, summed in turn, is
-    its integral.
+    for ``states[i]``, for :func:`choquet_value`, the state indices in
+    label order (``_label_order``), and the steps
+    ``by_mask[top_k] - by_mask[top_{k-1}]`` along them (``top_k`` the first
+    ``k`` of them, ``by_mask[top_0]`` read as 0).  Label order is the order
+    :func:`choquet_value` starts its stable sort from, so it is the order
+    it takes when every state has the same value, and that value times each
+    step, summed in turn, is its integral.
 
     The states must be distinct; the first one listed again raises.  The
     constructor then maps each weighted subset to its mask once and checks
@@ -204,6 +208,7 @@ class Capacity:
     weights: Mapping[frozenset[State], float]
     _full: frozenset[State] = field(init=False, repr=False, compare=False)
     _by_mask: list[float] = field(init=False, repr=False, compare=False)
+    _label_order: list[int] = field(init=False, repr=False, compare=False)
     _steps: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -257,13 +262,15 @@ class Capacity:
             raise ValueError(f"capacity of {[s for s in states if s in subset]} is NaN")
         object.__setattr__(self, "weights", spec)
         object.__setattr__(self, "_by_mask", by_mask)
+        label_order = sorted(range(len(states)), key=states.__getitem__)
         steps = []
         prev = 0.0
         top = 0
-        for i in sorted(range(len(states)), key=states.__getitem__):
+        for i in label_order:
             top |= 1 << i
             steps.append(by_mask[top] - prev)
             prev = by_mask[top]
+        object.__setattr__(self, "_label_order", label_order)
         object.__setattr__(self, "_steps", steps)
 
     def __repr__(self) -> str:
@@ -303,19 +310,29 @@ def choquet_value(
 ) -> float:
     """Choquet integral of per-state values against the capacity.
 
-    Telescopes over states sorted by decreasing value (label-ordered within
-    ties, which the integral is insensitive to), reading the capacity of
-    each upper set by its bitmask.
+    The values are read in ``capacity.states`` order (a missing state raises
+    ``KeyError``) and integrated by :func:`_integral`, over the states
+    sorted stably by decreasing value from their label order.
     """
-    states, by_mask = capacity.states, capacity._by_mask
-    order = sorted(range(len(states)), key=lambda i: (-row_values[states[i]], states[i]))
+    return _integral(capacity, [row_values[s] for s in capacity.states])
+
+
+def _integral(capacity: Capacity, values: list[float]) -> float:
+    """Choquet integral of ``values``, listed in ``capacity.states`` order.
+
+    Telescopes over the states by decreasing value, reading the capacity of
+    each upper set by its bitmask.  The order is a stable sort of the
+    capacity's label order, so tied values (``-0.0`` and ``0.0`` among
+    them) stay in label order, which the integral is insensitive to.
+    """
+    by_mask = capacity._by_mask
     total = 0.0
     prev = 0.0
     top = 0
-    for i in order:
+    for i in sorted(capacity._label_order, key=values.__getitem__, reverse=True):
         top |= 1 << i
         nu = by_mask[top]
-        total += (nu - prev) * row_values[states[i]]
+        total += (nu - prev) * values[i]
         prev = nu
     return total
 
@@ -345,18 +362,21 @@ class ChoquetOracle(_Memoised):
         discount, utility = self.discount, self.utility
         row = f.common_row
         if row is None:
-            # Each distinct row object valued once, keyed by id(): the act
-            # keeps every row alive for the whole call.
+            # Each distinct row object valued once, in the act's state order,
+            # keyed by id(): the act keeps every row alive for the whole call.
+            rows = f.profiles
             done: dict[int, float] = {}
-            rows: dict[State, float] = {}
-            for s, p in f.profiles.items():
+            values = []
+            for p in rows.values():
                 v = done.get(id(p))
                 if v is None:
                     v = done[id(p)] = profile_value(discount, utility, p)
-                rows[s] = v
-            return choquet_value(capacity, rows)
+                values.append(v)
+            if tuple(rows) != capacity.states:
+                values = [done[id(rows[s])] for s in capacity.states]
+            return _integral(capacity, values)
         v = profile_value(discount, utility, row)
-        # The loop of choquet_value, which adds as measure.plain_sum does.
+        # The loop of _integral, which adds as measure.plain_sum does.
         total = 0.0
         for step in capacity._steps:
             total += step * v

@@ -187,9 +187,10 @@ def _tiling_error(rows: Any) -> ValueError:
 
 
 def act_to_json(act: GridAct) -> dict[str, Any]:
+    states = [_state_label(s) for s in act.states]
     return {
-        "states": list(act.states),
-        "profiles": {s: profile_to_json(act.row(s)) for s in act.states},
+        "states": states,
+        "profiles": {s: profile_to_json(act.row(s)) for s in states},
     }
 
 
@@ -226,7 +227,7 @@ def model_to_json(model: DSEUModel) -> dict[str, Any]:
     return {
         "lambda": model.discount.rate,
         "utility": dict(model.utility.values),
-        "mu": dict(model.beliefs.probs),
+        "mu": {_state_label(s): p for s, p in model.beliefs.probs.items()},
     }
 
 
@@ -259,9 +260,10 @@ def model_from_json(doc: Any) -> DSEUModel:
 
 
 def lottery_act_to_json(act: LotteryAct) -> dict[str, Any]:
+    states = [_state_label(s) for s in act.states]
     return {
-        "states": list(act.states),
-        "lotteries": {s: dict(act.at(s).probs) for s in act.states},
+        "states": states,
+        "lotteries": {s: dict(act.at(s).probs) for s in states},
     }
 
 
@@ -284,7 +286,11 @@ def lottery_act_from_json(doc: Any) -> LotteryAct:
 
 
 def _state_label(state: State) -> State:
-    """``state``, which must be a label that :func:`subset_key` can spell."""
+    """``state``, which must be a label that :func:`subset_key` can spell.
+
+    Every reader checks its state labels with it, and every writer before
+    it builds a document, so no document is written that a reader rejects.
+    """
     if state == "" or "," in state:
         raise ValueError(
             f"state label {state!r} is empty or holds a comma, which subset keys cannot spell"
@@ -351,6 +357,9 @@ def oracle_to_json(oracle) -> dict[str, Any]:
         doc.update({"kind": "seu", "band": oracle.band})
         return doc
     if isinstance(oracle, ChoquetOracle):
+        # In state order: ``subset_key`` meets each subset's states in set order.
+        for s in oracle.capacity.states:
+            _state_label(s)
         return {
             "kind": "choquet",
             "lambda": oracle.discount.rate,

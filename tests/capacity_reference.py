@@ -38,13 +38,15 @@ class ReferenceCapacity(Capacity):
         for subset, v in spec.items():
             by_mask[sum(1 << i for i, s in enumerate(self.states) if s in subset)] = v
         object.__setattr__(self, "_by_mask", by_mask)
+        label_order = sorted(range(len(self.states)), key=self.states.__getitem__)
         steps = []
         prev = 0.0
         top = 0
-        for i in sorted(range(len(self.states)), key=self.states.__getitem__):
+        for i in label_order:
             top |= 1 << i
             steps.append(by_mask[top] - prev)
             prev = by_mask[top]
+        object.__setattr__(self, "_label_order", label_order)
         object.__setattr__(self, "_steps", steps)
 
     @classmethod

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dseu import elicitation, serialize
 from dseu.elicitation import (
     _event_plan,
+    _session_plan,
     elicit_event,
     elicit_lambda,
     elicit_measure,
@@ -430,6 +431,41 @@ class TestEventPlan:
         assert [(named(states, e), named(states, f)) for e, f in pairs] == want_pairs
         # Only the power-set plans are kept.
         assert (_event_plan(n) is _event_plan(n)) == (n <= 10)
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_positions_reproduce_the_mask_plan(self, n):
+        events, pairs = _event_plan(n)
+        got_events, parts, singles, triples = _session_plan(n)
+        assert got_events is events or n > 10
+        assert list(got_events) == list(events) and len(parts) == len(events)
+        for e, part in zip(events, parts):
+            states = [1 << i for i in range(n) if e >> i & 1]
+            if len(states) < 2:
+                assert part == ()
+                continue
+            # E - {s} and {s} for every state s of E, in state order; the
+            # last is E less its last state and that state, the name split.
+            assert [(events[a], events[b]) for a, b in part] == [(e ^ b, b) for b in states]
+        assert [events[k] for k in singles] == [1 << i for i in range(n)]
+        assert [(events[a], events[b], events[c]) for a, b, c in triples] == [
+            (e, f, e | f) for e, f in pairs
+        ]
+        # Every part comes before the event that reads it.
+        assert all(max(p) < k for k, part in enumerate(parts) for p in part)
+        assert _session_plan(n) is _session_plan(n)
+
+    def test_eleven_states_report_the_set_keyed_events(self, monkeypatch):
+        # The plan of singletons and pairs: no empty event, no sure event.
+        n = 11
+        rng = random.Random(11)
+        raw = [rng.uniform(0.5, 1.5) for _ in range(n)]
+        oracle = seu_for(1.3, {f"s{n - i}": w / sum(raw) for i, w in enumerate(raw)})
+        got = run_session(oracle, "x", "y")
+        assert len(got.mu_hat) == 66 and frozenset() not in got.mu_hat
+        monkeypatch.setattr(elicitation, "elicit_measure", event_plan_reference.elicit_measure)
+        want = run_session(oracle, "x", "y")
+        assert list(got.mu_hat) == list(want.mu_hat)
+        assert hex_report(got) == hex_report(want)
 
     @pytest.mark.parametrize("n", range(2, 8))
     @pytest.mark.parametrize("kind", ["seu", "contaminated", "squared"])

@@ -1,6 +1,8 @@
 """Exponential-measure arithmetic against quadrature and random properties."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseu.measure import INF, ExpMeasure, TimeInterval, TimeSet
+from dseu import equivalents
+from dseu.measure import CEILING_MASS, INF, ExpMeasure, TimeInterval, TimeSet
 
 
 def quad_mass(rate: float, sets: list[tuple[float, float]], cells: int = 1_000_000) -> float:
@@ -133,6 +136,37 @@ class TestQuantile:
             m.quantile(1.0)
         with pytest.raises(ValueError):
             m.quantile(-0.1)
+
+
+class TestSearchCeiling:
+    """The search ceiling each rate computes once: ``quantile(CEILING_MASS)``."""
+
+    @given(st.floats(1e-300, 1e300))
+    def test_equals_the_quantile_bit_for_bit(self, rate):
+        m = ExpMeasure(rate)
+        assert m._ceiling.hex() == m.quantile(CEILING_MASS).hex()
+
+    def test_computed_once_per_measure(self, monkeypatch):
+        calls = []
+        quantile = ExpMeasure.quantile
+        monkeypatch.setattr(ExpMeasure, "quantile", lambda m, p: calls.append(p) or quantile(m, p))
+        m = ExpMeasure(1.3)
+        assert m._ceiling == m._ceiling == quantile(m, CEILING_MASS)
+        assert calls == [CEILING_MASS]
+        assert equivalents.CEILING_MASS is CEILING_MASS
+
+    def test_equality_hash_repr_replace_and_pickle_ignore_it(self):
+        m, fresh = ExpMeasure(1.3), ExpMeasure(1.3)
+        ceiling = m._ceiling
+        assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh) == "ExpMeasure(rate=1.3)"
+        assert [f.name for f in dataclasses.fields(m)] == ["rate"]
+        other = dataclasses.replace(m, rate=2.6)
+        assert other._ceiling == ExpMeasure(2.6).quantile(CEILING_MASS) == 0.5 * ceiling
+        for kept in (m, fresh):
+            back = pickle.loads(pickle.dumps(kept))
+            assert back == m and back._ceiling == ceiling
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.rate = 2.0
 
 
 def random_time_set(rng: random.Random, bound: float = 20.0) -> TimeSet:

@@ -28,6 +28,7 @@ from dseu.oracles import (
     subsets,
 )
 
+import choquet_reference
 from capacity_reference import ReferenceCapacity
 from left_sum import left_sum
 
@@ -434,6 +435,94 @@ class TestChoquetOracle:
             - choquet_value(cap, rows_f)
             - choquet_value(cap, rows_h)
         ) > 1e-6
+
+
+ORDER_LABELS = ("s0", "s1", "s2", "s10", "b", "a", "Z")
+ORDER_UTIL = {"w": 1.0, "m": 0.4, "l": 0.0, "z": -0.0, "n": -0.5}
+
+
+@st.composite
+def order_capacities(draw):
+    """A capacity on labels whose sorted order is not the state order.
+
+    It is an epsilon-contaminated or a squared additive capacity, its
+    beliefs sometimes with a null state.
+    """
+    labels = draw(st.lists(st.sampled_from(ORDER_LABELS), min_size=1, max_size=7, unique=True))
+    raw = draw(st.lists(st.floats(0.05, 1.0), min_size=len(labels), max_size=len(labels)))
+    if len(labels) > 1 and draw(st.booleans()):
+        raw[draw(st.integers(0, len(labels) - 1))] = 0.0
+    beliefs = Beliefs({s: w / sum(raw) for s, w in zip(labels, raw)})
+    if draw(st.booleans()):
+        return Capacity.epsilon_contamination(beliefs, draw(st.floats(0.0, 1.0)))
+    additive = Capacity.additive(beliefs)
+    return Capacity(additive.states, {c: p * p for c, p in additive.weights.items()})
+
+
+#: Row values: signed zeros, a few round levels and any other float but NaN.
+ORDER_VALUES = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5)) | st.floats(allow_nan=False)
+
+
+class TestChoquetOrder:
+    """The list integral, sorted stably from the label order, against the lambda-key sort."""
+
+    @pytest.mark.identity
+    @given(order_capacities(), st.data())
+    @settings(deadline=None)
+    def test_integral_equals_the_lambda_key_sort(self, capacity, data):
+        # At most three levels, so ties are common.
+        levels = data.draw(st.lists(ORDER_VALUES, min_size=1, max_size=3))
+        states = data.draw(st.permutations(capacity.states))
+        rows = {s: data.draw(st.sampled_from(levels)) for s in states}
+        got = choquet_value(capacity, rows)
+        assert got.hex() == choquet_reference.choquet_value(capacity, rows).hex()
+        # The frozenset reference keeps the same label order.
+        reference = ReferenceCapacity(capacity.states, capacity.weights)
+        assert reference._label_order == capacity._label_order
+        assert choquet_value(reference, rows).hex() == got.hex()
+
+    @pytest.mark.identity
+    @given(order_capacities(), st.data())
+    @settings(deadline=None)
+    def test_multi_row_value_equals_the_per_state_dict(self, capacity, data):
+        rate = ExpMeasure(data.draw(st.floats(0.1, 3.0)))
+        oracle = ChoquetOracle(rate, UtilityModel(dict(ORDER_UTIL)), capacity)
+        outcomes = st.sampled_from(tuple(ORDER_UTIL))
+        pool = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            cuts = sorted(set(data.draw(st.lists(st.floats(0.01, 5.0), max_size=3))))
+            outs = data.draw(st.lists(outcomes, min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+            pool.append(StepProfile.from_breakpoints(cuts, outs))
+        # The act lists the states in its own order; its rows are shared
+        # objects or equal copies.
+        rows = {}
+        for s in data.draw(st.permutations(capacity.states)):
+            p = data.draw(st.sampled_from(pool))
+            rows[s] = StepProfile(p.cuts, p.outs) if data.draw(st.booleans()) else p
+        f = GridAct(rows)
+        assert oracle.value(f).hex() == choquet_reference.multi_row_value(oracle, f).hex()
+
+    @pytest.mark.parametrize("act_states", [("a", "b", "c"), ("c", "b", "a"), ("b", "c", "a")])
+    def test_unknown_outcomes_raise_at_the_first_bad_row_in_act_order(self, act_states):
+        capacity = Capacity.additive(Beliefs({"a": 0.2, "b": 0.3, "c": 0.5}))
+        oracle = ChoquetOracle(ExpMeasure(1.0), UtilityModel(dict(UTIL)), capacity)
+        row = dict(zip(("a", "b", "c"), ("w", "bad_b", "bad_c")))
+        f = GridAct({s: StepProfile.constant(row[s]) for s in act_states})
+        with pytest.raises(KeyError) as want:
+            choquet_reference.multi_row_value(oracle, f)
+        with pytest.raises(KeyError) as got:
+            oracle.value(f)
+        assert str(got.value) == str(want.value)
+        assert repr(row[next(s for s in act_states if s != "a")]) in str(got.value)
+
+    def test_a_missing_state_raises_as_the_lambda_key_sort(self):
+        capacity = Capacity.additive(Beliefs({"b": 0.5, "a": 0.25, "c": 0.25}))
+        rows = {"b": 1.0}
+        with pytest.raises(KeyError) as want:
+            choquet_reference.choquet_value(capacity, rows)
+        with pytest.raises(KeyError) as got:
+            choquet_value(capacity, rows)
+        assert got.value.args == want.value.args == ("a",)
 
 
 class TestWrappers:

@@ -550,6 +550,35 @@ class TestStateLabels:
             serialize.lottery_act_from_json(doc)
 
     @pytest.mark.parametrize("label", ["", "b,c"])
+    def test_writers_reject_it_before_writing(self, label):
+        model = DSEUModel(
+            ExpMeasure(1.0), UtilityModel({"x": 1.0, "y": 0.0}), Beliefs({"a": 0.5, label: 0.5})
+        )
+        lotteries = LotteryAct({"a": Lottery({"x": 1.0}), label: Lottery({"y": 1.0})})
+        capacity = Capacity.additive(model.beliefs)
+        for write, value in [
+            (serialize.model_to_json, model),
+            (serialize.act_to_json, GridAct.constant(("a", label), "x")),
+            (serialize.lottery_act_to_json, lotteries),
+            (serialize.oracle_to_json, SEUOracle(model)),
+            (serialize.oracle_to_json, ChoquetOracle(model.discount, model.utility, capacity)),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(f"state label {label!r}")):
+                write(value)
+
+    def test_writers_check_the_states_in_order(self):
+        # Both labels are bad; the first one in state order is named.
+        beliefs = Beliefs({"a": 0.2, "c,d": 0.3, "": 0.5})
+        model = DSEUModel(ExpMeasure(1.0), UtilityModel({"x": 1.0, "y": 0.0}), beliefs)
+        oracle = ChoquetOracle(model.discount, model.utility, Capacity.additive(beliefs))
+        for doc in (model, SEUOracle(model), oracle):
+            write = serialize.model_to_json if doc is model else serialize.oracle_to_json
+            with pytest.raises(ValueError, match=re.escape("state label 'c,d'")):
+                write(doc)
+        with pytest.raises(ValueError, match=re.escape("state label ''")):
+            serialize.act_to_json(GridAct.constant(("a", "", "c,d"), "x"))
+
+    @pytest.mark.parametrize("label", ["", "b,c"])
     def test_subset_key(self, label):
         with pytest.raises(ValueError, match=re.escape(f"state label {label!r}")):
             serialize.subset_key(frozenset({"a", label}))
