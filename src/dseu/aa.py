@@ -86,9 +86,9 @@ class LotteryAct:
 def reduce_profile(rate: ExpMeasure, profile: StepProfile) -> Lottery:
     """Lottery giving each outcome the measure of the times it is paid."""
     probs: dict[Outcome, float] = {}
-    r = rate.rate
+    exp, neg = math.exp, -rate.rate
     # The floats of ``rate.sf``: sf(0) is 1 and sf(inf) is 0.
-    sf = [1.0, *[math.exp(-r * t) for t in profile.cuts], 0.0]
+    sf = [1.0, *[exp(neg * t) for t in profile.cuts], 0.0]
     for a, b, out in zip(sf, sf[1:], profile.outs):
         probs[out] = probs.get(out, 0.0) + (a - b)
     return Lottery(probs)

@@ -283,7 +283,7 @@ class Event:
 
 
 def _check_same_states(f: GridAct, g: GridAct) -> tuple[State, ...]:
-    if set(f.states) != set(g.states):
+    if f.profiles.keys() != g.profiles.keys():
         raise ValueError(
             f"acts live on different state spaces: {sorted(f.states)} vs {sorted(g.states)}"
         )

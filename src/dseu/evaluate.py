@@ -145,29 +145,39 @@ class DSEUModel:
 
         Sums cell mass times the believed mean utility over each cell of the
         rows' common refinement (between consecutive cuts of any row).
-        One sorted pass over every row's cuts keeps the terms
-        ``belief * utility`` of the current cell, one per row in state order,
-        and replaces one term per cut; each cell adds ``sf(lo) - sf(hi)``
-        times the terms added left to right.  Agrees with :meth:`act_value`
+        One pass over the positions of every row's cuts, stably sorted by
+        cut (ties in state order), keeps the terms ``belief * utility`` of
+        the current cell, one per row in state order, and replaces one term
+        per cut; each cell adds ``sf(lo) - sf(hi)`` times the terms added
+        left to right.  Outcomes are looked up in ``utility.values``, first
+        pieces first, then row by row; an unknown one raises the
+        ``KeyError`` of ``utility(outcome)``.  Agrees with :meth:`act_value`
         up to float roundoff.
         """
-        check_states(self.states, act)
-        rows = [(self.beliefs(s), p) for s, p in act.profiles.items()]
-        terms = [w * self.utility(p.outs[0]) for w, p in rows]
-        # Cuts of one row never repeat, so the sort never compares terms.
-        events = sorted(
-            [
-                (c, i, w * self.utility(x))
-                for i, (w, p) in enumerate(rows)
-                for c, x in zip(p.cuts, p.outs[1:])
-            ]
-        )
-        rate = self.discount.rate
+        probs = self.beliefs.probs
+        if act.profiles.keys() != probs.keys():
+            check_states(probs, act)
+        values = self.utility.values
+        cuts: list[float] = []
+        row_of: list[int] = []
+        term_of: list[float] = []
+        try:
+            terms = [probs[s] * values[p.outs[0]] for s, p in act.profiles.items()]
+            for i, (s, p) in enumerate(act.profiles.items()):
+                w = probs[s]
+                cuts += p.cuts
+                row_of += [i] * len(p.cuts)
+                term_of += [w * u for u in map(values.__getitem__, p.outs[1:])]
+        except KeyError as missing:
+            self.utility(missing.args[0])
+            raise
+        exp, neg = math.exp, -self.discount.rate
         total = 0.0
         lo, sf_lo = 0.0, 1.0
-        for t, i, term in events:
+        for k in sorted(range(len(cuts)), key=cuts.__getitem__):
+            t = cuts[k]
             if t > lo:
-                sf_hi = math.exp(-rate * t)
+                sf_hi = exp(neg * t)
                 # plain_sum's additions, inline in this hot loop (from 0.0,
                 # which gives the same result on float terms).
                 cell = 0.0
@@ -175,7 +185,7 @@ class DSEUModel:
                     cell += x
                 total += (sf_lo - sf_hi) * cell
                 lo, sf_lo = t, sf_hi
-            terms[i] = term
+            terms[row_of[k]] = term_of[k]
         return total + sf_lo * plain_sum(terms)
 
     def prefix_value(self, act: GridAct, t: float) -> float:
@@ -191,10 +201,10 @@ class DSEUModel:
         check_states(self.states, act)
         if t == 0.0:
             return 0.0
-        rate = self.discount.rate
+        exp, neg = math.exp, -self.discount.rate
         values = self.utility.values
         probs = self.beliefs.probs
-        sf_t = math.exp(-rate * t)
+        sf_t = exp(neg * t)
         total = 0.0
         try:
             for s, p in act.profiles.items():
@@ -202,7 +212,7 @@ class DSEUModel:
                 row = 0.0
                 sf_lo = 1.0
                 for c, out in zip(p.cuts[:k], p.outs):
-                    sf_hi = math.exp(-rate * c)
+                    sf_hi = exp(neg * c)
                     row += (sf_lo - sf_hi) * values[out]
                     sf_lo = sf_hi
                 total += probs[s] * (row + (sf_lo - sf_t) * values[p.outs[k]])
@@ -234,13 +244,13 @@ def profile_value(
     ``sf(inf)`` is 0.  An outcome outside the utility's alphabet raises the
     ``KeyError`` of ``utility(outcome)``.
     """
-    rate = discount.rate
+    exp, neg = math.exp, -discount.rate
     values = utility.values
     total = 0.0
     sf_lo = 1.0
     try:
         for t, out in zip(profile.cuts, profile.outs):
-            sf_hi = math.exp(-rate * t)
+            sf_hi = exp(neg * t)
             total += (sf_lo - sf_hi) * values[out]
             sf_lo = sf_hi
         return total + sf_lo * values[profile.outs[-1]]

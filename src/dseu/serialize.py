@@ -7,7 +7,6 @@ indent, so identical inputs produce byte-identical outputs.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
@@ -37,8 +36,10 @@ def dumps(doc: Any) -> str:
     one Python generator step per number of a long profile.  So this renders
     the indentation itself and hands each column of a list of equal-length
     flat rows (profile pieces, time-set intervals) to the C encoder in one
-    call.  Where each row starts with the object the row before it ends
-    with (a profile's cut), that object's text is reused, not encoded again.
+    call; a column of strings only (a profile's outcomes) encodes each
+    distinct string once.  Where each row starts with the object the row
+    before it ends with (a profile's cut), that object's text is reused, not
+    encoded again.
     """
     return _render(doc, "\n") + "\n"
 
@@ -46,8 +47,16 @@ def dumps(doc: Any) -> str:
 _SCALARS = {str, int, float, bool, type(None)}
 
 
-def _texts(column: tuple[Any, ...]) -> list[str]:
-    """The JSON text of each scalar of ``column``, from one C-encoder call."""
+def _texts(column: tuple[Any, ...], kinds: set[type] | None = None) -> list[str]:
+    """The JSON text of each scalar of ``column``, from one C-encoder call.
+
+    ``kinds`` is the set of the cells' types; when it is ``{str}``, that call
+    encodes each distinct string once.  (Equal numbers may differ in text,
+    as ``0.0`` and ``-0.0`` do, so a number column is encoded cell by cell.)
+    """
+    if kinds == {str}:
+        distinct = [*dict.fromkeys(column)]
+        return [*map(dict(zip(distinct, _texts(distinct))).__getitem__, column)]
     # An encoded scalar never holds a raw line break, so each is one line.
     return json.dumps(column, separators=("\n", ":"))[1:-1].split("\n")
 
@@ -60,27 +69,25 @@ def _render(doc: Any, nl: str) -> str:
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if type(doc) is list and doc:
         width = len(doc[0]) if type(doc[0]) is list else 0
-        if (
-            width
-            and set(map(type, doc)) == {list}
-            and set(map(len, doc)) == {width}
-            and set(map(type, itertools.chain.from_iterable(doc))) <= _SCALARS
-        ):
-            first, *rest = zip(*doc)
-            texts = [_texts(c) for c in rest]
-            if rest and all(map(operator.is_, first[1:], rest[0])):
-                texts.insert(0, [*_texts(first[:1]), *texts[0][:-1]])
-            else:
-                texts.insert(0, _texts(first))
-            # Interleave the columns with the text between two cells of a
-            # row, and between the last cell of a row and the next row's first.
-            cell = inner + "  "
-            step = 2 * width
-            parts = ["," + cell] * (step * len(doc) - 1)
-            parts[step - 1 :: step] = [inner + "]," + inner + "[" + cell] * (len(doc) - 1)
-            for j, column in enumerate(texts):
-                parts[2 * j :: step] = column
-            return "[" + inner + "[" + cell + "".join(parts) + inner + "]" + nl + "]"
+        if width and set(map(type, doc)) == {list} and set(map(len, doc)) == {width}:
+            columns = list(zip(*doc))
+            kinds = [set(map(type, column)) for column in columns]
+            if all(k <= _SCALARS for k in kinds):
+                first, *rest = columns
+                texts = [*map(_texts, rest, kinds[1:])]
+                if rest and all(map(operator.is_, first[1:], rest[0])):
+                    texts.insert(0, [*_texts(first[:1]), *texts[0][:-1]])
+                else:
+                    texts.insert(0, _texts(first, kinds[0]))
+                # Interleave the columns with the text between two cells of a
+                # row, and between the last cell of a row and the next row's first.
+                cell = inner + "  "
+                step = 2 * width
+                parts = ["," + cell] * (step * len(doc) - 1)
+                parts[step - 1 :: step] = [inner + "]," + inner + "[" + cell] * (len(doc) - 1)
+                for j, column in enumerate(texts):
+                    parts[2 * j :: step] = column
+                return "[" + inner + "[" + cell + "".join(parts) + inner + "]" + nl + "]"
         return "[" + inner + ("," + inner).join([_render(x, inner) for x in doc]) + nl + "]"
     return json.dumps(doc, indent=2, sort_keys=True).replace("\n", nl)
 
@@ -112,6 +119,13 @@ _JSON_NAMES = {
     dict: "an object", list: "an array", str: "a string", bool: "a boolean",
     int: "a number", float: "a number", type(None): "null",
 }
+
+
+def _label(x: Any, what: str) -> str:
+    """``x`` if it is a JSON string; else a ``ValueError`` naming ``what`` and ``x``."""
+    if type(x) is str:
+        return x
+    raise ValueError(f"expected a string for {what}, got {x!r}")
 
 
 def _typed(doc: Any, kind: type, what: str) -> Any:
@@ -155,7 +169,8 @@ def profile_from_json(rows: Any) -> StepProfile:
     Every ``lo`` and ``hi`` is an int or a float (not a bool), except that
     the last ``hi`` is ``"inf"``.  The first row starts at 0, each row
     starts where the one before it ends, no row is empty, inverted or NaN,
-    and the last row ends at ``"inf"``; anything else raises ``ValueError``.
+    and the last row ends at ``"inf"``; anything else raises ``ValueError``,
+    as does an outcome that is not a string.
     """
     try:
         los, his, outs = zip(*rows, strict=True)
@@ -165,11 +180,14 @@ def profile_from_json(rows: Any) -> StepProfile:
     if set(map(type, los + cuts)) <= _NUMBERS and (
         his[-1] == INF_SENTINEL or type(his[-1]) is float and his[-1] == INF
     ):
-        # Checked on whole lists, as ``StepProfile`` checks its cuts.  A NaN
-        # fails ``lo < hi`` even where ``==`` on lists meets the same object.
-        lo, cuts = list(map(float, los)), list(map(float, cuts))
-        if lo[0] == 0.0 and lo[1:] == cuts and all(map(operator.lt, lo, [*cuts, INF])):
-            return StepProfile(tuple(cuts), tuple([*map(str, outs)]))
+        # Rows that tile [0, inf) have cuts above 0, increasing and finite,
+        # which is all that ``StepProfile`` checks of them.  A NaN fails
+        # ``lo < hi`` even where ``==`` on tuples meets the same object.
+        lo, cuts = tuple(map(float, los)), tuple(map(float, cuts))
+        if lo[0] == 0.0 and lo[1:] == cuts and all(map(operator.lt, lo, (*cuts, INF))):
+            if set(map(type, outs)) != {str}:
+                _label(next(x for x in outs if type(x) is not str), "an outcome")
+            return StepProfile._unchecked(cuts, outs)
     raise _tiling_error(rows)
 
 
@@ -200,7 +218,9 @@ def _per_state(doc: dict, key: str, what: str) -> list[tuple[str, Any]]:
     The table must hold an entry for each listed state and no other, and no
     state may be listed twice.
     """
-    states = [_state_label(str(s)) for s in _typed(doc["states"], list, "the act's states")]
+    states = [
+        _state_label(_label(s, "a state")) for s in _typed(doc["states"], list, "the act's states")
+    ]
     table = _typed(doc[key], dict, what)
     if len(set(states)) != len(states):
         twice = next(s for i, s in enumerate(states) if s in states[:i])

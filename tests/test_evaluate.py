@@ -308,6 +308,8 @@ class TestOnePassSweeps:
         act = GridAct({**act.profiles, s: StepProfile(row.cuts, tuple(outs))})
         want = value_or_error(ref_prefix_value, model, act, t)
         assert value_or_error(model.prefix_value, act, t) == want
+        want = value_or_error(ref_act_value_dual, model, act)
+        assert value_or_error(model.act_value_dual, act) == want
 
 
 class TestDecomposition:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -105,6 +106,25 @@ JSON_DOCS = st.recursive(SCALARS, _containers, max_leaves=40)
 SHARED_NAN = float("nan")
 
 
+def long_act_doc() -> dict:
+    """A seeded act document of three rows of 1,200 pieces, with labels that JSON escapes.
+
+    It renders its outcome columns by distinct string and reuses each cut's
+    text at the size of a long act; drawn documents stop at 40 leaves.
+    """
+    rng = random.Random(33)
+    labels = ('say "x"', "back\\slash", "caf\u00e9")
+    rows = {}
+    for s in ("a", "b", "c"):
+        cuts = [c / 1e4 for c in sorted(rng.sample(range(1, 10**6), 1199))]
+        k, outs = 0, []
+        for _ in range(1200):
+            k = (k + 1 + rng.getrandbits(1)) % 3
+            outs.append(labels[k])
+        rows[s] = StepProfile(tuple(cuts), tuple(outs))
+    return serialize.act_to_json(GridAct(rows))
+
+
 @pytest.mark.identity
 @given(JSON_DOCS)
 @example([[0.0, 0.0, "x"], [-0.0, "inf", "y"]])
@@ -113,6 +133,7 @@ SHARED_NAN = float("nan")
 @example([[SHARED_NAN, SHARED_NAN], [SHARED_NAN, SHARED_NAN], [SHARED_NAN, 1.5]])
 @example([[0.0, "inf", "x"]])
 @example([[0.0, 1.5, "x"], [1.5, "inf"]])
+@example(long_act_doc())
 @settings(deadline=None)
 def test_dumps_equals_indented_json_dumps(doc):
     assert serialize.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -198,7 +219,9 @@ def result_or_error(fn, rows):
 def test_profile_from_json_matches_the_row_loop(rows):
     got = result_or_error(serialize.profile_from_json, rows)
     bad = any(
-        type(row[0]) in (bool, str) or len(row) > 1 and type(row[1]) is bool
+        type(row[0]) in (bool, str)
+        or len(row) > 1 and type(row[1]) is bool
+        or len(row) > 2 and type(row[2]) is not str
         for row in rows
         if row
     )
@@ -262,6 +285,8 @@ class TestCoreRoundTrips:
             [[False, 1.0, "x"], [1.0, "inf", "y"]],
             [[0.0, True, "x"], [1.0, "inf", "y"]],
             [[0.0, "1.0", "x"], [1.0, "inf", "y"]],
+            [[0.0, "inf", None]],  # once read as the outcome 'None'
+            [[0.0, "inf", 7]],
         ],
         ids=[
             "gap",
@@ -276,6 +301,8 @@ class TestCoreRoundTrips:
             "bool-first-lo",
             "bool-hi",
             "string-hi",
+            "null-outcome",
+            "number-outcome",
         ],
     )
     def test_act_with_malformed_profile_is_rejected(self, rows):
@@ -283,6 +310,24 @@ class TestCoreRoundTrips:
         doc["profiles"]["a"] = rows
         with pytest.raises(ValueError):
             serialize.act_from_json(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("label", [None, 7, 1.5, ["x"]])
+    def test_a_non_string_outcome_is_named(self, label):
+        rows = [[0.0, 1.0, "x"], [1.0, "inf", label]]
+        message = f"expected a string for an outcome, got {label!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            serialize.profile_from_json(rows)
+
+    @pytest.mark.parametrize("read", [serialize.act_from_json, serialize.lottery_act_from_json])
+    def test_a_non_string_state_is_rejected(self, read):
+        # Once read as the state 'None', which the tables below name.
+        doc = {
+            "states": [None],
+            "profiles": {"None": [[0.0, "inf", "x"]]},
+            "lotteries": {"None": {"x": 1.0}},
+        }
+        with pytest.raises(ValueError, match="^expected a string for a state, got None$"):
+            read(doc)
 
     def test_model(self):
         model = sample_model()
