@@ -10,7 +10,9 @@ Every profile an operation here returns is canonical (no zero-width piece,
 no two equal neighbours).  A row passed through whole goes through
 :meth:`StepProfile.normalized`; every other row (spliced, overlaid, sampled,
 pasted, bracketed or with some outcomes changed) comes from cuts that come
-out sorted and is built by ``StepProfile._sorted``, without a per-cut check.
+out sorted and is built without a per-cut check: by ``StepProfile._sorted``,
+or, where its pieces are copied with no empty one and merged where they
+meet, as it stands.
 Deterministic acts have the same profile in every state; stochastic acts
 are constant over time.  Outcomes and states are opaque string labels.
 """
@@ -296,10 +298,13 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
     At ``t = 0`` each row is ``f``'s, normalized.  A piece of ``f`` too short
     to survive the shift (its two ends round to one float) is dropped, as is
     one shifted past the largest float.  Each row's cuts are the head's cuts
-    below ``t``, then ``t``, then ``t`` plus each tail cut: non-decreasing
-    and ``>= 0`` (a shifted cut may round onto its neighbour or overflow to
-    ``inf``), so the row is built by ``StepProfile._sorted``, which merges
-    equal outcomes across ``t`` too.
+    below ``t``, then ``t``, then ``t`` plus each tail cut.  Where the shifted
+    cuts stay strictly increasing, finite and above ``t``, no piece is empty:
+    the row is the head's pieces and the shifted tail's, merged across ``t``
+    when the two that meet there pay one outcome, and needs no other walk
+    when both rows are normalized (``_from_pieces``).  Otherwise (a shifted
+    cut rounds onto its neighbour or onto ``t``, or overflows to ``inf``)
+    the cuts are only non-decreasing, and ``StepProfile._sorted`` builds the row.
     """
     if t < 0 or math.isnan(t) or math.isinf(t):
         raise ValueError(f"splice time must be finite and >= 0, got {t!r}")
@@ -307,10 +312,22 @@ def splice_time(h: GridAct, t: float, f: GridAct) -> GridAct:
     out: dict[State, StepProfile] = {}
     for s in states:
         head, tail = h.row(s), f.row(s)
+        if t == 0.0:
+            # The head's piece [0, 0) is empty, and 0 + c is c.
+            out[s] = _from_pieces(tail.cuts, tail.outs)
+            continue
         k = bisect_left(head.cuts, t)
-        out[s] = StepProfile._sorted(
-            [*head.cuts[:k], t, *[t + c for c in tail.cuts]], [*head.outs[: k + 1], *tail.outs]
-        )
+        shifted = [t + c for c in tail.cuts]
+        if shifted and not (
+            t < shifted[0] and shifted[-1] < INF and all(map(operator.lt, shifted, shifted[1:]))
+        ):
+            out[s] = StepProfile._sorted(
+                [*head.cuts[:k], t, *shifted], [*head.outs[: k + 1], *tail.outs]
+            )
+        elif head.outs[k] == tail.outs[0]:
+            out[s] = _from_pieces((*head.cuts[:k], *shifted), head.outs[: k + 1] + tail.outs[1:])
+        else:
+            out[s] = _from_pieces((*head.cuts[:k], t, *shifted), head.outs[: k + 1] + tail.outs)
     return GridAct(out)
 
 
@@ -325,12 +342,28 @@ def _copy_run(
     """Append the pieces of the profile ``(cuts, src)`` on ``[lo, hi)`` to ``starts`` and ``outs``.
 
     The run starts at ``lo``; its other starts are the cuts inside
-    ``(lo, hi)``, found by one pair of bisections.
+    ``(lo, hi)``, found by one pair of bisections.  A first piece that pays
+    the outcome of the last piece appended is merged into it, so runs of
+    positive width from normalized profiles leave no two equal neighbours.
     """
     i, j = bisect_right(cuts, lo), bisect_left(cuts, hi)
-    starts.append(lo)
-    starts.extend(cuts[i:j])
-    outs.extend(src[i : j + 1])
+    if not outs or outs[-1] != src[i]:
+        starts.append(lo)
+        outs.append(src[i])
+    starts += cuts[i:j]
+    outs += src[i + 1 : j + 1]
+
+
+def _from_pieces(cuts: Sequence[float], outs: Sequence[Outcome]) -> StepProfile:
+    """``canonical(cuts, outs)`` for cuts known to be finite, above 0 and strictly increasing.
+
+    No piece is empty, so the row stands as given unless two neighbours pay
+    one outcome (a row it was copied from was not normalized), and then
+    ``StepProfile._sorted`` merges them.
+    """
+    if all(map(operator.ne, outs, outs[1:])):
+        return StepProfile._unchecked(tuple(cuts), tuple(outs))
+    return StepProfile._sorted(cuts, outs)
 
 
 def _overlay(top: StepProfile, times: TimeSet, bottom: StepProfile) -> StepProfile:
@@ -338,8 +371,8 @@ def _overlay(top: StepProfile, times: TimeSet, bottom: StepProfile) -> StepProfi
 
     Copies the runs of ``bottom`` between the intervals of ``times`` and of
     ``top`` on them.  A time set's bounds are checked ``>= 0`` and strictly
-    increasing (touching intervals merged), and a run adds only cuts
-    strictly inside its interval, so the row is built by ``StepProfile._sorted``.
+    increasing (touching intervals merged), so no run is empty, and
+    ``_from_pieces`` builds the row.
     """
     starts: list[float] = []
     outs: list[Outcome] = []
@@ -351,7 +384,9 @@ def _overlay(top: StepProfile, times: TimeSet, bottom: StepProfile) -> StepProfi
         at = hi
     if at < INF:
         _copy_run(starts, outs, bottom.cuts, bottom.outs, at, INF)
-    return StepProfile._sorted(starts[1:], outs)
+    # The first piece starts at 0.
+    del starts[0]
+    return _from_pieces(starts, outs)
 
 
 def splice_event(f: GridAct, event: Event, g: GridAct) -> GridAct:

@@ -10,7 +10,9 @@ finite alphabet; both facts are reflected in the verdicts.
 
 from __future__ import annotations
 
+import operator
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
@@ -21,7 +23,7 @@ from .acts import (
     Outcome,
     State,
     StepProfile,
-    _copy_run,
+    _NO_OUTCOME,
     splice_event,
     splice_time,
 )
@@ -108,7 +110,12 @@ def _strict_pairs(ranking: Ranking, outcomes) -> list[tuple[Outcome, Outcome]]:
 
 
 def _check_count(name: str, n: int) -> None:
-    """Reject a negative sample count or horizon before any query is asked."""
+    """Reject a sample count or horizon that is not an integer ``>= 0`` before any query is asked.
+
+    As in ``ActSampler``'s ``max_pieces``, a bool is not an integer here.
+    """
+    if type(n) is not int:
+        raise ValueError(f"{name} must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"{name} must be >= 0, got {n}")
 
@@ -208,15 +215,19 @@ def _improved_profile(
     ``better`` is :func:`_upgrades` of ``ranking`` and the sampler's outcomes,
     built once per check; the pick reads only ``better``.  Its keys are the
     outcomes, so a pick that reads ``ranking`` pair by pair can take the
-    same arguments.
+    same arguments.  ``profile`` is canonical, as the sampler's rows are, so
+    the new outcome can equal only the neighbours of the piece it replaces,
+    and only those are merged.
     """
-    upgrades = [(i, cand) for i, out in enumerate(profile.outs) for cand in better[out]]
+    cuts, outs = profile.cuts, profile.outs
+    upgrades = [(i, cand) for i, out in enumerate(outs) for cand in better[out]]
     if not upgrades:
         return None
     i, cand = rng.choice(upgrades)
-    outs = list(profile.outs)
-    outs[i] = cand
-    return StepProfile._sorted(profile.cuts, outs)
+    # The merged piece spans pieces lo..hi-1; the cuts between them go.
+    lo = i - 1 if i and outs[i - 1] == cand else i
+    hi = i + 2 if i + 1 < len(outs) and outs[i + 1] == cand else i + 1
+    return StepProfile._unchecked(cuts[:lo] + cuts[hi - 1 :], (*outs[:lo], cand, *outs[hi:]))
 
 
 def check_t_monotonicity(
@@ -249,7 +260,8 @@ def check_t_monotonicity(
         if x is None:
             continue
         done += 1
-        fx, fy = GridAct.deterministic(states, x), GridAct.deterministic(states, y)
+        # Sampled rows are canonical, and so are their improvements.
+        fx, fy = GridAct._lift(states, x), GridAct._lift(states, y)
         answer = oracle.compare(fx, fy)
         kind = _better_rejected(
             answer,
@@ -306,8 +318,9 @@ def check_dominance(
         premise_ok = True
         strict_row = False
         for s in improved:
-            fa = GridAct.deterministic(states, f.row(s))
-            fb = GridAct.deterministic(states, g.row(s))
+            # Sampled rows are canonical, and so are their improvements.
+            fa = GridAct._lift(states, f.row(s))
+            fb = GridAct._lift(states, g.row(s))
             answer = oracle.compare(fa, fb)
             row_queries.append((fa, fb, answer))
             if answer is _SECOND:
@@ -335,16 +348,18 @@ def _swapped_pastes(
 ) -> Callable[[StepProfile, Outcome, Outcome], tuple[StepProfile, StepProfile]]:
     """Builder of the two witnesses on one pair of disjoint time sets.
 
-    The intervals of both sets are sorted once, here.  The returned function
-    maps a background stream and an outcome pair ``(better, worse)`` to the
-    stream paying ``better`` on ``first`` and ``worse`` on ``second``, and
-    the stream paying them the other way round; both pay the background
-    elsewhere.  Both come from one walk over the background's cuts, whose
-    runs between the constant patches they share.  The walk's starts
-    never decrease (the spans are sorted by start, and each run is copied
-    strictly inside ``(at, lo)``), so both are built by
-    ``StepProfile._sorted``; two spans that start at one time give a
-    zero-width piece, dropped as :meth:`StepProfile.canonical` drops it.
+    The returned function maps a background stream and an outcome pair
+    ``(better, worse)`` to the stream paying ``better`` on ``first`` and
+    ``worse`` on ``second``, and the stream paying them the other way
+    round; both pay the background elsewhere.  Their steps are laid out
+    once, here: the intervals of both sets sorted by start, and the gaps
+    where the background runs.  Of intervals that start at one time only
+    the last is kept, as the others would leave a zero-width piece, so no
+    step is empty.  One walk over the steps copies each background run into
+    both witnesses, as ``_copy_run`` does, and appends each patch, merging
+    either with the piece before it when the two pay one outcome: a
+    normalized background (a sampled one is) gives canonical witnesses
+    with no other walk, and any other background is normalized first.
     """
     spans = sorted(
         [
@@ -352,30 +367,53 @@ def _swapped_pastes(
             *zip(second.bounds[::2], second.bounds[1::2], repeat(False)),
         ]
     )
+    # (lo, hi, on_first) of each step; on_first is None on a background run.
+    steps: list[tuple[float, float, bool | None]] = []
+    at = 0.0
+    for (lo, hi, on_first), after in zip(spans, [*spans[1:], (INF,)]):
+        if lo == after[0]:
+            continue
+        if at < lo:
+            steps.append((at, lo, None))
+        steps.append((lo, hi, on_first))
+        at = hi
+    if at < INF:
+        steps.append((at, INF, None))
 
     def build(
         background: StepProfile, better: Outcome, worse: Outcome
     ) -> tuple[StepProfile, StepProfile]:
+        if not all(map(operator.ne, background.outs, background.outs[1:])):
+            background = background.normalized()
         cuts, src = background.cuts, background.outs
-        starts: list[float] = []
-        left: list[Outcome] = []
-        right: list[Outcome] = []
-        at = 0.0
-        for lo, hi, on_first in spans:
-            if at < lo:
-                n = len(left)
-                _copy_run(starts, left, cuts, src, at, lo)
-                right += left[n:]
-            starts.append(lo)
-            left.append(better if on_first else worse)
-            right.append(worse if on_first else better)
-            at = hi
-        if at < INF:
-            n = len(left)
-            _copy_run(starts, left, cuts, src, at, INF)
-            right += left[n:]
-        del starts[0]
-        return StepProfile._sorted(starts, left), StepProfile._sorted(starts, right)
+        # A placeholder that equals no outcome stands before the first piece.
+        left_starts: list[float] = []
+        left: list[Outcome] = [_NO_OUTCOME]
+        right_starts: list[float] = []
+        right: list[Outcome] = [_NO_OUTCOME]
+        for lo, hi, on_first in steps:
+            if on_first is None:
+                i, j = bisect_right(cuts, lo), bisect_left(cuts, hi)
+                x = y = src[i]
+            else:
+                x, y = (better, worse) if on_first else (worse, better)
+            if left[-1] != x:
+                left_starts.append(lo)
+                left.append(x)
+            if right[-1] != y:
+                right_starts.append(lo)
+                right.append(y)
+            if on_first is None:
+                run_cuts, rest = cuts[i:j], src[i + 1 : j + 1]
+                left_starts += run_cuts
+                left += rest
+                right_starts += run_cuts
+                right += rest
+        # The first piece starts at 0.
+        return (
+            StepProfile._unchecked(tuple(left_starts[1:]), tuple(left[1:])),
+            StepProfile._unchecked(tuple(right_starts[1:]), tuple(right[1:])),
+        )
 
     return build
 
@@ -479,7 +517,11 @@ def check_decomposition(
     The left side evaluates the spliced act with ``value_fn``; the right
     side combines the claimed model's prefix integral with the functional's
     own tail value.  Any functional of the discounted-expected-utility form
-    satisfies the identity exactly.
+    satisfies the identity exactly.  A residual that is not ``<=``
+    :data:`DECOMPOSITION_TOL` (NaN included) is a violation.  ``data``'s
+    ``worst_residual`` is the largest residual, or ``None`` when some
+    residual is NaN or infinite: JSON has no number for either, and
+    ``None`` writes as ``null``.
     """
     _check_count("samples", samples)
     sampler = sampler or ActSampler(
@@ -487,15 +529,18 @@ def check_decomposition(
     )
     rng = random.Random(seed)
     violations: list[Violation] = []
-    worst = 0.0
+    worst: float | None = 0.0
     for _ in range(samples):
         h, f = sampler.act(rng), sampler.act(rng)
         t = sampler.splice_time_point(rng)
         lhs = value_fn(splice_time(h, t, f))
         rhs = model.prefix_value(h, t) + model.discount.sf(t) * value_fn(f)
         residual = abs(lhs - rhs)
-        worst = max(worst, residual)
-        if residual > DECOMPOSITION_TOL:
+        if not residual < INF:
+            worst = None
+        elif worst is not None:
+            worst = max(worst, residual)
+        if not residual <= DECOMPOSITION_TOL:
             violations.append(
                 Violation(
                     kind="decomposition identity fails",

@@ -29,10 +29,13 @@ class ActSampler:
     """Draws step structure matched to one measure, state space, and alphabet.
 
     Each profile has 1 to ``max_pieces`` pieces, cut at quantiles of masses
-    drawn uniformly between 0 and ``mass_ceiling``.  It is built in one loop
-    over the sorted masses, which computes each cut and drops and merges
-    pieces as the private ``StepProfile._sorted`` does, and equals
-    :meth:`StepProfile.canonical` of those cuts.  Both fields are checked at
+    drawn uniformly between 0 and ``mass_ceiling``.  Its masses are drawn
+    and sorted first; then one loop over them draws each piece's outcome,
+    computes its cut and drops and merges pieces as the private
+    ``StepProfile._sorted`` does, so the row equals
+    :meth:`StepProfile.canonical` of those cuts.  The cut arithmetic draws
+    nothing, so the outcomes are drawn in the order of a loop that drew them
+    all before it.  Both fields are checked at
     construction (``max_pieces`` an integer ``>= 1``, ``0 <= mass_ceiling <=
     1``), so no draw needs a check of its own.
 
@@ -98,9 +101,10 @@ class ActSampler:
         # randint(1, n) is 1 + _randbelow(n) and choice(seq) is seq[_randbelow(len(seq))];
         # the inline loop is _randbelow's for n >= 1, so no outcomes go to choice's IndexError.
         inline = getattr(rng._randbelow, "__func__", None) is _RANDBELOW_WITH_GETRANDBITS
-        getrandbits = rng.getrandbits
+        getrandbits, choice = rng.getrandbits, rng.choice
         outcomes, max_pieces = self.outcomes, self.max_pieces
         n = len(outcomes)
+        inline_out = inline and n > 0
         k_out, k_pieces = n.bit_length(), max_pieces.bit_length()
         random, ceiling = rng.random, self.mass_ceiling
         log1p, rate = math.log1p, self.measure.rate
@@ -116,26 +120,26 @@ class ActSampler:
                 else:
                     m = rng.randint(1, max_pieces)
             # The draws of breakpoints(rng, m - 1), then one outcome per piece.
-            qs = sorted([0.0 + ceiling * random() for _ in range(m - 1)])
-            if inline and n:
-                outs = []
-                for _ in range(m):
-                    r = getrandbits(k_out)
-                    while r >= n:
-                        r = getrandbits(k_out)
-                    outs.append(outcomes[r])
-            else:
-                outs = [rng.choice(outcomes) for _ in range(m)]
-            if not outs:
+            qs = [0.0 + ceiling * random() for _ in range(m - 1)]
+            qs.sort()
+            if m < 1:
                 # StepProfile.canonical's error for no outcomes.
-                raise ValueError(_bad_count([0.0, INF], outs))
-            # StepProfile._sorted's loop, with each cut computed in it from its
-            # mass: sorted masses give non-decreasing cuts, and a quantile that
-            # overflows to inf (a subnormal rate) only makes zero-width pieces.
+                raise ValueError(_bad_count([0.0, INF], []))
+            # StepProfile._sorted's loop, with each piece's outcome drawn and
+            # its cut computed in it: sorted masses give non-decreasing cuts,
+            # and a quantile that overflows to inf (a subnormal rate) only
+            # makes zero-width pieces.
             starts: list[float] = []
             runs: list[Outcome] = []
             lo, last = 0.0, _NO_OUTCOME
-            for q, out in zip(qs, outs):
+            for q in qs:
+                if inline_out:
+                    r = getrandbits(k_out)
+                    while r >= n:
+                        r = getrandbits(k_out)
+                    out = outcomes[r]
+                else:
+                    out = choice(outcomes)
                 hi = -log1p(-q) / rate
                 if lo != hi:
                     if out != last:
@@ -143,9 +147,17 @@ class ActSampler:
                         runs.append(out)
                         last = out
                     lo = hi
-            if lo != INF and outs[-1] != last:
+            # The last piece, which runs to inf.
+            if inline_out:
+                r = getrandbits(k_out)
+                while r >= n:
+                    r = getrandbits(k_out)
+                out = outcomes[r]
+            else:
+                out = choice(outcomes)
+            if lo != INF and out != last:
                 starts.append(lo)
-                runs.append(outs[-1])
+                runs.append(out)
             del starts[0]
             rows.append(StepProfile._unchecked(tuple(starts), tuple(runs)))
         return rows

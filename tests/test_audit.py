@@ -2,8 +2,11 @@
 
 import bisect
 import contextlib
+import itertools
+import json
 import math
 import random
+import re
 import signal
 import types
 
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseu import acts, audit, evaluate, oracles
+from dseu import acts, audit, evaluate, oracles, serialize
 from dseu.acts import GridAct, StepProfile
 from dseu.audit import (
     FAIL,
@@ -39,6 +42,7 @@ from dseu.oracles import (
 )
 from dseu.sampling import DISJOINT_ATTEMPTS, ActSampler
 
+import sampler_rows
 import test_acts
 from refinement import refine
 
@@ -287,6 +291,41 @@ class TestDecompositionDeviant:
         assert report.verdict == FAIL
         assert report.data["worst_residual"] > 1e-6
 
+    def test_a_nan_residual_fails_and_reads_null(self):
+        model = seu_model()
+        report = check_decomposition(lambda f: float("nan"), model, 20, 0)
+        assert report.verdict == FAIL
+        assert len(report.violations) == 20
+        assert report.violations[0].note.startswith("residual nan at t=")
+        assert report.data["worst_residual"] is None
+        doc = serialize.dumps(serialize.check_report_to_json(report))
+        assert '"worst_residual": null' in doc
+        json.loads(doc, parse_constant=lambda name: pytest.fail(f"bare {name} in the report"))
+
+    def test_an_infinite_residual_reads_null(self):
+        model = seu_model()
+        signs = itertools.cycle((1.0, -1.0))
+        report = check_decomposition(lambda f: next(signs) * 1.7e308, model, 20, 0)
+        notes = [v.note for v in report.violations]
+        assert any(note.startswith("residual inf at t=") for note in notes)
+        assert report.verdict == FAIL
+        assert report.data["worst_residual"] is None
+
+    def test_finite_residuals_read_the_largest(self):
+        model = seu_model()
+        sampler = ActSampler(model.discount, STATES, tuple(model.outcomes))
+        report = check_decomposition(model.act_value, model, 30, 4, sampler)
+        rng = random.Random(4)
+        residuals = []
+        for _ in range(30):
+            h, f = sampler.act(rng), sampler.act(rng)
+            t = sampler.splice_time_point(rng)
+            lhs = model.act_value(acts.splice_time(h, t, f))
+            rhs = model.prefix_value(h, t) + model.discount.sf(t) * model.act_value(f)
+            residuals.append(abs(lhs - rhs))
+        assert report.verdict == PASS
+        assert report.data["worst_residual"] == max(residuals)
+
     def test_zero_offset_always_exact(self):
         model = seu_model()
         cap = Capacity.epsilon_contamination(model.beliefs, 0.2)
@@ -354,6 +393,45 @@ class TestReportMechanics:
             check_monotone_continuity(counted, best, worst, "a", -3)
         with pytest.raises(ValueError, match="horizon_max must be >= 0, got -3"):
             run_audit(counted, samples=5, horizon_max=-3)
+        assert counted.count == 0
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, False, "3", None])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda o, m, n: check_stationarity(o, n, 0),
+            lambda o, m, n: check_t_monotonicity(o, n, 0),
+            lambda o, m, n: check_dominance(o, m, n, 0),
+            lambda o, m, n: check_t_separability(o, n, 0),
+            lambda o, m, n: check_decomposition(o.value, m, n, 0),
+            lambda o, m, n: run_audit(o, samples=n),
+        ],
+        ids=[
+            "stationarity",
+            "t_monotonicity",
+            "dominance",
+            "t_separability",
+            "decomposition",
+            "audit",
+        ],
+    )
+    def test_samples_that_are_not_integers_raise_before_any_query(self, check, n):
+        model = seu_model()
+        counted = CountingOracle(SEUOracle(model))
+        with pytest.raises(ValueError, match=f"^samples must be an integer, got {re.escape(repr(n))}$"):
+            check(counted, model, n)
+        assert counted.count == 0
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3", None])
+    def test_a_horizon_that_is_not_an_integer_raises_before_any_query(self, n):
+        model = seu_model()
+        counted = CountingOracle(SEUOracle(model))
+        best, worst = GridAct.constant(STATES, "b"), GridAct.constant(STATES, "a")
+        message = f"^horizon_max must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            check_monotone_continuity(counted, best, worst, "a", n)
+        with pytest.raises(ValueError, match=message):
+            run_audit(counted, samples=5, horizon_max=n)
         assert counted.count == 0
 
     def test_zero_samples_stay_legal(self):
@@ -732,6 +810,45 @@ class TestSamplerStream:
         with pytest.raises(IndexError):
             sampler.profile(random.Random(0))
         assert sampler.disjoint_time_sets(random.Random(0)) is not None
+
+
+def drawn_rows(draw, sampler, rng, count, pieces):
+    """``("ok", rows as hex cuts and outcomes)``, or the error's type and message."""
+    try:
+        rows = draw(sampler, rng, count, pieces)
+    except (ValueError, IndexError) as err:
+        return type(err).__name__, str(err)
+    return "ok", [([c.hex() for c in row.cuts], row.outs) for row in rows]
+
+
+class TestRowLoop:
+    """The sampler's one loop per row against the loop that drew the outcomes first."""
+
+    @pytest.mark.identity
+    @given(
+        st.sampled_from(RNG_KINDS),
+        st.integers(0, 2**32),
+        st.sampled_from((0.01, 1.0, 7.5, 5e-324)),
+        st.integers(1, 9),
+        st.integers(0, 5),
+        st.sampled_from((0.0, 5e-324, 0.5, 0.995, 1.0)),
+        st.lists(
+            st.tuples(st.integers(1, 4), st.none() | st.integers(-2, 9)), min_size=1, max_size=4
+        ),
+    )
+    @settings(deadline=None)
+    def test_rows_equal_the_two_loop_reference(
+        self, kind, seed, rate, max_pieces, n_outcomes, ceiling, calls
+    ):
+        outcomes = tuple(f"o{k}" for k in range(n_outcomes))
+        sampler = ActSampler(ExpMeasure(rate), STATES, outcomes, max_pieces, ceiling)
+        rng, ref = kind(seed), kind(seed)
+        for count, pieces in calls:
+            got = drawn_rows(ActSampler._rows, sampler, rng, count, pieces)
+            assert got == drawn_rows(sampler_rows.rows, sampler, ref, count, pieces)
+            assert rng.getstate() == ref.getstate()
+            if got[0] != "ok":
+                break
 
 
 class TestSortedBuilders:
