@@ -74,10 +74,16 @@ class StepProfile:
 
     @classmethod
     def _unchecked(cls, cuts: tuple[float, ...], outs: tuple[Outcome, ...]) -> StepProfile:
-        """The profile ``cls(cuts, outs)`` of fields a builder here has already checked."""
+        """The profile ``cls(cuts, outs)`` of fields a builder here has already checked.
+
+        The fields are written into the instance ``__dict__`` in field order,
+        which is where the frozen dataclass's ``__init__`` puts them through
+        ``object.__setattr__``, at less cost.
+        """
         profile = object.__new__(cls)
-        object.__setattr__(profile, "cuts", cuts)
-        object.__setattr__(profile, "outs", outs)
+        fields = profile.__dict__
+        fields["cuts"] = cuts
+        fields["outs"] = outs
         return profile
 
     @classmethod
@@ -188,9 +194,18 @@ class GridAct:
 
     @classmethod
     def _lift(cls, states: Iterable[State], row: StepProfile) -> GridAct:
-        """The act paying the canonical ``row`` in every state, recorded as ``common_row``."""
-        act = cls(dict.fromkeys(states, row))
-        object.__setattr__(act, "common_row", row)
+        """The act paying the canonical ``row`` in every state, recorded as ``common_row``.
+
+        Built as :meth:`StepProfile._unchecked` builds a row; no states go
+        to the constructor, for its error.
+        """
+        profiles = dict.fromkeys(states, row)
+        if not profiles:
+            return cls(profiles)
+        act = object.__new__(cls)
+        fields = act.__dict__
+        fields["profiles"] = profiles
+        fields["common_row"] = row
         return act
 
     @property
@@ -246,11 +261,24 @@ def _switch_act(states: Iterable[State], early: Outcome, t: float, late: Outcome
     """``GridAct.deterministic(states, StepProfile.before_after(early, t, late))``.
 
     A switch at ``0 < t < inf`` between two different outcomes is one
-    canonical two-piece row, so the act is built from it directly; any other
-    input takes the checked path, with its errors.
+    canonical two-piece row, so the row and the act are built directly, as
+    :meth:`StepProfile._unchecked` and :meth:`GridAct._lift` build theirs,
+    but inline: on the search's hottest path a call per object costs more
+    than the writes.  No states, and any other input, take the checked
+    path, with its errors.
     """
     if early != late and 0.0 < t < INF:
-        return GridAct._lift(states, StepProfile._unchecked((t,), (early, late)))
+        row = object.__new__(StepProfile)
+        fields = row.__dict__
+        fields["cuts"] = (t,)
+        fields["outs"] = (early, late)
+        profiles = dict.fromkeys(states, row)
+        if profiles:
+            act = object.__new__(GridAct)
+            fields = act.__dict__
+            fields["profiles"] = profiles
+            fields["common_row"] = row
+            return act
     return GridAct.deterministic(states, StepProfile.before_after(early, t, late))
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Iterator, Sequence
 
 from .acts import GridAct, Outcome, State, StepProfile, _switch_act
 from .equivalents import (
@@ -34,15 +35,92 @@ from .oracles import _FIRST, _SECOND, Preference, ProtocolError, subset_indices
 DEFAULT_RESIDUAL_TOLERANCE = 1e-3
 
 
+_Pair = tuple[frozenset[State], frozenset[State]]
+
+
+class _ResidualValues(ValuesView):
+    """The residuals in plan order, read from the list without a set key."""
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping._residuals)
+
+
+class _Residuals(Mapping):
+    """A session's residuals by audited pair of sets, set keys built on first read.
+
+    The session keeps each residual in a list by plan position, and each
+    pair's two set positions in ``pairs`` (each entry ``(e, f, e | f)``);
+    ``names`` maps a position to its set.  The first read that needs a key
+    builds the dict the session once built, ``{(names[e], names[f]): r}`` in
+    plan order, and keeps it, so order, ``==`` (either way round), ``repr``
+    and ``len`` are the dict's.  ``values()`` reads the list, so the
+    report's verdict builds no key.  A pickle or a copy of the view is that
+    dict.
+    """
+
+    __slots__ = ("_names", "_pairs", "_residuals", "_by_sets")
+
+    def __init__(
+        self,
+        names: Sequence[frozenset[State]],
+        pairs: Sequence[tuple[int, int, int]],
+        residuals: list[float],
+    ) -> None:
+        self._names, self._pairs, self._residuals = names, pairs, residuals
+        self._by_sets: dict[_Pair, float] | None = None
+
+    def _sets(self) -> dict[_Pair, float]:
+        by_sets = self._by_sets
+        if by_sets is None:
+            names = self._names
+            by_sets = self._by_sets = {
+                (names[e], names[f]): r for (e, f, _), r in zip(self._pairs, self._residuals)
+            }
+        return by_sets
+
+    def __getitem__(self, pair: _Pair) -> float:
+        return self._sets()[pair]
+
+    def __iter__(self) -> Iterator[_Pair]:
+        return iter(self._sets())
+
+    def __len__(self) -> int:
+        return len(self._residuals)
+
+    def __eq__(self, other: object) -> bool:
+        return self._sets() == other
+
+    def __repr__(self) -> str:
+        return repr(self._sets())
+
+    def __reduce__(self) -> tuple[type, tuple[dict[_Pair, float]]]:
+        return dict, (self._sets(),)
+
+    def items(self):
+        return self._sets().items()
+
+    def values(self) -> _ResidualValues:
+        return _ResidualValues(self)
+
+
 @dataclass
 class ElicitationReport:
-    """Everything one session recovers, with its additivity audit."""
+    """Everything one session recovers, with its additivity audit.
+
+    A session's ``additivity_residuals`` is a read-only mapping that builds
+    its set-pair keys on first read (``max_residual`` reads no key); a
+    pickle or a copy of the report holds them as a dict.  A report may also
+    be built from a dict.
+    """
 
     lambda_hat: float
     mu_hat: dict[frozenset[State], float]
-    additivity_residuals: dict[tuple[frozenset[State], frozenset[State]], float]
+    additivity_residuals: Mapping[_Pair, float]
     query_count: int
     residual_tolerance: float = DEFAULT_RESIDUAL_TOLERANCE
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {**vars(self), "additivity_residuals": dict(self.additivity_residuals.items())}
 
     @property
     def max_residual(self) -> float:
@@ -232,12 +310,12 @@ def elicit_measure(
     adds up what each search asked, probes and end queries; the oracle is
     not wrapped.  Estimates are kept in a list by plan position, and every
     hint reads its parts by position, adding in the order above.  The
-    report's set-keyed ``mu_hat`` and residuals are built once, at the end:
-    each event's set is the union of the two sets of its last part (``E``
-    less its last state, and that state), and the residuals come in one
-    pass over the plan's pairs, each
-    ``est[e | f] - est[e] - est[f]``, keyed by the pair's two sets in plan
-    order.
+    report's set-keyed ``mu_hat`` is built once, at the end: each event's
+    set is the union of the two sets of its last part (``E`` less its last
+    state, and that state).  The residuals come in one pass over the plan's
+    pairs, each ``est[e | f] - est[e] - est[f]``, into a list by pair
+    position; the report reads them through a view that keys them by the
+    pair's two sets in plan order when first asked.
     """
     _check_tol(tol)
     _check_outcomes(x, y)
@@ -279,9 +357,9 @@ def elicit_measure(
     return ElicitationReport(
         lambda_hat=rate.rate,
         mu_hat=dict(zip(named, est)),
-        additivity_residuals={
-            (named[e], named[f]): est[ef] - est[e] - est[f] for e, f, ef in pairs
-        },
+        additivity_residuals=_Residuals(
+            named, pairs, [est[ef] - est[e] - est[f] for e, f, ef in pairs]
+        ),
         query_count=queries,
     )
 

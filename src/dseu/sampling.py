@@ -90,6 +90,14 @@ class ActSampler:
         return [-math.log1p(-q) / rate for q in qs]
 
     def profile(self, rng: random.Random, pieces: int | None = None) -> StepProfile:
+        """One row of ``pieces`` drawn pieces, or of a drawn count when ``None``.
+
+        As for ``max_pieces``, a bool is not an integer here; a ``pieces``
+        below 1 raises :meth:`StepProfile.canonical`'s error for no outcomes.
+        Both are checked before any draw.
+        """
+        if not (pieces is None or type(pieces) is int):
+            raise ValueError(f"pieces must be an integer, got {pieces!r}")
         return self._rows(rng, 1, pieces)[0]
 
     def act(self, rng: random.Random) -> GridAct:

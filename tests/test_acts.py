@@ -377,6 +377,119 @@ class TestUncheckedBuilders:
             lifted.common_row = None
 
 
+def checked_lift(states, row):
+    """``GridAct._lift`` through the constructor and ``object.__setattr__``."""
+    act = GridAct(dict.fromkeys(states, row))
+    object.__setattr__(act, "common_row", row)
+    return act
+
+
+def checked_switch_act(states, early, t, late):
+    """``_switch_act`` through the checked constructors only."""
+    return checked_lift(states, StepProfile.from_breakpoints((t,), (early, late)).normalized())
+
+
+def assert_same_build(got, want):
+    """``got`` is ``want`` in everything a caller can read, copy or pickle."""
+    assert type(got) is type(want)
+    assert got == want and want == got and repr(got) == repr(want)
+    # The instance dicts, in their order, and so the pickles, byte for byte.
+    assert list(vars(got).items()) == list(vars(want).items())
+    assert pickle.dumps(got) == pickle.dumps(want)
+    for twin in (copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+        assert type(twin) is type(want) and twin == want
+        assert list(vars(twin).items()) == list(vars(want).items())
+    if type(want) is StepProfile:
+        assert hash(got) == hash(want)
+        assert dataclasses.replace(got) == want
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.cuts = ()
+        return
+    assert type(got.profiles) is dict and all(map(profile_fields_are_tuples, got.profiles.values()))
+    for act in (got, copy.copy(got), copy.deepcopy(got), pickle.loads(pickle.dumps(got))):
+        assert act.common_row == want.common_row
+        assert all(p is act.common_row for p in act.profiles.values())
+    # replace builds the act from its mapping, so it records no row.
+    replaced = dataclasses.replace(got)
+    assert replaced == want and replaced.common_row is None
+    for name in ("profiles", "common_row"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, name, None)
+
+
+def assert_same_outcome(got, want):
+    """Two ``outcome_of`` results: the same build, or the same error."""
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert_same_build(got[1], want[1])
+    else:
+        assert got == want
+
+
+STATE_CONTAINERS = st.sampled_from((list, tuple, iter))
+
+
+class TestDirectWrites:
+    """Rows and acts whose fields are written into the instance dict, against the constructors.
+
+    The direct writes rest on how CPython lays out a frozen dataclass
+    instance, so CI runs these on every interpreter.
+    """
+
+    @pytest.mark.identity
+    @given(
+        ACT_STATES, STATE_CONTAINERS, st.sampled_from(OUTCOMES), POINTS, st.sampled_from(OUTCOMES)
+    )
+    @example(["s0", "s1"], tuple, "a", 1.0, "b")
+    @example(["s0", "s0", "s1"], list, "a", 5e-324, "b")
+    @example(["s0"], iter, "a", 2.0, "b")
+    @example([], tuple, "a", 2.0, "b")
+    @example([], iter, "a", 2.0, "b")
+    @example([], tuple, "a", math.nan, "b")
+    @example(["s0"], tuple, "a", 0.0, "b")
+    @example(["s0"], tuple, "a", INF, "b")
+    @example(["s0"], tuple, "a", 2.0, "a")
+    @settings(deadline=None)
+    def test_switch_act_equals_the_checked_build(self, states, container, early, t, late):
+        # A generator is consumed by the call, so each call gets its own.
+        assert_same_outcome(
+            outcome_of(_switch_act, container(states), early, t, late),
+            outcome_of(checked_switch_act, container(states), early, t, late),
+        )
+
+    @pytest.mark.identity
+    @given(
+        ACT_STATES,
+        STATE_CONTAINERS,
+        st.lists(st.floats(min_value=5e-324, max_value=1e300), max_size=4),
+        st.lists(st.sampled_from(OUTCOMES), min_size=5, max_size=5),
+    )
+    @example([], tuple, [], ["a"] * 5)
+    @example([], iter, [1.0], ["a", "b", "c", "d", "a"])
+    @example(["s1", "s0", "s1"], list, [1.0, 2.0], ["a", "a", "b", "c", "d"])
+    @settings(deadline=None)
+    def test_lift_and_unchecked_equal_the_constructors(self, states, container, cuts, outs):
+        cuts = tuple(sorted(set(cuts)))
+        outs = tuple(outs[: len(cuts) + 1])
+        assert_same_build(StepProfile._unchecked(cuts, outs), StepProfile(cuts, outs))
+        row = StepProfile.from_breakpoints(cuts, outs).normalized()
+        got = outcome_of(GridAct._lift, container(states), row)
+        assert_same_outcome(got, outcome_of(checked_lift, container(states), row))
+        if states:
+            assert got[1].common_row is row
+        else:
+            assert got == ("ValueError", "an act needs at least one state")
+
+    def test_the_one_row_builders_equal_the_checked_builds(self):
+        row = StepProfile((1.0,), ("a", "b"))
+        for got, want in [
+            (GridAct.deterministic(STATES, row), checked_lift(STATES, row)),
+            (GridAct.constant(STATES, "a"), checked_lift(STATES, StepProfile((), ("a",)))),
+            (StepProfile.constant("a"), StepProfile((), ("a",))),
+        ]:
+            assert_same_build(got, want)
+
+
 class TestGridAct:
     def test_deterministic_flag(self):
         det = GridAct.deterministic(STATES, StepProfile.before_after("a", 1.0, "b"))

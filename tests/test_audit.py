@@ -43,7 +43,7 @@ from dseu.oracles import (
 from dseu.sampling import DISJOINT_ATTEMPTS, ActSampler
 
 import sampler_rows
-import test_acts
+import sorted_builders
 from refinement import refine
 
 STATES = ("s0", "s1", "s2")
@@ -585,6 +585,17 @@ class TestSamplerArguments:
         with pytest.raises(ValueError, match="max_pieces"):
             ActSampler(model.discount, STATES, model.outcomes, max_pieces=0)
 
+    @pytest.mark.parametrize("pieces", [2.5, True, False, 2.0, "2"])
+    def test_a_piece_count_that_is_not_an_integer_is_rejected_before_any_draw(self, pieces):
+        model = seu_model()
+        sampler = ActSampler(model.discount, STATES, model.outcomes)
+        rng = random.Random(0)
+        drawn = rng.getstate()
+        message = f"^pieces must be an integer, got {re.escape(repr(pieces))}$"
+        with pytest.raises(ValueError, match=message):
+            sampler.profile(rng, pieces)
+        assert rng.getstate() == drawn
+
     @pytest.mark.parametrize("samples", [0, 5])
     @pytest.mark.parametrize("check", ["t_monotonicity", "dominance", "t_separability"])
     def test_an_outcome_the_oracle_does_not_rank_is_named(self, check, samples):
@@ -887,11 +898,10 @@ class TestSortedBuilders:
             ((0.0, 1.0), (2.0, INF), (1.0, 2.0)),
         ],
     )
-    def test_swapped_pastes_equal_the_canonical_builds(self, monkeypatch, first, second, cuts):
+    def test_swapped_pastes_equal_the_canonical_builds(self, first, second, cuts):
         background = StepProfile(cuts, tuple("abcab"[: len(cuts) + 1]))
         got = audit._swapped_pastes(TimeSet(first), TimeSet(second))(background, "b", "c")
-        monkeypatch.setattr(StepProfile, "_sorted", test_acts.ref_canonical)
-        want = audit._swapped_pastes(TimeSet(first), TimeSet(second))(background, "b", "c")
+        want = sorted_builders.swapped_pastes(TimeSet(first), TimeSet(second))(background, "b", "c")
         assert got == want
 
     def test_spans_with_one_start_drop_the_empty_piece(self):

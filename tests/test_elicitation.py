@@ -1,9 +1,12 @@
 """Rate and probability recovery, additivity audits, and the worked chain."""
 
 import collections
+import copy
+import dataclasses
 import json
 import math
 import pathlib
+import pickle
 import random
 
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from dseu import elicitation, serialize
 from dseu.elicitation import (
+    ElicitationReport,
     _event_plan,
     _session_plan,
     elicit_event,
@@ -494,6 +498,117 @@ class TestEventPlan:
         for owner, name, reference in event_plan_reference.BUILDERS:
             monkeypatch.setattr(owner, name, reference)
         assert got == hex_report(run_session(oracle_with(ReferenceCapacity), "x", "y"))
+
+
+def residual_session(n):
+    """The event phase on ``n`` states at rate 1.3: SEU for odd ``n``, else ε-contaminated.
+
+    With no states the oracle is never asked.
+    """
+    rate = ExpMeasure(1.3)
+    if not n:
+        return FunctionalOracle(lambda act: 0.0, states=(), outcomes=("x", "y")), rate
+    rng = random.Random(f"residuals:{n}")
+    raw = [rng.uniform(0.5, 1.5) for _ in range(n)]
+    model = DSEUModel(
+        rate,
+        UtilityModel({"x": 1.0, "y": 0.0}),
+        Beliefs({f"s{n - i}": w / sum(raw) for i, w in enumerate(raw)}),
+    )
+    if n % 2:
+        return SEUOracle(model), rate
+    capacity = Capacity.epsilon_contamination(model.beliefs, 0.2)
+    return ChoquetOracle(model.discount, model.utility, capacity), rate
+
+
+def eager_residuals(report, n):
+    """The dict the session built before the residual view, from the report's own sets."""
+    names, est = list(report.mu_hat), list(report.mu_hat.values())
+    return {(names[e], names[f]): est[ef] - est[e] - est[f] for e, f, ef in _session_plan(n)[3]}
+
+
+def report_json(report):
+    return json.dumps(serialize.elicitation_report_to_json(report))
+
+
+class TestResidualView:
+    """The residuals a session keeps by plan position, read as the set-keyed dict."""
+
+    @pytest.mark.identity
+    @pytest.mark.parametrize("n", range(13))
+    def test_view_equals_the_set_keyed_reference(self, n):
+        oracle, rate = residual_session(n)
+        got = elicit_measure(oracle, rate, "x", "y")
+        want = event_plan_reference.elicit_measure(oracle, rate, "x", "y")
+        view, ref = got.additivity_residuals, want.additivity_residuals
+        assert view == ref and ref == view and not view != ref and not ref != view
+        assert len(view) == len(ref) and list(view) == list(ref)
+        assert [(p, r.hex()) for p, r in view.items()] == [(p, r.hex()) for p, r in ref.items()]
+        assert [r.hex() for r in view.values()] == [r.hex() for r in ref.values()]
+        assert got.max_residual.hex() == want.max_residual.hex()
+        assert (got.additive, got.verdict) == (want.additive, want.verdict)
+        assert got == want and want == got
+        assert report_json(got) == report_json(want)
+
+    @pytest.mark.identity
+    @pytest.mark.parametrize("n", range(13))
+    def test_view_reads_as_the_eager_dict(self, n):
+        oracle, rate = residual_session(n)
+        got = elicit_measure(oracle, rate, "x", "y")
+        eager = eager_residuals(got, n)
+        built = dataclasses.replace(got, additivity_residuals=eager)
+        # Pickled before any key is read, then again after.
+        assert pickle.dumps(got) == pickle.dumps(built)
+        view = got.additivity_residuals
+        assert repr(view) == repr(eager) and repr(got) == repr(built)
+        assert pickle.dumps(got) == pickle.dumps(built)
+        assert list(view.items()) == list(eager.items()) and len(view) == len(eager)
+        assert all(view[pair].hex() == r.hex() for pair, r in eager.items())
+        for twin in (pickle.loads(pickle.dumps(got)), copy.copy(got), copy.deepcopy(got)):
+            assert type(twin.additivity_residuals) is dict
+            assert list(twin.additivity_residuals.items()) == list(eager.items())
+            assert twin == built
+        assert type(pickle.loads(pickle.dumps(view))) is dict
+        assert pickle.loads(pickle.dumps(view)) == eager
+        assert report_json(got) == report_json(built)
+
+    def test_keys_are_built_on_first_read_and_kept(self):
+        oracle, rate = residual_session(4)
+        report = elicit_measure(oracle, rate, "x", "y")
+        view = report.additivity_residuals
+        # The verdict reads the residuals by position, not by set.
+        assert (report.max_residual, report.verdict) == (pytest.approx(0.2, abs=1e-6), "FAIL")
+        assert view._by_sets is None
+        assert len(view) == 25 and view._by_sets is None
+        first = next(iter(view))
+        assert view._by_sets is not None and view._sets() is view._by_sets
+        assert first == (frozenset({"s4"}), frozenset({"s3"}))
+        assert view[first] == view.get(first) and (frozenset(), frozenset()) not in view
+
+    def test_view_is_read_only(self):
+        oracle, rate = residual_session(3)
+        view = elicit_measure(oracle, rate, "x", "y").additivity_residuals
+        pair = next(iter(view))
+        with pytest.raises(TypeError):
+            view[pair] = 0.0
+        with pytest.raises(TypeError):
+            del view[pair]
+        with pytest.raises(AttributeError):
+            view.extra = 1
+        with pytest.raises(TypeError):
+            hash(view)
+
+    def test_a_report_built_from_a_dict_reads_as_before(self):
+        oracle, rate = residual_session(4)
+        got = elicit_measure(oracle, rate, "x", "y")
+        eager = eager_residuals(got, 4)
+        built = ElicitationReport(got.lambda_hat, dict(got.mu_hat), eager, got.query_count)
+        assert built.additivity_residuals is eager
+        assert (built.max_residual, built.verdict) == (got.max_residual, got.verdict)
+        assert built == got and report_json(built) == report_json(got)
+        back = serialize.elicitation_report_from_json(json.loads(report_json(got)))
+        assert type(back.additivity_residuals) is dict
+        assert back == got and got == back and report_json(back) == report_json(got)
 
 
 def logged_session(oracle):
